@@ -125,18 +125,30 @@ def cmd_stats(args) -> int:
     return EXIT_VALIDATION if errors else EXIT_OK
 
 
-def _read_pairs(path):
-    pairs = []
+def _read_jsonl(path):
+    """Yield ``(line_number, object)`` for each non-blank line of a JSONL
+    input; a line that is not a JSON object is a :class:`ConfigError`."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            for key in ("clip_id", "prediction", "reference"):
-                if key not in obj:
-                    raise ConfigError(f"line {line_no}: missing {key!r}")
-            pairs.append(obj)
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {line_no}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ConfigError(f"{path} line {line_no}: expected a JSON object")
+            yield line_no, obj
+
+
+def _read_pairs(path):
+    pairs = []
+    for line_no, obj in _read_jsonl(path):
+        for key in ("clip_id", "prediction", "reference"):
+            if key not in obj:
+                raise ConfigError(f"{path} line {line_no}: missing {key!r}")
+        pairs.append(obj)
     return pairs
 
 
@@ -197,25 +209,26 @@ def cmd_segment(args) -> int:
         padding_s=args.padding,
     )
     events = []
-    with open(args.input, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
+    for line_no, obj in _read_jsonl(args.input):
+        try:
             events.append(ImpactEvent(timestamp=float(obj["t"]),
                                       confidence=float(obj["conf"])))
+        except KeyError as exc:
+            raise ConfigError(
+                f"{args.input} line {line_no}: missing {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{args.input} line {line_no}: bad impact row: {exc}") from None
     intervals = cluster_impacts(events, params)
     if args.flags:
         flags = []
-        with open(args.flags, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
+        for line_no, obj in _read_jsonl(args.flags):
+            try:
                 flags.append((bool(obj["broadcast_view"]),
                               bool(obj["scoreboard_visible"])))
+            except KeyError as exc:
+                raise ConfigError(
+                    f"{args.flags} line {line_no}: missing {exc.args[0]!r}") from None
         intervals = filter_intervals(intervals, flags)
     rows = [{"start": round(i.start, 3), "end": round(i.end, 3),
              "hits": i.hit_count} for i in intervals]

@@ -67,6 +67,9 @@ def tokenize(text: str) -> list[str]:
 
 
 def _fold(text: str) -> str:
+    """Casefold with accents stripped (NFKD, combining marks dropped)."""
+    if text.isascii():  # NFKD leaves ASCII unchanged and adds no marks
+        return text.casefold()
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold()
 
@@ -305,7 +308,7 @@ def sanity_check(commentary: str, rally: RallyRecord,
         if len(named) != 1:
             continue
         for term, actor in _ATTRIBUTION_TERMS.items():
-            if re.search(rf"\b{term}\b", folded):
+            if term in folded and re.search(rf"\b{term}\b", folded):
                 expected = winner_id if actor == "winner" else loser_id
                 if named[0] != expected:
                     violations.append(SanityViolation(
@@ -340,7 +343,9 @@ def sanity_check(commentary: str, rally: RallyRecord,
         seen_terms.add(shot.stroke)
         seen_terms.add(shot.technique)
     for term in shot_taxonomy:
-        if re.search(rf"\b{re.escape(_fold(term))}\b", folded_text):
+        folded_term = _fold(term)
+        if (folded_term in folded_text
+                and re.search(rf"\b{re.escape(folded_term)}\b", folded_text)):
             if term not in seen_terms:
                 violations.append(SanityViolation(
                     "shot_term", f"mentions {term!r} which never occurs in "

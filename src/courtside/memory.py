@@ -166,7 +166,8 @@ def push_rally(short: ShortTermMemory,
     return replace(short, entries=entries), evicted
 
 
-def _total_games(score: MatchScore, idx: int) -> int:
+def total_games(score: MatchScore, idx: int) -> int:
+    """Games won by player ``idx`` (0 or 1) over the whole match so far."""
     return sum(pair[idx] for pair in score.completed_sets) + score.games[idx]
 
 
@@ -188,7 +189,7 @@ def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
     lines = []
     for idx, pid in enumerate((PLAYER_1, PLAYER_2)):
         increments = dict(contribution.per_player.get(pid, {}))
-        games_delta = _total_games(after, idx) - _total_games(before, idx)
+        games_delta = total_games(after, idx) - total_games(before, idx)
         if games_delta:
             increments["games_won"] = increments.get("games_won", 0) + games_delta
         lines.append(long.stat_lines[idx].add(increments))
@@ -216,13 +217,6 @@ class ContextView:
     recent: tuple[tuple[RallyRecord, str | None], ...]
     stat_lines: tuple[PlayerStatLine, PlayerStatLine]
     rallies_consolidated: int
-
-    def stats_report(self) -> dict:
-        return {
-            "player_1": self.stat_lines[0].as_dict(),
-            "player_2": self.stat_lines[1].as_dict(),
-            "rallies_consolidated": self.rallies_consolidated,
-        }
 
 
 def memory_snapshot(short: ShortTermMemory, long: LongTermMemory) -> ContextView:

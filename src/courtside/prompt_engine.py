@@ -15,7 +15,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import requests
 
@@ -37,7 +37,7 @@ from .match_model import (
     advance_point,
     synthesize_completed_sets,
 )
-from .memory import ContextView, PlayerStatLine
+from .memory import ContextView, PlayerStatLine, total_games
 
 COMMENTATOR_SYSTEM_PROMPT = """\
 I want you to act as a professional tennis commentator and coach. I will give \
@@ -88,9 +88,17 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PromptBundle:
+    """The prompt text, plus the rally and memory snapshot it was built from.
+
+    ``rally`` and ``view`` are set by :func:`build_commentary_prompt`; they are
+    facts for offline clients and never leave the process.
+    """
+
     system_text: str
     user_text: str
     prior_interaction: tuple[str, str] | None = None
+    rally: RallyRecord | None = field(default=None, compare=False, repr=False)
+    view: ContextView | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.system_text:
@@ -406,25 +414,7 @@ def build_commentary_prompt(rally: RallyRecord, view: ContextView,
         f"{serialize_memory(view, (info.player_1.name, info.player_2.name))}",
     ])
     return PromptBundle(system_text=persona.system_text, user_text=user_text,
-                        prior_interaction=prior)
-
-
-def _extract_metadata_block(user_text: str) -> str:
-    try:
-        after = user_text.split(_METADATA_MARKER + "\n", 1)[1]
-        return after.split("\n\n" + _CONTEXT_MARKER, 1)[0]
-    except IndexError:
-        raise MalformedResponse("prompt does not carry a metadata block") from None
-
-
-_CONSOLIDATED_RE = re.compile(r"consolidated over (\d+) rallies")
-
-
-def _extract_stat_row(user_text: str, row: str) -> tuple[int, int] | None:
-    m = re.search(rf"^{row}\s+(\d+)\s+(\d+)\s*$", user_text, flags=re.MULTILINE)
-    if m is None:
-        return None
-    return int(m.group(1)), int(m.group(2))
+                        prior_interaction=prior, rally=rally, view=view)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +425,10 @@ def _extract_stat_row(user_text: str, row: str) -> tuple[int, int] | None:
 class MockCommentaryClient:
     """Deterministic offline stand-in for the commentary model.
 
-    The produced sentence is a pure function of the request: it names the
-    point winner, the rally-ending reason, the score the point started at,
-    and folds in the consolidated tally once history exists.
+    The produced sentence is a pure function of the rally facts carried on
+    the request's bundle: it names the point winner, the rally-ending reason,
+    the score the point started at, and folds in the consolidated tally once
+    history exists.  A bundle without those facts is a malformed request.
     """
 
     name = "mock"
@@ -446,15 +437,17 @@ class MockCommentaryClient:
         self.token_cap = token_cap
 
     def complete(self, request: GenerationRequest) -> GenerationResponse:
-        rally = parse_metadata(_extract_metadata_block(request.bundle.user_text))
-        text = self._commentary(rally, request.bundle.user_text)
+        bundle = request.bundle
+        if bundle.rally is None or bundle.view is None:
+            raise MalformedResponse("prompt bundle carries no rally facts")
+        text = self._commentary(bundle.rally, bundle.view)
         usage = {
-            "prompt_tokens": estimate_prompt(request.bundle).count,
+            "prompt_tokens": estimate_prompt(bundle).count,
             "completion_tokens": estimate_tokens(text).count,
         }
         return GenerationResponse(text=text, usage=usage)
 
-    def _commentary(self, rally: RallyRecord, user_text: str) -> str:
+    def _commentary(self, rally: RallyRecord, view: ContextView) -> str:
         info = rally.match_info
         outcome = rally.outcome
         score = rally.initial_score
@@ -480,24 +473,17 @@ class MockCommentaryClient:
         else:
             sentence = f"{win} wrestles the point away {at}, forcing the miss."
 
+        idx = 0 if outcome.point_winner == PLAYER_1 else 1
         after = advance_point(score, outcome.point_winner)
-        games_now = sum(p[0] + p[1] for p in after.completed_sets) + sum(after.games)
-        games_before = (sum(p[0] + p[1] for p in score.completed_sets)
-                        + sum(score.games))
-        if games_now > games_before:
+        if total_games(after, idx) > total_games(score, idx):
             sentence += " That seals the game."
 
-        consolidated = _CONSOLIDATED_RE.search(user_text)
-        if consolidated and int(consolidated.group(1)) > 0:
-            winners_row = _extract_stat_row(user_text, "winners")
-            errors_row = _extract_stat_row(user_text, "unforced_errors")
-            if winners_row and errors_row:
-                totals = (winners_row[0] + errors_row[0],
-                          winners_row[1] + errors_row[1])
-                idx = 0 if outcome.point_winner == PLAYER_1 else 1
-                sentence += (f" Tally so far puts {win} on {winners_row[idx]} "
-                             f"winners against {totals[1 - idx]} decisive "
-                             f"moments for {lose}.")
+        if view.rallies_consolidated > 0:
+            other = view.stat_lines[1 - idx]
+            sentence += (f" Tally so far puts {win} on "
+                         f"{view.stat_lines[idx].winners} winners against "
+                         f"{other.winners + other.unforced_errors} decisive "
+                         f"moments for {lose}.")
         return sentence
 
 
@@ -556,8 +542,8 @@ class HttpCommentaryClient:
         try:
             http_response = self.session.post(
                 self.endpoint, json=body, headers=headers, timeout=self.timeout_s)
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise TransportFailure(str(exc)) from exc
+        except requests.RequestException as exc:
+            raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
 
         self._log(body, http_response)
         if http_response.status_code >= 500:

@@ -8,6 +8,7 @@ transitive closure instead of sorted sweeps, plain DP tables, and so on.
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter, defaultdict
 
 LADDER = ("0", "15", "30", "40")
@@ -123,6 +124,21 @@ def reachable_set_states(trigger: int = 6, tb_target: int = 7, ad: bool = True) 
                 frontier.append(nxt)
                 out.add(display(nxt))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Text folding
+# ---------------------------------------------------------------------------
+
+
+def fold_text(text: str) -> str:
+    """Accent-insensitive casefold, character by character with no fast path:
+    NFKD-decompose, drop every combining mark, then casefold."""
+    kept = []
+    for ch in unicodedata.normalize("NFKD", text):
+        if unicodedata.combining(ch) == 0:
+            kept.append(ch)
+    return "".join(kept).casefold()
 
 
 # ---------------------------------------------------------------------------

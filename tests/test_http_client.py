@@ -13,6 +13,8 @@ from courtside.prompt_engine import (
     TransportFailure,
     generate,
 )
+from courtside.pipeline import replay_match
+from courtside.simulate import simulate_match
 
 
 class FakeResponse:
@@ -110,6 +112,33 @@ class TestFailureModes:
                                       session=session)
         with pytest.raises(TransportFailure):
             client.complete(request_with_prior())
+
+    @pytest.mark.parametrize("exc", [
+        requests.exceptions.ChunkedEncodingError("connection broken"),
+        requests.exceptions.ContentDecodingError("bad gzip"),
+        requests.exceptions.TooManyRedirects("loop"),
+        requests.RequestException("generic"),
+    ])
+    def test_any_request_exception_is_transport_failure(self, exc):
+        session = FakeSession([exc])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session)
+        with pytest.raises(TransportFailure, match=type(exc).__name__):
+            client.complete(request_with_prior())
+
+    def test_replay_survives_broken_chunked_reply(self):
+        records = simulate_match(seed=2024)[:2]
+        session = FakeSession([
+            requests.exceptions.ChunkedEncodingError("connection broken"),
+            FakeResponse(payload={"text": "recovered", "usage": {}}),
+            FakeResponse(payload={"text": "steady", "usage": {}}),
+        ])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session)
+        report = replay_match(records, client=client)
+        assert [r.commentary for r in report.rallies] == ["recovered", "steady"]
+        assert report.failures == 0
+        assert len(session.calls) == 3
 
     def test_client_error_is_malformed_not_retried(self):
         session = FakeSession([FakeResponse(status_code=401, payload={})])

@@ -356,3 +356,73 @@ class TestCli:
         main(["simulate", "--seed", "3", "--output", str(a_path)])
         main(["simulate", "--seed", "3", "--output", str(b_path)])
         assert a_path.read_bytes() == b_path.read_bytes()
+
+
+class TestBestOfFive:
+    @pytest.fixture(scope="class")
+    def bo5(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bo5")
+        records = simulate_match(seed=3, config=ScoringConfig(best_of=5))
+        match_path = root / "match.jsonl"
+        match_path.write_text("\n".join(json.dumps(rally_to_json(r))
+                                        for r in records) + "\n",
+                              encoding="utf-8")
+        config_path = root / "config.json"
+        config_path.write_text('{"scoring": {"best_of": 5}}', encoding="utf-8")
+        return records, match_path, config_path
+
+    def test_mock_replay_completes_with_match_stats(self, bo5, tmp_path):
+        _, match_path, config_path = bo5
+        config = PipelineConfig(scoring=ScoringConfig(best_of=5))
+        report = replay_match(load_dataset(match_path, config.scoring), config)
+        assert report.failures == 0
+        assert all(r.sanity_passed for r in report.rallies)
+        stats_path = tmp_path / "stats.json"
+        assert main(["stats", "--input", str(match_path), "--config",
+                     str(config_path), "--output", str(stats_path)]) == 0
+        assert (json.loads(json.dumps(report.final_stats))
+                == json.loads(stats_path.read_text()))
+
+    def test_replay_command_exit_zero(self, bo5, tmp_path):
+        _, match_path, config_path = bo5
+        code = main(["replay", "--input", str(match_path), "--config",
+                     str(config_path), "--no-timing",
+                     "--output", str(tmp_path / "report.json")])
+        assert code == 0
+
+
+class TestBadInputLines:
+    """Unusable lines in evaluate/segment input exit 2 with the line number."""
+
+    def _run(self, tmp_path, capsys, command, lines, extra=()):
+        path = tmp_path / "input.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main([command, "--input", str(path), *extra])
+        assert code == 2
+        return capsys.readouterr().err
+
+    def test_evaluate_non_json_line(self, tmp_path, capsys):
+        good = json.dumps({"clip_id": "a", "prediction": "x", "reference": "y"})
+        err = self._run(tmp_path, capsys, "evaluate", [good, "{oops"])
+        assert "line 2" in err and "invalid JSON" in err
+
+    def test_segment_non_json_line(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "segment",
+                        ['{"t": 1.0, "conf": 0.9}', "", "not json"])
+        assert "line 3" in err and "invalid JSON" in err
+
+    @pytest.mark.parametrize("row,key", [({"t": 2.0}, "conf"),
+                                         ({"conf": 0.9}, "t")])
+    def test_segment_row_missing_key(self, tmp_path, capsys, row, key):
+        err = self._run(tmp_path, capsys, "segment",
+                        ['{"t": 1.0, "conf": 0.9}', json.dumps(row)])
+        assert "line 2" in err and repr(key) in err
+
+    def test_segment_flags_row_missing_key(self, tmp_path, capsys):
+        flags = tmp_path / "flags.jsonl"
+        flags.write_text('{"broadcast_view": true}\n', encoding="utf-8")
+        err = self._run(tmp_path, capsys, "segment",
+                        ['{"t": 1.0, "conf": 0.9}', '{"t": 1.5, "conf": 0.9}'],
+                        extra=("--flags", str(flags)))
+        assert "line 1" in err and "'scoreboard_visible'" in err
+

@@ -171,6 +171,14 @@ class TestMockClient:
         assert "Tally so far" not in early_text
         assert "Tally so far" in late_text
 
+    def test_bundle_without_rally_facts_is_malformed(self, records):
+        built = build_commentary_prompt(records[2], view_after(records, 2))
+        bare = PromptBundle(system_text=built.system_text,
+                            user_text=built.user_text)
+        assert bare == built  # the facts are not part of the prompt's identity
+        with pytest.raises(MalformedResponse):
+            MockCommentaryClient().complete(GenerationRequest(bundle=bare))
+
     def test_budget_guard_fires_before_call(self):
         calls = []
 
