@@ -369,10 +369,10 @@ class TestBestOfFive:
                               encoding="utf-8")
         config_path = root / "config.json"
         config_path.write_text('{"scoring": {"best_of": 5}}', encoding="utf-8")
-        return records, match_path, config_path
+        return match_path, config_path
 
     def test_mock_replay_completes_with_match_stats(self, bo5, tmp_path):
-        _, match_path, config_path = bo5
+        match_path, config_path = bo5
         config = PipelineConfig(scoring=ScoringConfig(best_of=5))
         report = replay_match(load_dataset(match_path, config.scoring), config)
         assert report.failures == 0
@@ -384,7 +384,7 @@ class TestBestOfFive:
                 == json.loads(stats_path.read_text()))
 
     def test_replay_command_exit_zero(self, bo5, tmp_path):
-        _, match_path, config_path = bo5
+        match_path, config_path = bo5
         code = main(["replay", "--input", str(match_path), "--config",
                      str(config_path), "--no-timing",
                      "--output", str(tmp_path / "report.json")])
