@@ -33,15 +33,6 @@ OUTCOME_REASONS = ("ace", "double_fault", "winner", "forced_error",
                    "unforced_error", "service_winner")
 SERVE_ATTEMPTS = ("first", "second")
 
-STAT_FIELDS = (
-    "aces", "double_faults", "first_serves_in", "serve_points",
-    "serve_points_won", "return_points", "return_points_won", "winners",
-    "unforced_errors", "forced_errors_conceded", "break_points_faced",
-    "break_points_saved", "break_points_converted", "points_won",
-    "games_won", "total_shots",
-)
-
-
 class IncompleteRally(ValueError):
     """The shot sequence does not end in a point-deciding event."""
 
@@ -389,8 +380,29 @@ def classify_point(rally: RallyRecord) -> StatContribution:
 # ---------------------------------------------------------------------------
 
 
-def _score_cell(value):
+def score_cell(value):
+    """A point value as the dataset and the prompts write it: AD or an int."""
     return value if value == AD else int(value)
+
+
+def match_info_json(info: MatchInfo) -> dict:
+    return {
+        "tournament": info.tournament,
+        "round": info.round,
+        "surface": info.surface,
+        "player_1": {"name": info.player_1.name,
+                     "handedness": info.player_1.handedness},
+        "player_2": {"name": info.player_2.name,
+                     "handedness": info.player_2.handedness},
+    }
+
+
+def bounces_json(bounces) -> list[dict]:
+    return [
+        {"timestamp": b.timestamp, "court_half": b.court_half,
+         **({"position": list(b.position)} if b.position is not None else {})}
+        for b in bounces
+    ]
 
 
 def rally_to_json(rally: RallyRecord) -> dict:
@@ -403,8 +415,8 @@ def rally_to_json(rally: RallyRecord) -> dict:
     score = rally.initial_score
     p1_sets, p2_sets = score.sets_won()
     scoreboard = {
-        info.player_1.name: [p1_sets, score.games[0], _score_cell(score.points[0])],
-        info.player_2.name: [p2_sets, score.games[1], _score_cell(score.points[1])],
+        info.player_1.name: [p1_sets, score.games[0], score_cell(score.points[0])],
+        info.player_2.name: [p2_sets, score.games[1], score_cell(score.points[1])],
         "server": info.name_of(score.server),
     }
     shot_sequence = []
@@ -428,15 +440,7 @@ def rally_to_json(rally: RallyRecord) -> dict:
 
     obj = {
         "clip_id": rally.clip_id,
-        "match_info": {
-            "tournament": info.tournament,
-            "round": info.round,
-            "surface": info.surface,
-            "player_1": {"name": info.player_1.name,
-                         "handedness": info.player_1.handedness},
-            "player_2": {"name": info.player_2.name,
-                         "handedness": info.player_2.handedness},
-        },
+        "match_info": match_info_json(info),
         "scoreboard": scoreboard,
         "audio_transcript": rally.transcript,
         "shot_sequence": shot_sequence,
@@ -447,11 +451,7 @@ def rally_to_json(rally: RallyRecord) -> dict:
         },
     }
     if rally.bounces:
-        obj["bounces"] = [
-            {"timestamp": b.timestamp, "court_half": b.court_half,
-             **({"position": list(b.position)} if b.position is not None else {})}
-            for b in rally.bounces
-        ]
+        obj["bounces"] = bounces_json(rally.bounces)
     if rally.commentary is not None:
         obj["commentary"] = rally.commentary
     return obj

@@ -120,14 +120,6 @@ class ScoringConfig:
     def sets_to_win(self) -> int:
         return self.best_of // 2 + 1
 
-    def cache_key(self) -> tuple:
-        return (
-            self.set_trigger_games,
-            self.tiebreak_points,
-            self.final_set_tiebreak_points,
-            self.ad_scoring,
-        )
-
 
 @dataclass(frozen=True)
 class MatchScore:
@@ -161,9 +153,6 @@ class MatchScore:
 
     def point_of(self, player_id: str):
         return self.points[_index(player_id)]
-
-    def games_of(self, player_id: str) -> int:
-        return self.games[_index(player_id)]
 
     @property
     def returner(self) -> str:
@@ -366,7 +355,7 @@ def _canonical_tb(points: tuple[int, int], target: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _set_closure(config_key: tuple, trigger: int, target: int, ad: bool) -> frozenset:
+def _set_closure(trigger: int, target: int, ad: bool) -> frozenset:
     """All live (games, in_tiebreak, points) states reachable from 0-0."""
     config = ScoringConfig(
         best_of=3, set_trigger_games=trigger, tiebreak_points=target,
@@ -394,8 +383,7 @@ def _set_closure(config_key: tuple, trigger: int, target: int, ad: bool) -> froz
 def _set_state_reachable(score: MatchScore) -> bool:
     config = score.config
     target = score.tiebreak_target()
-    closure = _set_closure(config.cache_key(), config.set_trigger_games, target,
-                           config.ad_scoring)
+    closure = _set_closure(config.set_trigger_games, target, config.ad_scoring)
     points = score.points
     if score.in_tiebreak:
         a, b = points

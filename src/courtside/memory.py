@@ -21,6 +21,9 @@ from .match_model import (
 
 DEFAULT_WINDOW = 4
 
+# Derived ratios of PlayerStatLine, in report and prompt-table order.
+RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
+
 
 class OutOfOrderEntry(ValueError):
     """A pushed rally does not extend the stored sequence."""
@@ -94,11 +97,8 @@ class PlayerStatLine:
         return self.return_points_won / self.return_points
 
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["first_serve_pct"] = self.first_serve_pct
-        out["serve_points_won_pct"] = self.serve_points_won_pct
-        out["return_points_won_pct"] = self.return_points_won_pct
-        return out
+        names = [f.name for f in fields(self)] + list(RATIO_FIELDS)
+        return {name: getattr(self, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,6 @@ class LongTermMemory:
                                                          PlayerStatLine())
     rallies_consolidated: int = 0
     last_consolidated_score: MatchScore | None = None
-
-    def line_of(self, player_id: str) -> PlayerStatLine:
-        return self.stat_lines[0 if player_id == PLAYER_1 else 1]
 
     def report(self) -> dict:
         """Stable JSON-serializable statistics report."""

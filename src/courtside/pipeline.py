@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .evaluation import corpus_metrics, CorpusTooSmall, sanity_check
@@ -35,7 +35,6 @@ from .prompt_engine import (
     estimate_tokens,
     generate,
 )
-from .segmentation import SegmentationParams
 
 CLIENT_KINDS = ("mock", "http")
 
@@ -50,7 +49,6 @@ class PipelineConfig:
     memory_window: int = 4
     token_cap: int = 16_000
     client: str = "mock"
-    segmentation: SegmentationParams = field(default_factory=SegmentationParams)
     persona: PersonaConfig = field(default_factory=PersonaConfig)
     log_requests: str | None = None
 
@@ -64,16 +62,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
         try:
             scoring = ScoringConfig(**obj.get("scoring", {}))
-            segmentation = SegmentationParams(**obj.get("segmentation", {}))
             persona = PersonaConfig(**obj.get("persona", {}))
             return cls(
                 scoring=scoring,
                 memory_window=obj.get("memory_window", 4),
                 token_cap=obj.get("token_cap", 16_000),
                 client=obj.get("client", "mock"),
-                segmentation=segmentation,
                 persona=persona,
                 log_requests=obj.get("log_requests"),
             )

@@ -15,29 +15,27 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import requests
 
 from .event_stream import (
-    BounceEvent,
-    MatchInfo,
-    RallyOutcome,
     RallyRecord,
     SchemaViolation,
     ShotEvent,
+    bounces_json,
+    match_info_json,
+    rally_from_json,
+    score_cell,
 )
 from .match_model import (
-    AD,
-    MatchScore,
     PLAYER_1,
-    PLAYER_2,
+    PLAYER_IDS,
     PlayerRef,
     ScoringConfig,
     advance_point,
-    synthesize_completed_sets,
 )
-from .memory import ContextView, PlayerStatLine, total_games
+from .memory import RATIO_FIELDS, ContextView, PlayerStatLine, total_games
 
 COMMENTATOR_SYSTEM_PROMPT = """\
 I want you to act as a professional tennis commentator and coach. I will give \
@@ -182,10 +180,6 @@ def _parse_shot_description(desc: str) -> dict:
     raise SchemaViolation(f"unparsable shot description: {desc!r}")
 
 
-def _score_cell(value):
-    return value if value == AD else int(value)
-
-
 def metadata_object(rally: RallyRecord) -> dict:
     """The structured metadata block, with commentary-facing display names."""
     info = rally.match_info
@@ -198,8 +192,8 @@ def metadata_object(rally: RallyRecord) -> dict:
         "returner": info.name_of(score.returner),
         "sets": {p1.name: sets_won[0], p2.name: sets_won[1]},
         "games_in_current_set": {p1.name: score.games[0], p2.name: score.games[1]},
-        "points_in_current_game": {p1.name: _score_cell(score.points[0]),
-                                   p2.name: _score_cell(score.points[1])},
+        "points_in_current_game": {p1.name: score_cell(score.points[0]),
+                                   p2.name: score_cell(score.points[1])},
     }
     if score.in_tiebreak:
         score_state["tiebreak"] = True
@@ -221,13 +215,7 @@ def metadata_object(rally: RallyRecord) -> dict:
 
     obj = {
         "clip_id": rally.clip_id,
-        "match_info": {
-            "tournament": info.tournament,
-            "round": info.round,
-            "surface": info.surface,
-            "player_1": {"name": p1.name, "handedness": p1.handedness},
-            "player_2": {"name": p2.name, "handedness": p2.handedness},
-        },
+        "match_info": match_info_json(info),
         "score_state (initial)": score_state,
         "rally": rally_block,
         "outcome": {
@@ -238,11 +226,7 @@ def metadata_object(rally: RallyRecord) -> dict:
         "audio_transcription (background context)": rally.transcript,
     }
     if rally.bounces:
-        obj["bounces"] = [
-            {"timestamp": b.timestamp, "court_half": b.court_half,
-             **({"position": list(b.position)} if b.position is not None else {})}
-            for b in rally.bounces
-        ]
+        obj["bounces"] = bounces_json(rally.bounces)
     return obj
 
 
@@ -251,89 +235,60 @@ def serialize_metadata(rally: RallyRecord) -> str:
     return json.dumps(metadata_object(rally), indent=2, ensure_ascii=False)
 
 
-def parse_metadata(text: str | dict,
-                   config: ScoringConfig | None = None) -> RallyRecord:
-    """Invert :func:`serialize_metadata` (commentary is never carried)."""
-    config = config or ScoringConfig()
-    obj = json.loads(text) if isinstance(text, str) else text
-
-    info_obj = obj["match_info"]
-    players = {}
-    for pid in (PLAYER_1, PLAYER_2):
-        blob = info_obj[pid]
-        players[pid] = PlayerRef(id=pid, name=blob["name"],
-                                 handedness=blob["handedness"])
-    info = MatchInfo(tournament=info_obj["tournament"], round=info_obj["round"],
-                     surface=info_obj["surface"], player_1=players[PLAYER_1],
-                     player_2=players[PLAYER_2])
+def _dataset_shape(obj: dict) -> dict:
+    """The dataset JSON object that a metadata block describes."""
+    ids = {obj["match_info"][pid]["name"]: pid for pid in PLAYER_IDS}
 
     def pid_of(name: str) -> str:
-        pid = info.id_of_name(name)
-        if pid is None:
+        if name not in ids:
             raise SchemaViolation(f"unknown player name: {name!r}")
-        return pid
+        return ids[name]
 
     state = obj["score_state (initial)"]
-    p1_name, p2_name = players[PLAYER_1].name, players[PLAYER_2].name
-    trigger = config.set_trigger_games
-    completed = synthesize_completed_sets(state["sets"][p1_name],
-                                          state["sets"][p2_name], trigger)
-    games = (state["games_in_current_set"][p1_name],
-             state["games_in_current_set"][p2_name])
-    in_tiebreak = games == (trigger, trigger)
-    raw_points = (state["points_in_current_game"][p1_name],
-                  state["points_in_current_game"][p2_name])
-    if in_tiebreak:
-        points: tuple = (int(raw_points[0]), int(raw_points[1]))
-    else:
-        points = tuple(p if p == AD else str(p) for p in raw_points)
-    score = MatchScore(completed_sets=completed, games=games, points=points,
-                       server=pid_of(state["server"]), in_tiebreak=in_tiebreak,
-                       config=config)
+    scoreboard = {name: [state["sets"][name], state["games_in_current_set"][name],
+                         state["points_in_current_game"][name]]
+                  for name in ids}
+    scoreboard["server"] = state["server"]
+    shot_sequence = [{**entry, **_parse_shot_description(entry["shot_description"]),
+                      "hitter": pid_of(entry["hitter"])}
+                     for entry in obj["rally"]]
+    outcome = obj["outcome"]
+    return {
+        "clip_id": obj["clip_id"],
+        "match_info": obj["match_info"],
+        "scoreboard": scoreboard,
+        "audio_transcript": obj["audio_transcription (background context)"],
+        "shot_sequence": shot_sequence,
+        "outcome": {"point_winner": pid_of(outcome["point_winner"]),
+                    "point_loser": pid_of(outcome["point_loser"]),
+                    "reason": outcome["reason"]},
+        "bounces": obj.get("bounces", []),
+    }
 
-    shots = []
-    for entry in obj["rally"]:
-        fields_ = _parse_shot_description(entry["shot_description"])
-        shots.append(ShotEvent(
-            index=entry["shot_index"], hitter=pid_of(entry["hitter"]),
-            timestamp=entry["timestamp"],
-            hitter_position=tuple(entry["hitter_position"])
-            if "hitter_position" in entry else None,
-            ball_position=tuple(entry["ball_position"])
-            if "ball_position" in entry else None,
-            **fields_,
-        ))
 
-    bounces = tuple(
-        BounceEvent(timestamp=b["timestamp"], court_half=b["court_half"],
-                    position=tuple(b["position"]) if "position" in b else None)
-        for b in obj.get("bounces", []))
+def parse_metadata(text: str | dict,
+                   config: ScoringConfig | None = None) -> RallyRecord:
+    """Invert :func:`serialize_metadata` (commentary is never carried).
 
-    outcome = RallyOutcome(
-        point_winner=pid_of(obj["outcome"]["point_winner"]),
-        point_loser=pid_of(obj["outcome"]["point_loser"]),
-        reason=obj["outcome"]["reason"],
-    )
-    return RallyRecord(
-        clip_id=obj["clip_id"], match_info=info, initial_score=score,
-        shots=tuple(shots), outcome=outcome,
-        transcript=obj["audio_transcription (background context)"],
-        bounces=bounces, commentary=None,
-    )
+    The block is translated to the dataset shape and parsed by
+    :func:`rally_from_json`, so it passes the same schema checks as a dataset
+    line; a malformed block raises :class:`SchemaViolation`.
+    """
+    try:
+        obj = json.loads(text) if isinstance(text, str) else text
+        return rally_from_json(_dataset_shape(obj), config)
+    except SchemaViolation:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolation(
+            f"malformed metadata block: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # Memory serialization
 # ---------------------------------------------------------------------------
 
-_STAT_ROWS = (
-    "aces", "double_faults", "first_serves_in", "serve_points",
-    "serve_points_won", "return_points", "return_points_won", "winners",
-    "unforced_errors", "forced_errors_conceded", "break_points_faced",
-    "break_points_saved", "break_points_converted", "points_won",
-    "games_won", "total_shots",
-)
-_PCT_ROWS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
+_COUNT_ROWS = tuple(f.name for f in fields(PlayerStatLine))
 
 COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
 
@@ -361,10 +316,10 @@ def _stats_table(lines: tuple[PlayerStatLine, PlayerStatLine],
     width = max(len(names[0]), len(names[1]), 10) + 2
     header = f"{'statistic':<26}{names[0]:>{width}}{names[1]:>{width}}"
     rows = [header]
-    for name in _STAT_ROWS:
+    for name in _COUNT_ROWS:
         rows.append(f"{name:<26}{getattr(lines[0], name):>{width}}"
                     f"{getattr(lines[1], name):>{width}}")
-    for name in _PCT_ROWS:
+    for name in RATIO_FIELDS:
         rows.append(f"{name:<26}{_pct(getattr(lines[0], name)):>{width}}"
                     f"{_pct(getattr(lines[1], name)):>{width}}")
     return "\n".join(rows)

@@ -280,12 +280,12 @@ class TestValidation:
         assert not report.passed
 
     def test_closure_matches_bfs_oracle(self):
-        impl = _set_closure(DEFAULT.cache_key(), 6, 7, True)
+        impl = _set_closure(6, 7, True)
         oracle = oracles.reachable_set_states(trigger=6, tb_target=7, ad=True)
         assert impl == oracle
 
     def test_closure_matches_oracle_no_ad_and_ten_point(self):
-        impl = _set_closure(NO_AD.cache_key(), 6, 10, False)
+        impl = _set_closure(6, 10, False)
         oracle = oracles.reachable_set_states(trigger=6, tb_target=10, ad=False)
         assert impl == oracle
 

@@ -206,12 +206,10 @@ class TestConfig:
         path.write_text(json.dumps({
             "memory_window": 6,
             "scoring": {"best_of": 5},
-            "segmentation": {"min_hits": 3},
         }), encoding="utf-8")
         config = PipelineConfig.from_file(str(path))
         assert config.memory_window == 6
         assert config.scoring.best_of == 5
-        assert config.segmentation.min_hits == 3
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -220,6 +218,17 @@ class TestConfig:
             PipelineConfig(token_cap=0)
         with pytest.raises(ConfigError):
             PipelineConfig(client="imaginary")
+
+    @pytest.mark.parametrize("key", ["segmentation", "memory_windw"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_dict({key: 4})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: 4}), encoding="utf-8")
+        match = tmp_path / "match.jsonl"
+        assert main(["simulate", "--seed", "1", "--output", str(match)]) == 0
+        assert main(["validate", "--input", str(match),
+                     "--config", str(path)]) == 2
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

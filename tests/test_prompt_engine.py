@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from courtside.event_stream import SchemaViolation
 from courtside.match_model import MatchScore
 from courtside.memory import LongTermMemory, MatchMemory, MemoryEntry, ShortTermMemory, memory_snapshot
 from courtside.prompt_engine import (
@@ -89,6 +90,39 @@ class TestSerializeMetadata:
 
     def test_deterministic_output(self, records):
         assert serialize_metadata(records[3]) == serialize_metadata(records[3])
+
+
+class TestParseMetadataErrors:
+    """A malformed metadata block raises SchemaViolation and nothing else."""
+
+    @staticmethod
+    def block(rally):
+        return json.loads(serialize_metadata(rally))
+
+    def test_illegal_point_value(self, records):
+        obj = self.block(records[0])
+        name = records[0].match_info.player_1.name
+        obj["score_state (initial)"]["points_in_current_game"][name] = 50
+        with pytest.raises(SchemaViolation, match="illegal point value"):
+            parse_metadata(json.dumps(obj))
+
+    def test_unknown_outcome_reason(self, records):
+        obj = self.block(records[0])
+        obj["outcome"]["reason"] = "hawk_eye_review"
+        with pytest.raises(SchemaViolation, match="unknown outcome reason"):
+            parse_metadata(json.dumps(obj))
+
+    def test_unknown_hitter_name(self, records):
+        obj = self.block(records[0])
+        obj["rally"][0]["hitter"] = "Nobody Known"
+        with pytest.raises(SchemaViolation, match="unknown player name"):
+            parse_metadata(json.dumps(obj))
+
+    def test_missing_score_state(self, records):
+        obj = self.block(records[0])
+        del obj["score_state (initial)"]
+        with pytest.raises(SchemaViolation, match="score_state"):
+            parse_metadata(json.dumps(obj))
 
 
 class TestSerializeMemory:

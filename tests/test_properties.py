@@ -1,8 +1,15 @@
-"""Property-based tests of the commentary sanity check on arbitrary text."""
+"""Property-based tests: the commentary sanity check on arbitrary text, and
+the rally codec on simulated matches of every supported format."""
+
+import json
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from courtside.evaluation import SanityReport, _fold, sanity_check
+from courtside.event_stream import rally_from_json, rally_to_json
+from courtside.match_model import ScoringConfig
+from courtside.prompt_engine import parse_metadata, serialize_metadata
 from courtside.simulate import simulate_match
 
 import oracles
@@ -38,3 +45,21 @@ def test_sanity_check_never_raises(text, rally, known_players):
     report = sanity_check(text, rally, known_players=known_players)
     assert isinstance(report, SanityReport)
     assert report.passed == (not report.violations)
+
+
+FORMATS = (ScoringConfig(), ScoringConfig(best_of=5),
+           ScoringConfig(ad_scoring=False))
+
+
+def _through_json(obj):
+    return json.loads(json.dumps(obj, ensure_ascii=False))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(FORMATS))
+def test_codec_round_trips_file_loaded_records(seed, config):
+    for simulated in simulate_match(seed=seed, config=config):
+        record = rally_from_json(_through_json(rally_to_json(simulated)), config)
+        assert rally_from_json(_through_json(rally_to_json(record)), config) == record
+        assert (parse_metadata(serialize_metadata(record), config)
+                == replace(record, commentary=None))
