@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 from .match_model import (
     AD,
+    LAYOUT_WIMBLEDON,
     MatchScore,
     PLAYER_IDS,
     PlayerRef,
-    POINT_LADDER,
+    RawScoreboard,
     ScoringConfig,
     is_break_point,
     other_player,
-    synthesize_completed_sets,
+    parse_scoreboard,
+    render_scoreboard,
 )
 from .validity import ValidityReport
 
@@ -408,17 +410,14 @@ def bounces_json(bounces) -> list[dict]:
 def rally_to_json(rally: RallyRecord) -> dict:
     """Render one record as the dataset's JSON object.
 
-    The scoreboard block uses the on-screen shape: per-player
+    The scoreboard block is the Wimbledon board: per-player
     ``[sets won, games, points]`` plus the server's display name.
     """
     info = rally.match_info
-    score = rally.initial_score
-    p1_sets, p2_sets = score.sets_won()
-    scoreboard = {
-        info.player_1.name: [p1_sets, score.games[0], score_cell(score.points[0])],
-        info.player_2.name: [p2_sets, score.games[1], score_cell(score.points[1])],
-        "server": info.name_of(score.server),
-    }
+    board = render_scoreboard(rally.initial_score, LAYOUT_WIMBLEDON,
+                              (info.player_1.name, info.player_2.name))
+    scoreboard = {key: value if key == "server" else [score_cell(c) for c in value]
+                  for key, value in board.items()}
     shot_sequence = []
     for shot in rally.shots:
         entry = {
@@ -457,141 +456,104 @@ def rally_to_json(rally: RallyRecord) -> dict:
     return obj
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise SchemaViolation(f"{context}: missing field {key!r}")
-    return obj[key]
-
-
-def _pair(value, context: str) -> tuple[float, float]:
+def _pair(value) -> tuple[float, float]:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) for x in value)):
-        raise SchemaViolation(f"{context}: expected an [x, y] pair, got {value!r}")
+        raise ValueError(f"expected an [x, y] pair, got {value!r}")
     return float(value[0]), float(value[1])
 
 
-def _points_from_json(cells, games, config: ScoringConfig):
-    trigger = config.set_trigger_games
-    in_tiebreak = games == (trigger, trigger)
-    points = []
-    for cell in cells:
-        if in_tiebreak:
-            if cell == AD or not isinstance(cell, int) or cell < 0:
-                raise SchemaViolation(f"tiebreak point value must be a non-negative int: {cell!r}")
-            points.append(cell)
-        else:
-            token = cell if cell == AD else str(cell)
-            if token not in POINT_LADDER and token != AD:
-                raise SchemaViolation(f"illegal point value: {cell!r}")
-            points.append(token)
-    return tuple(points), in_tiebreak
+def _board_row(row, name: str) -> tuple[str, str, str]:
+    if not (isinstance(row, list) and len(row) == 3
+            and all(cell == AD or type(cell) is int for cell in row)):
+        raise ValueError(f"row for {name!r} must be [sets, games, points] "
+                         f"of ints or {AD!r}, got {row!r}")
+    return tuple(str(cell) for cell in row)
 
 
 def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyRecord:
-    """Parse one dataset JSON object; raises SchemaViolation on bad shape.
+    """Parse one dataset JSON object; raises only SchemaViolation.
 
-    Finished sets appear on the board only as a per-player count, so they are
-    reconstructed as synthetic ``trigger-0`` results for the winner.
+    The scoreboard block is read as a Wimbledon board by
+    :func:`parse_scoreboard`.  A missing field or malformed value is reported
+    with the record part it sits in, e.g. ``"<clip_id> shot 3: ..."``.
     """
     config = config or ScoringConfig()
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"record must be a JSON object, got {type(obj).__name__}")
-    clip_id = _require(obj, "clip_id", "record")
+    where = "record"
     try:
-        parse_clip_id(str(clip_id))
-    except ValueError as exc:
-        raise SchemaViolation(str(exc)) from None
+        if not isinstance(obj, dict):
+            raise TypeError(f"must be a JSON object, got {type(obj).__name__}")
+        clip_id = str(obj["clip_id"])
+        parse_clip_id(clip_id)
 
-    info_obj = _require(obj, "match_info", clip_id)
-    players = []
-    for pid in ("player_1", "player_2"):
-        p = _require(info_obj, pid, f"{clip_id} match_info")
-        players.append(PlayerRef(id=pid, name=str(_require(p, "name", pid)),
-                                 handedness=p.get("handedness", "right")))
-    info = MatchInfo(
-        tournament=str(info_obj.get("tournament", "")),
-        round=str(info_obj.get("round", "")),
-        surface=str(info_obj.get("surface", "")),
-        player_1=players[0], player_2=players[1],
-    )
+        where = f"{clip_id} match_info"
+        info_obj = obj["match_info"]
+        p1, p2 = (PlayerRef(id=pid, name=str(info_obj[pid]["name"]),
+                            handedness=info_obj[pid].get("handedness", "right"))
+                  for pid in PLAYER_IDS)
+        info = MatchInfo(
+            tournament=str(info_obj.get("tournament", "")),
+            round=str(info_obj.get("round", "")),
+            surface=str(info_obj.get("surface", "")),
+            player_1=p1, player_2=p2,
+        )
 
-    board = _require(obj, "scoreboard", clip_id)
-    rows = {}
-    for ref in players:
-        if ref.name not in board:
-            raise SchemaViolation(f"{clip_id}: scoreboard row for {ref.name!r} missing")
-        row = board[ref.name]
-        if not isinstance(row, list) or len(row) != 3:
-            raise SchemaViolation(
-                f"{clip_id}: scoreboard row must be [sets, games, points], got {row!r}")
-        rows[ref.id] = row
-    server_name = _require(board, "server", clip_id)
-    server = info.id_of_name(str(server_name))
-    if server is None:
-        raise SchemaViolation(f"{clip_id}: server {server_name!r} is not a match player")
+        where = f"{clip_id} scoreboard"
+        board = obj["scoreboard"]
+        names = (p1.name, p2.name)
+        rows = tuple(_board_row(board[name], name) for name in names)
+        server = info.id_of_name(str(board["server"]))
+        if server is None:
+            raise ValueError(f"server {board['server']!r} is not a match player")
+        score = parse_scoreboard(RawScoreboard(
+            LAYOUT_WIMBLEDON, names, rows, PLAYER_IDS.index(server)), config)
 
-    for pid in ("player_1", "player_2"):
-        if not isinstance(rows[pid][0], int) or not isinstance(rows[pid][1], int):
-            raise SchemaViolation(f"{clip_id}: sets and games must be integers")
-    completed = synthesize_completed_sets(
-        rows["player_1"][0], rows["player_2"][0], config.set_trigger_games)
-    games = (rows["player_1"][1], rows["player_2"][1])
-    try:
-        points, in_tiebreak = _points_from_json(
-            (rows["player_1"][2], rows["player_2"][2]), games, config)
-    except SchemaViolation as exc:
-        raise SchemaViolation(f"{clip_id}: {exc}") from None
-    score = MatchScore(completed_sets=completed, games=games, points=points,
-                       server=server, in_tiebreak=in_tiebreak, config=config)
-
-    raw_shots = _require(obj, "shot_sequence", clip_id)
-    if not isinstance(raw_shots, list) or not raw_shots:
-        raise SchemaViolation(f"{clip_id}: shot_sequence must be a non-empty list")
-    shots = []
-    for i, s in enumerate(raw_shots):
-        try:
+        where = clip_id
+        raw_shots = obj["shot_sequence"]
+        if not isinstance(raw_shots, list) or not raw_shots:
+            raise ValueError("shot_sequence must be a non-empty list")
+        shots = []
+        for i, s in enumerate(raw_shots):
+            where = f"{clip_id} shot {i}"
             shots.append(ShotEvent(
-                index=int(_require(s, "shot_index", f"{clip_id} shot {i}")),
-                hitter=str(_require(s, "hitter", f"{clip_id} shot {i}")),
-                stroke=str(_require(s, "stroke", f"{clip_id} shot {i}")),
-                technique=str(_require(s, "technique", f"{clip_id} shot {i}")),
-                direction=str(_require(s, "direction", f"{clip_id} shot {i}")),
-                outcome=str(_require(s, "outcome", f"{clip_id} shot {i}")),
-                timestamp=float(_require(s, "timestamp", f"{clip_id} shot {i}")),
+                index=int(s["shot_index"]),
+                hitter=str(s["hitter"]),
+                stroke=str(s["stroke"]),
+                technique=str(s["technique"]),
+                direction=str(s["direction"]),
+                outcome=str(s["outcome"]),
+                timestamp=float(s["timestamp"]),
                 serve_attempt=s.get("serve_attempt"),
-                hitter_position=_pair(s["hitter_position"], f"{clip_id} shot {i}")
+                hitter_position=_pair(s["hitter_position"])
                 if "hitter_position" in s else None,
-                ball_position=_pair(s["ball_position"], f"{clip_id} shot {i}")
+                ball_position=_pair(s["ball_position"])
                 if "ball_position" in s else None,
             ))
-        except ValueError as exc:
-            raise SchemaViolation(f"{clip_id} shot {i}: {exc}") from None
 
-    bounces = []
-    for i, b in enumerate(obj.get("bounces", [])):
-        try:
+        bounces = []
+        for i, b in enumerate(obj.get("bounces", [])):
+            where = f"{clip_id} bounce {i}"
             bounces.append(BounceEvent(
-                timestamp=float(_require(b, "timestamp", f"{clip_id} bounce {i}")),
-                court_half=str(_require(b, "court_half", f"{clip_id} bounce {i}")),
-                position=_pair(b["position"], f"{clip_id} bounce {i}")
-                if "position" in b else None,
+                timestamp=float(b["timestamp"]),
+                court_half=str(b["court_half"]),
+                position=_pair(b["position"]) if "position" in b else None,
             ))
-        except ValueError as exc:
-            raise SchemaViolation(f"{clip_id} bounce {i}: {exc}") from None
 
-    outcome_obj = _require(obj, "outcome", clip_id)
-    try:
+        where = f"{clip_id} outcome"
+        outcome_obj = obj["outcome"]
         outcome = RallyOutcome(
-            point_winner=str(_require(outcome_obj, "point_winner", clip_id)),
-            point_loser=str(_require(outcome_obj, "point_loser", clip_id)),
-            reason=str(_require(outcome_obj, "reason", clip_id)),
+            point_winner=str(outcome_obj["point_winner"]),
+            point_loser=str(outcome_obj["point_loser"]),
+            reason=str(outcome_obj["reason"]),
         )
-    except ValueError as exc:
-        raise SchemaViolation(f"{clip_id} outcome: {exc}") from None
+    except KeyError as exc:
+        raise SchemaViolation(f"{where}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaViolation(f"{where}: {exc}") from None
 
     commentary = obj.get("commentary")
     return RallyRecord(
-        clip_id=str(clip_id), match_info=info, initial_score=score,
+        clip_id=clip_id, match_info=info, initial_score=score,
         shots=tuple(shots), outcome=outcome,
         transcript=str(obj.get("audio_transcript", "")),
         bounces=tuple(bounces),

@@ -231,15 +231,12 @@ def _advance_set_state(
     raise AssertionError("unreachable")
 
 
-def _tiebreak_first_server(current_server: str, points_played: int) -> str:
-    """Recover who served point 0 of the tiebreak from the current state."""
-    if ((points_played + 1) // 2) % 2 == 0:
-        return current_server
-    return other_player(current_server)
-
-
 def _tiebreak_server_at(first_server: str, k: int) -> str:
-    """Server of tiebreak point k (0-indexed): one serve, then two each."""
+    """Server of tiebreak point k (0-indexed): one serve, then two each.
+
+    The rotation is its own inverse: given the server of point k, the same
+    call returns the server of point 0.
+    """
     if ((k + 1) // 2) % 2 == 0:
         return first_server
     return other_player(first_server)
@@ -282,7 +279,7 @@ def advance_point(score: MatchScore, winner) -> MatchScore:
 
     if set_result is not None:
         if score.in_tiebreak:
-            first = _tiebreak_first_server(score.server, points_before)
+            first = _tiebreak_server_at(score.server, points_before)
             next_server = other_player(first)
         else:
             next_server = other_player(score.server)
@@ -304,7 +301,7 @@ def advance_point(score: MatchScore, winner) -> MatchScore:
         )
 
     if score.in_tiebreak:
-        first = _tiebreak_first_server(score.server, points_before)
+        first = _tiebreak_server_at(score.server, points_before)
         server = _tiebreak_server_at(first, points_before + 1)
         return replace(score, points=points, server=server)
 
@@ -349,9 +346,8 @@ def _canonical_tb(points: tuple[int, int], target: int) -> tuple[int, int]:
     # Beyond target-all the win-by-two loop repeats; fold it down so the
     # reachable-state closure stays finite.
     a, b = points
-    while a > target and b > target:
-        a, b = a - 1, b - 1
-    return a, b
+    d = max(0, min(a, b) - target)
+    return a - d, b - d
 
 
 @functools.lru_cache(maxsize=None)
@@ -635,6 +631,9 @@ def parse_scoreboard(raw: RawScoreboard, config: ScoringConfig | None = None) ->
                 f"Wimbledon rows must have 3 columns after normalization, got {len(top)}")
         sets_top = _parse_int(top[0], "sets-won")
         sets_bottom = _parse_int(bottom[0], "sets-won")
+        if sets_top + sets_bottom > config.best_of:
+            raise IllegalToken(f"sets won {sets_top}-{sets_bottom} exceed "
+                               f"best-of-{config.best_of}")
         completed = synthesize_completed_sets(sets_top, sets_bottom,
                                               config.set_trigger_games)
         games = (_parse_int(top[1], "games"), _parse_int(bottom[1], "games"))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .evaluation import corpus_metrics, CorpusTooSmall, sanity_check
 from .event_stream import (
+    RallyRecord,
     SchemaViolation,
     rally_from_json,
     validate_rally,
@@ -123,13 +124,27 @@ def make_client(config: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-def load_dataset(path, config: ScoringConfig | None = None, errors=None,
-                 deep_validate: bool = True):
-    """Stream schema-valid rally records from a JSONL file, in file order.
+def _read_record(line: str, config: ScoringConfig | None) -> RallyRecord:
+    """One dataset line as a validated record; SchemaViolation otherwise."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaViolation(f"invalid JSON: {exc}") from None
+    record = rally_from_json(obj, config)
+    problems = (validate_rally(record).violations
+                + validate_scoreboard(record.initial_score).violations)
+    if problems:
+        raise SchemaViolation(f"{record.clip_id}: " + "; ".join(problems))
+    return record
 
-    Malformed lines are appended to ``errors`` as ``(line_number, message)``
-    and skipped, so one bad line never sinks the stream.  ``deep_validate``
-    additionally runs the event and scoreboard validators per record.
+
+def load_dataset(path, config: ScoringConfig | None = None, errors=None):
+    """Stream valid rally records from a JSONL file, in file order.
+
+    Each record passes the schema, event and scoreboard validators.  A
+    malformed line is appended to ``errors`` as ``(line_number, message)``
+    and skipped, so one bad line never sinks the stream; without an
+    ``errors`` list it raises :class:`SchemaViolation`.
     """
     path = Path(path)
     if not path.exists():
@@ -140,28 +155,12 @@ def load_dataset(path, config: ScoringConfig | None = None, errors=None,
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                if errors is None:
-                    raise SchemaViolation(f"line {line_no}: invalid JSON: {exc}") from None
-                errors.append((line_no, f"invalid JSON: {exc}"))
-                continue
-            try:
-                record = rally_from_json(obj, config)
+                record = _read_record(line, config)
             except SchemaViolation as exc:
                 if errors is None:
                     raise SchemaViolation(f"line {line_no}: {exc}") from None
                 errors.append((line_no, str(exc)))
                 continue
-            if deep_validate:
-                problems = (validate_rally(record).violations
-                            + validate_scoreboard(record.initial_score).violations)
-                if problems:
-                    message = f"{record.clip_id}: " + "; ".join(problems)
-                    if errors is None:
-                        raise SchemaViolation(f"line {line_no}: {message}")
-                    errors.append((line_no, message))
-                    continue
             yield record
 
 

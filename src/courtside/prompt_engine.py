@@ -15,7 +15,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import requests
 
@@ -121,7 +121,6 @@ class PersonaConfig:
 class GenerationRequest:
     bundle: PromptBundle
     clip_ref: str | None = None
-    attachment: dict | None = None
     max_tokens: int | None = None
     temperature: float | None = None
 
@@ -130,7 +129,6 @@ class GenerationRequest:
 class GenerationResponse:
     text: str
     usage: dict
-    latency_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -488,8 +486,6 @@ class HttpCommentaryClient:
             body["temperature"] = request.temperature
         if request.clip_ref is not None:
             body["clip_ref"] = request.clip_ref
-        if request.attachment is not None:
-            body["attachment"] = request.attachment
 
         headers = {}
         if self.api_key:
@@ -546,7 +542,6 @@ def generate(client, request: GenerationRequest, retries: int = 3,
 
     attempt = 0
     while True:
-        started = time.perf_counter()
         try:
             response = client.complete(request)
         except TransportFailure:
@@ -555,7 +550,6 @@ def generate(client, request: GenerationRequest, retries: int = 3,
             sleep(backoff_s * (2 ** attempt))
             attempt += 1
             continue
-        latency = time.perf_counter() - started
         if not response.text:
             raise MalformedResponse("empty commentary text")
-        return replace(response, latency_s=latency)
+        return response

@@ -399,6 +399,29 @@ class TestJsonRoundTrip:
         with pytest.raises(SchemaViolation, match="server"):
             rally_from_json(obj)
 
+    @pytest.mark.parametrize("alice,bob", [
+        # a scoreboard image may leave the trailing points blank beside AD;
+        # a dataset row may not
+        ([1, 2, "AD"], [1, 2, ""]),
+        ([1, 2, "30"], [1, 2, 15]),
+        ([1, 2, True], [1, 2, 15]),
+        ([1, 2, 30.0], [1, 2, 15]),
+        ([1, 2, [30]], [1, 2, 15]),
+    ])
+    def test_board_cells_must_be_ints_or_ad(self, alice, bob):
+        obj = rally_to_json(self._full_record())
+        obj["scoreboard"]["Alice Moreau"] = alice
+        obj["scoreboard"]["Bob Keller"] = bob
+        with pytest.raises(SchemaViolation, match="scoreboard: row for"):
+            rally_from_json(obj)
+
+    def test_errors_name_the_record_part(self):
+        obj = rally_to_json(self._full_record())
+        del obj["shot_sequence"][1]["hitter"]
+        with pytest.raises(SchemaViolation,
+                           match=r"^m001_10\.0_18\.0 shot 1: missing field 'hitter'$"):
+            rally_from_json(obj)
+
     def test_positions_survive(self):
         rally = make_rally([serve(0, P1, outcome="winner")])
         rally = RallyRecord(

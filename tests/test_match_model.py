@@ -279,6 +279,11 @@ class TestValidation:
             MatchScore(completed_sets=((6, 0), (6, 0), (0, 6))))
         assert not report.passed
 
+    def test_long_tiebreak_validates_in_constant_time(self):
+        score = MatchScore(games=(6, 6), points=(10**15, 10**15 + 1),
+                           in_tiebreak=True)
+        assert validate_scoreboard(score).passed
+
     def test_closure_matches_bfs_oracle(self):
         impl = _set_closure(6, 7, True)
         oracle = oracles.reachable_set_states(trigger=6, tb_target=7, ad=True)
@@ -459,6 +464,15 @@ class TestScoreboardParsing:
         score = parse_scoreboard(raw)
         assert is_terminal(score) == PLAYER_1
         assert validate_scoreboard(score).passed
+
+    def test_wimbledon_sets_beyond_best_of_rejected(self):
+        # sets won are expanded into one synthetic set each, so a count past
+        # the format is refused before anything is built from it
+        raw = RawScoreboard.from_json(
+            "WIMBLEDON", {"A": ["2", "0", "0"], "B": ["2", "0", "0"],
+                          "server": "A"})
+        with pytest.raises(IllegalToken, match="best-of-3"):
+            parse_scoreboard(raw)
 
     def test_marker_tokens_normalized_per_layout(self):
         from courtside.match_model import server_row_from_markers

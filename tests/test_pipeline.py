@@ -59,6 +59,16 @@ class TestLoadDataset:
         assert [line for line, _ in errors] == [2, 3]
         assert "clip_id" in errors[1][1]
 
+    def test_deeply_nested_line_is_listed(self, tmp_path, records):
+        path = tmp_path / "nested.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n"
+                        + json.dumps(rally_to_json(records[0])) + "\n",
+                        encoding="utf-8")
+        errors = []
+        assert len(list(load_dataset(path, errors=errors))) == 1
+        assert [line for line, _ in errors] == [1]
+        assert "invalid JSON" in errors[0][1]
+
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
             list(load_dataset("/nonexistent/match.jsonl"))
@@ -68,7 +78,7 @@ class TestLoadDataset:
         path = tmp_path / "big.jsonl"
         path.write_text("\n".join(json.dumps(rally_to_json(r)) for r in records)
                         + "\n", encoding="utf-8")
-        loaded = list(load_dataset(path, deep_validate=False))
+        loaded = list(load_dataset(path))
         assert len(loaded) == len(records)
         assert [r.clip_id for r in loaded] == [r.clip_id for r in records]
 
@@ -252,6 +262,29 @@ class TestCli:
         assert code == 1
         out = json.loads(capsys.readouterr().out)
         assert len(out["violations"]) == 1
+
+    @pytest.mark.parametrize("path,value,part", [
+        (("match_info", "player_1", "handedness"), "ambi", "match_info"),
+        (("match_info", "player_2", "name"), "", "match_info"),
+        (("match_info",), ["not", "an", "object"], "match_info"),
+        (("shot_sequence", 0), "serve", "shot 0"),
+    ])
+    def test_validate_reports_malformed_values(self, tmp_path, records, capsys,
+                                               path, value, part):
+        bad = rally_to_json(records[1])
+        holder = bad
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+        lines = [json.dumps(rally_to_json(records[0])), json.dumps(bad)]
+        input_path = tmp_path / "malformed.jsonl"
+        input_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--input", str(input_path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid_records"] == 1
+        [violation] = out["violations"]
+        assert violation["line"] == 2
+        assert violation["message"].startswith(f"{records[1].clip_id} {part}: ")
 
     def test_simulate_then_replay_round_trip(self, tmp_path, capsys):
         match_path = tmp_path / "sim.jsonl"

@@ -1,14 +1,18 @@
-"""Property-based tests: the commentary sanity check on arbitrary text, and
-the rally codec on simulated matches of every supported format."""
+"""Property-based tests: the commentary sanity check on arbitrary text, the
+rally codec on simulated matches of every supported format, and dataset
+ingestion on arbitrary values."""
 
+import copy
 import json
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from courtside.evaluation import SanityReport, _fold, sanity_check
-from courtside.event_stream import rally_from_json, rally_to_json
+from courtside.event_stream import BounceEvent, rally_from_json, rally_to_json
 from courtside.match_model import ScoringConfig
+from courtside.pipeline import load_dataset
 from courtside.prompt_engine import parse_metadata, serialize_metadata
 from courtside.simulate import simulate_match
 
@@ -63,3 +67,68 @@ def test_codec_round_trips_file_loaded_records(seed, config):
         assert rally_from_json(_through_json(rally_to_json(record)), config) == record
         assert (parse_metadata(serialize_metadata(record), config)
                 == replace(record, commentary=None))
+
+
+def _paths(value, path=()):
+    """Every position in a JSON value, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, path + (i,))
+
+
+def _put(obj, path, value):
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    holder = obj
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    return obj
+
+
+def _with_positions(rally):
+    shots = tuple(replace(s, hitter_position=(600.0, 640.0),
+                          ball_position=(610.5, 230.0)) for s in rally.shots)
+    return replace(rally, shots=shots,
+                   bounces=(BounceEvent(timestamp=0.5, court_half="far",
+                                        position=(412.0, 300.5)),))
+
+
+# Two standard-game rallies, the second with pixel positions and a bounce,
+# and a tiebreak rally (seed 404's first tiebreak starts at rally 86).
+_FULL = simulate_match(seed=404)
+LINES = [rally_to_json(r) for r in (_FULL[5], _with_positions(_FULL[12]), _FULL[87])]
+
+JSON_VALUES = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+        max_leaves=5),
+    st.sampled_from(["AD", "", "15", "ambi", "player_1", "serve", -1,
+                     10**15, 10**400, 1e308, [1, 2, "AD"], {}, []]))
+
+
+@pytest.fixture(scope="module")
+def line_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines") / "line.jsonl"
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(LINES).flatmap(
+           lambda obj: st.tuples(st.just(obj), st.sampled_from(list(_paths(obj))))),
+       JSON_VALUES, st.sampled_from(FORMATS))
+def test_load_dataset_yields_or_lists_any_line(line_file, line_and_path, value,
+                                               config):
+    obj, path = line_and_path
+    line_file.write_text(json.dumps(_put(obj, path, value)) + "\n",
+                         encoding="utf-8")
+    errors = []
+    loaded = list(load_dataset(line_file, config, errors=errors))
+    assert len(loaded) + len(errors) == 1
+    assert all(line == 1 and isinstance(message, str) for line, message in errors)
