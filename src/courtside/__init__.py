@@ -58,7 +58,6 @@ from .prompt_engine import (
     MockCommentaryClient,
     PersonaConfig,
     PromptBundle,
-    TokenEstimate,
     build_commentary_prompt,
     estimate_tokens,
     generate,

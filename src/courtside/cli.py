@@ -26,7 +26,8 @@ from .evaluation import (
 )
 from .match_model import ScoringConfig
 from .memory import LongTermMemory, MemoryEntry, consolidate
-from .pipeline import ConfigError, PipelineConfig, load_dataset, replay_match
+from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
+                       replay_match)
 from .prompt_engine import GenerationRequest, generate, serialize_metadata
 from .segmentation import ImpactEvent, SegmentationParams, cluster_impacts, filter_intervals
 from .simulate import simulate_match
@@ -81,14 +82,17 @@ def _load_all(path, scoring: ScoringConfig):
     return records, errors
 
 
+def _violations(errors) -> list[dict]:
+    return [{"line": line, "message": message} for line, message in errors]
+
+
 def cmd_validate(args) -> int:
     config = _build_config(args)
     records, errors = _load_all(args.input, config.scoring)
     report = {
         "input": args.input,
         "valid_records": len(records),
-        "violations": [{"line": line, "message": message}
-                       for line, message in errors],
+        "violations": _violations(errors),
     }
     _write_output(report, args.output)
     return EXIT_VALIDATION if errors else EXIT_OK
@@ -101,8 +105,7 @@ def cmd_replay(args) -> int:
     report = replay_match(records, config)
     payload = report.as_dict(include_timing=not args.no_timing)
     if errors:
-        payload["schema_violations"] = [
-            {"line": line, "message": message} for line, message in errors]
+        payload["schema_violations"] = _violations(errors)
     _write_output(payload, args.output)
     if errors:
         return EXIT_VALIDATION
@@ -115,13 +118,15 @@ def cmd_stats(args) -> int:
     config = _build_config(args)
     errors: list[tuple[int, str]] = []
     long_term = LongTermMemory()
-    index = 0
-    for record in load_dataset(args.input, config.scoring, errors=errors):
+    records = load_dataset(args.input, config.scoring, errors=errors)
+    for index, record in enumerate(records):
         entry = MemoryEntry(rally_index=index, rally_ref=record.clip_id,
                             metadata=record, commentary=record.commentary)
         long_term = consolidate(long_term, entry)
-        index += 1
-    _write_output(long_term.report(), args.output)
+    payload = long_term.report()
+    if errors:
+        payload["schema_violations"] = _violations(errors)
+    _write_output(payload, args.output)
     return EXIT_VALIDATION if errors else EXIT_OK
 
 
@@ -154,10 +159,6 @@ def _read_pairs(path):
 
 def cmd_evaluate(args) -> int:
     pairs = _read_pairs(args.input)
-    if not pairs:
-        _write_output({"pairs": 0}, args.output)
-        return EXIT_OK
-
     metric_inputs = [(p["prediction"], [p["reference"]]) for p in pairs]
     try:
         report = corpus_metrics(metric_inputs)
@@ -165,11 +166,10 @@ def cmd_evaluate(args) -> int:
     except CorpusTooSmall:
         report, per_pair_cider = None, [None] * len(pairs)
 
-    metadata_by_clip = {}
+    records, errors = [], []
     if args.dataset:
-        config = _build_config(args)
-        for record in load_dataset(args.dataset, config.scoring, errors=[]):
-            metadata_by_clip[record.clip_id] = serialize_metadata(record)
+        records, errors = _load_all(args.dataset, _build_config(args).scoring)
+    metadata_by_clip = {r.clip_id: serialize_metadata(r) for r in records}
 
     per_clip = []
     scorecards = []
@@ -195,10 +195,12 @@ def cmd_evaluate(args) -> int:
     summary = aggregate(scorecards, metric_report=report) if (
         scorecards or report) else {"pairs": len(pairs)}
     summary["pairs"] = len(pairs)
+    if errors:
+        summary["schema_violations"] = _violations(errors)
     if args.per_clip:
         _write_jsonl(per_clip, args.per_clip)
     _write_output(summary, args.output)
-    return EXIT_OK
+    return EXIT_VALIDATION if errors else EXIT_OK
 
 
 def cmd_segment(args) -> int:
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="run the commentary loop over a match")
     common(p)
-    p.add_argument("--client", choices=("mock", "http"))
+    p.add_argument("--client", choices=CLIENT_KINDS)
     p.add_argument("--k", type=int, help="short-term memory window size")
     p.add_argument("--token-cap", type=int, dest="token_cap")
     p.add_argument("--log-requests", dest="log_requests",

@@ -522,7 +522,6 @@ class MockJudgeClient:
     prediction and the reference pulled back out of the prompt."""
 
     name = "mock-judge"
-    token_cap = None
 
     _REFERENCE_RE = re.compile(
         r'\*\*REFERENCE COMMENTARY \(Style/Tone Baseline\):\*\* "(.*?)"\n3\.',

@@ -20,6 +20,7 @@ from .match_model import (
     RawScoreboard,
     ScoringConfig,
     is_break_point,
+    is_terminal,
     other_player,
     parse_scoreboard,
     render_scoreboard,
@@ -267,6 +268,9 @@ def validate_rally(rally: RallyRecord) -> ValidityReport:
     if rally.shots and rally.shots[0].stroke == "serve":
         if rally.shots[0].hitter != rally.initial_score.server:
             v.append("opening server does not match the scoreboard server")
+
+    if is_terminal(rally.initial_score) is not None:
+        v.append("rally starts after the match was decided")
 
     if not v:
         try:

@@ -1,17 +1,18 @@
 """Orchestration: dataset ingestion, the online replay loop and run reports.
 
 ``replay_match`` drives one match end to end: snapshot the memory, assemble
-the prompt, call the configured commentary client, sanity-check the result,
-then advance the memory (evictions consolidate into the statistic lines).
-Client failures mark the rally as failed and the run continues; the rally's
-metadata still reaches memory so match statistics stay complete.
+the prompt and check it against the token cap, call the configured client,
+sanity-check the result, then advance the memory (evictions consolidate into
+the statistic lines).  Budget and client failures mark the rally as failed
+and the run continues; the rally's metadata still reaches memory so match
+statistics stay complete.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .evaluation import corpus_metrics, CorpusTooSmall, sanity_check
@@ -22,7 +23,7 @@ from .event_stream import (
     validate_rally,
 )
 from .match_model import ScoringConfig, validate_scoreboard
-from .memory import MatchMemory, MemoryEntry
+from .memory import DEFAULT_WINDOW, MatchMemory, MemoryEntry
 from .prompt_engine import (
     BudgetExceeded,
     GenerationRequest,
@@ -47,7 +48,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class PipelineConfig:
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    memory_window: int = 4
+    memory_window: int = DEFAULT_WINDOW
     token_cap: int = 16_000
     client: str = "mock"
     persona: PersonaConfig = field(default_factory=PersonaConfig)
@@ -60,6 +61,9 @@ class PipelineConfig:
             raise ConfigError("token cap must be > 0")
         if self.client not in CLIENT_KINDS:
             raise ConfigError(f"client must be one of {CLIENT_KINDS}")
+        if self.log_requests and self.client != "http":
+            raise ConfigError("log_requests needs the http client; "
+                              "the mock client sends no requests")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
@@ -67,16 +71,9 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         try:
-            scoring = ScoringConfig(**obj.get("scoring", {}))
-            persona = PersonaConfig(**obj.get("persona", {}))
-            return cls(
-                scoring=scoring,
-                memory_window=obj.get("memory_window", 4),
-                token_cap=obj.get("token_cap", 16_000),
-                client=obj.get("client", "mock"),
-                persona=persona,
-                log_requests=obj.get("log_requests"),
-            )
+            return cls(**{**obj,
+                          "scoring": ScoringConfig(**obj.get("scoring", {})),
+                          "persona": PersonaConfig(**obj.get("persona", {}))})
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -96,13 +93,7 @@ class PipelineConfig:
 
     def summary(self) -> dict:
         return {
-            "scoring": {
-                "best_of": self.scoring.best_of,
-                "set_trigger_games": self.scoring.set_trigger_games,
-                "tiebreak_points": self.scoring.tiebreak_points,
-                "final_set_tiebreak_points": self.scoring.final_set_tiebreak_points,
-                "ad_scoring": self.scoring.ad_scoring,
-            },
+            "scoring": asdict(self.scoring),
             "memory_window": self.memory_window,
             "token_cap": self.token_cap,
             "client": self.client,
@@ -111,10 +102,9 @@ class PipelineConfig:
 
 def make_client(config: PipelineConfig):
     if config.client == "mock":
-        return MockCommentaryClient(token_cap=config.token_cap)
+        return MockCommentaryClient()
     try:
-        return HttpCommentaryClient(token_cap=config.token_cap,
-                                    log_path=config.log_requests)
+        return HttpCommentaryClient(log_path=config.log_requests)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -183,19 +173,9 @@ class RallyRunRecord:
     client_ms: float
 
     def as_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "rally_index": self.rally_index,
-            "clip_id": self.clip_id,
-            "prompt_tokens": self.prompt_tokens,
-            "context_tokens": self.context_tokens,
-            "commentary": self.commentary,
-            "sanity_passed": self.sanity_passed,
-            "failed": self.failed,
-            "failure": self.failure,
-        }
-        if include_timing:
-            out["engine_ms"] = self.engine_ms
-            out["client_ms"] = self.client_ms
+        out = asdict(self)
+        if not include_timing:
+            del out["engine_ms"], out["client_ms"]
         return out
 
 
@@ -228,10 +208,13 @@ def replay_match(records, config: PipelineConfig | None = None,
                  client=None) -> RunReport:
     """Run the online loop over one match's records, in order.
 
-    The snapshot handed to prompt assembly never contains the current rally;
-    after generation the rally (with its commentary, or none on failure)
-    enters the window and evictions consolidate.  References present on the
-    records are scored against the generated commentary at the end.
+    Each prompt is measured once: a prompt whose estimate exceeds
+    ``config.token_cap`` fails its rally with :class:`BudgetExceeded` before
+    the client is called.  The snapshot handed to prompt assembly never
+    contains the current rally; after generation the rally (with its
+    commentary, or none on failure) enters the window and evictions
+    consolidate.  References present on the records are scored against the
+    generated commentary at the end.
     """
     config = config or PipelineConfig()
     client = client or make_client(config)
@@ -246,8 +229,8 @@ def replay_match(records, config: PipelineConfig | None = None,
         bundle = build_commentary_prompt(rally, memory.snapshot(),
                                          persona=config.persona, prior=prior)
         prompt_tokens = estimate_tokens(
-            bundle.system_text + "\n" + bundle.user_text).count
-        context_tokens = estimate_prompt(bundle).count
+            bundle.system_text + "\n" + bundle.user_text)
+        context_tokens = estimate_prompt(bundle)
         request = GenerationRequest(bundle=bundle, clip_ref=rally.clip_id)
 
         commentary = None
@@ -255,6 +238,9 @@ def replay_match(records, config: PipelineConfig | None = None,
         client_s = 0.0
         client_started = time.perf_counter()
         try:
+            if context_tokens > config.token_cap:
+                raise BudgetExceeded(f"prompt estimate {context_tokens} tokens "
+                                     f"exceeds cap {config.token_cap}")
             response = generate(client, request)
             commentary = response.text
             client_s = time.perf_counter() - client_started

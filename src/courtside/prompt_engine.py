@@ -69,8 +69,6 @@ USER_INSTRUCTION_TEMPLATE = (
 _METADATA_MARKER = "Metadata:"
 _CONTEXT_MARKER = "Match context:"
 
-DEFAULT_TOKEN_CAP = 16_000
-
 
 class TransportFailure(RuntimeError):
     """Network-level failure talking to the commentary endpoint; retryable."""
@@ -131,18 +129,12 @@ class GenerationResponse:
     usage: dict
 
 
-@dataclass(frozen=True)
-class TokenEstimate:
-    count: int
-    method: str = "chars/4 heuristic"
-
-
-def estimate_tokens(text: str) -> TokenEstimate:
+def estimate_tokens(text: str) -> int:
     """Model-agnostic size proxy: one token per four characters, rounded up."""
-    return TokenEstimate(count=math.ceil(len(text) / 4))
+    return math.ceil(len(text) / 4)
 
 
-def estimate_prompt(bundle: PromptBundle) -> TokenEstimate:
+def estimate_prompt(bundle: PromptBundle) -> int:
     return estimate_tokens(bundle.context_text())
 
 
@@ -386,19 +378,12 @@ class MockCommentaryClient:
 
     name = "mock"
 
-    def __init__(self, token_cap: int = DEFAULT_TOKEN_CAP):
-        self.token_cap = token_cap
-
     def complete(self, request: GenerationRequest) -> GenerationResponse:
         bundle = request.bundle
         if bundle.rally is None or bundle.view is None:
             raise MalformedResponse("prompt bundle carries no rally facts")
-        text = self._commentary(bundle.rally, bundle.view)
-        usage = {
-            "prompt_tokens": estimate_prompt(bundle).count,
-            "completion_tokens": estimate_tokens(text).count,
-        }
-        return GenerationResponse(text=text, usage=usage)
+        return GenerationResponse(
+            text=self._commentary(bundle.rally, bundle.view), usage={})
 
     def _commentary(self, rally: RallyRecord, view: ContextView) -> str:
         info = rally.match_info
@@ -454,14 +439,13 @@ class HttpCommentaryClient:
     API_KEY_ENV = "COMMENTARY_API_KEY"
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
-                 token_cap: int = DEFAULT_TOKEN_CAP, timeout_s: float = 30.0,
-                 session=None, log_path: str | None = None):
+                 timeout_s: float = 30.0, session=None,
+                 log_path: str | None = None):
         self.endpoint = endpoint or os.environ.get(self.ENDPOINT_ENV)
         self.api_key = api_key or os.environ.get(self.API_KEY_ENV)
         if not self.endpoint:
             raise ValueError(
                 f"no endpoint configured; set {self.ENDPOINT_ENV} or pass one")
-        self.token_cap = token_cap
         self.timeout_s = timeout_s
         self.session = session or requests.Session()
         self.log_path = log_path
@@ -527,19 +511,11 @@ class HttpCommentaryClient:
 
 def generate(client, request: GenerationRequest, retries: int = 3,
              backoff_s: float = 0.5, sleep=time.sleep) -> GenerationResponse:
-    """Run one generation call with budget guard and bounded retries.
+    """Run one generation call with bounded retries.
 
-    The token budget is checked before anything leaves the process.  Only
-    transport-level failures are retried (exponential backoff); malformed
-    replies are not.
+    Only transport-level failures are retried (exponential backoff);
+    malformed replies are not.  The token budget is the caller's to check.
     """
-    cap = getattr(client, "token_cap", None)
-    if cap is not None:
-        estimate = estimate_prompt(request.bundle)
-        if estimate.count > cap:
-            raise BudgetExceeded(
-                f"prompt estimate {estimate.count} tokens exceeds cap {cap}")
-
     attempt = 0
     while True:
         try:

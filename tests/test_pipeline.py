@@ -240,6 +240,15 @@ class TestConfig:
         assert main(["validate", "--input", str(match),
                      "--config", str(path)]) == 2
 
+    def test_request_log_needs_http_client(self, dataset_file, tmp_path, capsys):
+        log = str(tmp_path / "traffic.jsonl")
+        with pytest.raises(ConfigError, match="log_requests"):
+            PipelineConfig(log_requests=log)
+        assert PipelineConfig(client="http", log_requests=log).log_requests == log
+        assert main(["replay", "--input", str(dataset_file),
+                     "--log-requests", log]) == 2
+        assert "log_requests" in capsys.readouterr().err
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
@@ -286,6 +295,23 @@ class TestCli:
         assert violation["line"] == 2
         assert violation["message"].startswith(f"{records[1].clip_id} {part}: ")
 
+    @pytest.mark.parametrize("argv,key", [(["validate"], "violations"),
+                                          (["stats"], "schema_violations"),
+                                          (["replay", "--no-timing"],
+                                           "schema_violations")])
+    def test_rally_after_match_decided_is_listed(self, tmp_path, records, capsys,
+                                                 argv, key):
+        decided = rally_to_json(records[0])
+        decided["scoreboard"][records[0].match_info.player_1.name] = [2, 0, 0]
+        lines = [rally_to_json(records[0]), decided, rally_to_json(records[1])]
+        path = tmp_path / "decided.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in lines) + "\n",
+                        encoding="utf-8")
+        assert main([*argv, "--input", str(path)]) == 1
+        [violation] = json.loads(capsys.readouterr().out)[key]
+        assert violation["line"] == 2
+        assert "rally starts after the match was decided" in violation["message"]
+
     def test_simulate_then_replay_round_trip(self, tmp_path, capsys):
         match_path = tmp_path / "sim.jsonl"
         code = main(["simulate", "--seed", "4", "--output", str(match_path)])
@@ -298,6 +324,20 @@ class TestCli:
         assert report["failures"] == 0
         assert report["rally_count"] > 50
         assert all(r["prompt_tokens"] <= 16_000 for r in report["rallies"])
+
+    def test_replay_over_token_cap_fails_every_rally(self, tmp_path, capsys):
+        match_path = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--seed", "31", "--output", str(match_path)]) == 0
+        code = main(["replay", "--input", str(match_path), "--client", "mock",
+                     "--token-cap", "10", "--no-timing"])
+        assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        record_count = len(match_path.read_text().splitlines())
+        assert report["rally_count"] == report["failures"] == record_count
+        for rally in report["rallies"]:
+            assert rally["failed"] and rally["commentary"] is None
+            assert rally["failure"].startswith("BudgetExceeded: prompt estimate")
+        assert report["final_stats"]["rallies_consolidated"] == record_count
 
     def test_replay_byte_identical_across_runs(self, tmp_path):
         match_path = tmp_path / "sim.jsonl"
@@ -352,6 +392,33 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["judge"]["count"] == 3
         assert summary["judge"]["accuracy_mean"] == 20.0
+
+    def test_evaluate_lists_malformed_dataset_line(self, tmp_path, records,
+                                                   capsys):
+        lines = [rally_to_json(r) for r in records[:6]]
+        lines[2]["match_info"]["player_1"]["handedness"] = "ambi"
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n".join(json.dumps(x) for x in lines) + "\n",
+                           encoding="utf-8")
+        pairs_path = tmp_path / "pairs.jsonl"
+        rows = [{"clip_id": r.clip_id, "prediction": r.commentary,
+                 "reference": r.commentary} for r in records[:6]]
+        pairs_path.write_text("\n".join(json.dumps(x) for x in rows) + "\n",
+                              encoding="utf-8")
+        code = main(["evaluate", "--input", str(pairs_path), "--judge", "mock",
+                     "--dataset", str(dataset)])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert [v["line"] for v in summary["schema_violations"]] == [3]
+        assert summary["judge"]["count"] == 5
+        # the dataset is read even when there is nothing to score
+        pairs_path.write_text("", encoding="utf-8")
+        code = main(["evaluate", "--input", str(pairs_path), "--judge", "mock",
+                     "--dataset", str(dataset)])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["pairs"] == 0
+        assert [v["line"] for v in summary["schema_violations"]] == [3]
 
     def test_segment_command(self, tmp_path, capsys):
         impacts = tmp_path / "impacts.jsonl"

@@ -9,7 +9,6 @@ from courtside.event_stream import SchemaViolation
 from courtside.match_model import MatchScore
 from courtside.memory import LongTermMemory, MatchMemory, MemoryEntry, ShortTermMemory, memory_snapshot
 from courtside.prompt_engine import (
-    BudgetExceeded,
     GenerationRequest,
     GenerationResponse,
     MalformedResponse,
@@ -27,6 +26,7 @@ from courtside.prompt_engine import (
     serialize_metadata,
     COMMENTATOR_SYSTEM_PROMPT,
 )
+from courtside.pipeline import PipelineConfig, replay_match
 from courtside.simulate import simulate_match
 
 P1, P2 = "player_1", "player_2"
@@ -47,18 +47,18 @@ def view_after(records, n, capacity=4):
 
 class TestTokenEstimate:
     def test_empty(self):
-        assert estimate_tokens("").count == 0
+        assert estimate_tokens("") == 0
 
     def test_four_hundred_chars(self):
-        assert estimate_tokens("x" * 400).count == 100
+        assert estimate_tokens("x" * 400) == 100
 
     def test_rounds_up(self):
-        assert estimate_tokens("abcde").count == 2
+        assert estimate_tokens("abcde") == 2
 
     def test_monotone_in_length(self):
         last = -1
         for n in range(0, 50, 3):
-            count = estimate_tokens("y" * n).count
+            count = estimate_tokens("y" * n)
             assert count >= last
             last = count
 
@@ -213,20 +213,20 @@ class TestMockClient:
         with pytest.raises(MalformedResponse):
             MockCommentaryClient().complete(GenerationRequest(bundle=bare))
 
-    def test_budget_guard_fires_before_call(self):
+    def test_budget_guard_fires_before_call(self, records):
         calls = []
 
         class Spy:
-            token_cap = 10
-
             def complete(self, request):
                 calls.append(request)
                 raise AssertionError("must not be reached")
 
-        bundle = PromptBundle(system_text="s" * 100, user_text="u" * 100)
-        with pytest.raises(BudgetExceeded):
-            generate(Spy(), GenerationRequest(bundle=bundle))
+        report = replay_match(records[:3], PipelineConfig(token_cap=10),
+                              client=Spy())
         assert calls == []
+        assert report.failures == 3
+        assert all(r.failure.startswith("BudgetExceeded: prompt estimate")
+                   for r in report.rallies)
 
 
 class TestMockGolden:
@@ -257,8 +257,6 @@ class TestRetries:
 
     def test_transport_failures_retried_with_backoff(self):
         class Flaky:
-            token_cap = None
-
             def __init__(self):
                 self.attempts = 0
 
@@ -277,7 +275,6 @@ class TestRetries:
 
     def test_gives_up_after_bounded_retries(self):
         class Dead:
-            token_cap = None
             attempts = 0
 
             def complete(self, request):
@@ -292,7 +289,6 @@ class TestRetries:
 
     def test_malformed_response_not_retried(self):
         class Broken:
-            token_cap = None
             attempts = 0
 
             def complete(self, request):
@@ -314,8 +310,8 @@ class TestBoundedContext:
         for i, rally in enumerate(records[:150]):
             bundle = build_commentary_prompt(rally, memory.snapshot(), prior=prior)
             turn_sizes.append(estimate_tokens(
-                bundle.system_text + "\n" + bundle.user_text).count)
-            context_sizes.append(estimate_prompt(bundle).count)
+                bundle.system_text + "\n" + bundle.user_text))
+            context_sizes.append(estimate_prompt(bundle))
             response = generate(client, GenerationRequest(bundle=bundle))
             prior = (bundle.user_text, response.text)
             memory.observe(MemoryEntry(rally_index=i, rally_ref=rally.clip_id,
