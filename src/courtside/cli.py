@@ -14,15 +14,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .evaluation import (
+    CorpusTooSmall,
+    MetricReport,
     MockJudgeClient,
     aggregate,
-    bleu4,
     build_judge_prompt,
-    cider_scores,
-    corpus_metrics,
-    CorpusTooSmall,
     parse_scorecard,
-    rouge_l,
+    score_pairs,
 )
 from .match_model import ScoringConfig
 from .memory import LongTermMemory, MemoryEntry, consolidate
@@ -159,12 +157,11 @@ def _read_pairs(path):
 
 def cmd_evaluate(args) -> int:
     pairs = _read_pairs(args.input)
-    metric_inputs = [(p["prediction"], [p["reference"]]) for p in pairs]
+    scores = score_pairs((p["prediction"], [p["reference"]]) for p in pairs)
     try:
-        report = corpus_metrics(metric_inputs)
-        per_pair_cider = cider_scores(metric_inputs)
+        report = MetricReport.of(scores)
     except CorpusTooSmall:
-        report, per_pair_cider = None, [None] * len(pairs)
+        report = None
 
     records, errors = [], []
     if args.dataset:
@@ -174,12 +171,12 @@ def cmd_evaluate(args) -> int:
     per_clip = []
     scorecards = []
     judge = MockJudgeClient() if args.judge == "mock" else None
-    for obj, cider_value in zip(pairs, per_pair_cider):
+    for obj, score in zip(pairs, scores):
         row = {
             "clip_id": obj["clip_id"],
-            "bleu4": bleu4(obj["prediction"], [obj["reference"]]),
-            "rouge_l": rouge_l(obj["prediction"], obj["reference"]),
-            "cider": cider_value,
+            "bleu4": score.bleu4,
+            "rouge_l": score.rouge_l,
+            "cider": score.cider,
         }
         if judge is not None:
             metadata = obj.get("metadata") or metadata_by_clip.get(obj["clip_id"])

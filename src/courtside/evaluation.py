@@ -14,8 +14,10 @@ import json
 import math
 import re
 import unicodedata
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from .event_stream import RallyRecord
 from .match_model import AD, advance_point, is_terminal
@@ -77,10 +79,67 @@ def _fold(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Text metrics
 # ---------------------------------------------------------------------------
+#
+# One pass per corpus: each text is tokenized and its 1..4-gram counts are
+# built once, in one Counter keyed by the gram tuples (a gram's n is its
+# length), then shared by BLEU-4's clipped precision, CIDEr's document
+# frequencies and CIDEr's TF-IDF vectors.  Every float is an exact
+# left-to-right fold, so the bytes are the same on every supported Python.
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _left_sum(values) -> float:
+    """Plain left-to-right float sum.  Builtin ``sum()`` compensates float
+    rounding since Python 3.12, which changes the last bits of a mean."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class _Counted(NamedTuple):
+    tokens: list[str]
+    grams: Counter  # all 1-grams, then all 2-grams, ...; each in first-occurrence order
+
+
+def _count(text: str) -> _Counted:
+    t = tokenize(text)
+    return _Counted(t, Counter(chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]),
+                                     zip(t, t[1:], t[2:], t[3:]))))
+
+
+def _count_refs(references) -> list[_Counted]:
+    refs = [_count(r) for r in references]
+    if not refs:
+        raise ValueError("references must be non-empty")
+    return refs
+
+
+def _bleu(cand: _Counted, refs: list[_Counted]) -> float:
+    if not cand.tokens:
+        return 0.0
+    counts, clip = cand.grams, refs[0].grams
+    for ref in refs[1:]:
+        clip = clip | ref.grams  # per-gram maximum
+    matched = [0] * 5  # by n
+    for gram in counts.keys() & clip.keys():
+        matched[len(gram)] += min(counts[gram], clip[gram])
+
+    length = len(cand.tokens)
+    log_precision_sum = 0.0
+    for n in range(1, 5):
+        total = max(length - n + 1, 0)
+        if matched[n] > 0:
+            precision = matched[n] / total
+        elif n == 1:
+            return 0.0
+        else:
+            precision = (matched[n] + 1) / (total + 1)
+        log_precision_sum += 0.25 * math.log(precision)
+
+    closest_ref = min((len(r.tokens) for r in refs),
+                      key=lambda ref_len: (abs(ref_len - length), ref_len))
+    brevity = 1.0 if length > closest_ref else math.exp(1.0 - closest_ref / length)
+    return brevity * math.exp(log_precision_sum)
 
 
 def bleu4(candidate: str, references) -> float:
@@ -90,55 +149,28 @@ def bleu4(candidate: str, references) -> float:
     numerator and denominator; unigram precision is never smoothed, so
     zero-overlap pairs score 0.
     """
-    refs = [tokenize(r) for r in references]
-    if not refs:
-        raise ValueError("references must be non-empty")
-    cand = tokenize(candidate)
-    if not cand:
-        return 0.0
-
-    log_precision_sum = 0.0
-    for n in range(1, 5):
-        counts = _ngram_counts(cand, n)
-        max_ref_counts: Counter = Counter()
-        for ref in refs:
-            for gram, k in _ngram_counts(ref, n).items():
-                if k > max_ref_counts[gram]:
-                    max_ref_counts[gram] = k
-        matched = sum(min(k, max_ref_counts[gram]) for gram, k in counts.items())
-        total = max(len(cand) - n + 1, 0)
-        if matched > 0:
-            precision = matched / total
-        elif n == 1:
-            return 0.0
-        else:
-            precision = (matched + 1) / (total + 1)
-        log_precision_sum += 0.25 * math.log(precision)
-
-    closest_ref = min((len(r) for r in refs),
-                      key=lambda length: (abs(length - len(cand)), length))
-    brevity = 1.0 if len(cand) > closest_ref else math.exp(1.0 - closest_ref / len(cand))
-    return brevity * math.exp(log_precision_sum)
+    refs = _count_refs(references)
+    return _bleu(_count(candidate), refs)
 
 
 def _lcs(a, b) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        cur = [0]
-        for j, tok_b in enumerate(b, start=1):
-            if tok_a == tok_b:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence, bit-parallel (Allison & Dix
+    1986; Hyyrö 2004): bit i of ``v`` is clear where a row of the DP table
+    steps up at position i of the longer sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    masks: dict = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for token in b:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
-def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
-    """Longest-common-subsequence F measure over tokens, recall-weighted."""
-    cand, ref = tokenize(candidate), tokenize(reference)
+def _rouge(cand, ref, beta: float = ROUGE_BETA) -> float:
     lcs = _lcs(cand, ref)
     if lcs == 0:
         return 0.0
@@ -147,57 +179,81 @@ def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
     return (1 + beta ** 2) * precision * recall / (recall + beta ** 2 * precision)
 
 
+def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
+    """Longest-common-subsequence F measure over tokens, recall-weighted."""
+    return _rouge(tokenize(candidate), tokenize(reference), beta)
+
+
+def _cider(counted) -> list[float]:
+    if len(counted) < 2:
+        raise CorpusTooSmall("CIDEr needs at least 2 pairs for corpus statistics")
+    corpus_size = len(counted)
+    unseen = math.log(corpus_size)  # a gram in no reference counts as df = 1
+    doc_freq: Counter = Counter()
+    for _, refs in counted:
+        doc_freq.update(set().union(*(r.grams for r in refs)))
+    idf = {gram: math.log(corpus_size / df) for gram, df in doc_freq.items()}
+
+    def vector(text):
+        """TF-IDF weights and, by n, the norm of the n-gram part."""
+        vec = {}
+        norm_sq = [0.0] * 5
+        for gram, tf in text.grams.items():
+            weight = tf * idf.get(gram, unseen)
+            vec[gram] = weight
+            norm_sq[len(gram)] += weight * weight
+        return vec, [math.sqrt(x) for x in norm_sq]
+
+    scores = []
+    for cand, refs in counted:
+        cand_vec, cand_norm = vector(cand)
+        sims = [[] for _ in range(5)]  # by n, one per reference
+        for ref in refs:
+            ref_vec, ref_norm = vector(ref)
+            dot = [0.0] * 5  # in candidate order; absent grams would add +0.0
+            for gram, weight in cand_vec.items():
+                if gram in ref_vec:
+                    dot[len(gram)] += weight * ref_vec[gram]
+            for n in range(1, 5):
+                if cand_norm[n] == 0.0 or ref_norm[n] == 0.0:
+                    sims[n].append(0.0)
+                else:
+                    sims[n].append(dot[n] / (cand_norm[n] * ref_norm[n]))
+        per_n = [_left_sum(s) / len(s) for s in sims[1:]]
+        scores.append(10.0 * _left_sum(per_n) / 4.0)
+    return scores
+
+
 def cider_scores(pairs) -> list[float]:
     """Per-pair CIDEr: TF-IDF n-gram cosine (n = 1..4) against each
     reference, averaged over n and references, scaled by 10.  IDF comes from
     the reference side of the whole corpus."""
-    tokenized = [(tokenize(cand), [tokenize(r) for r in refs])
-                 for cand, refs in pairs]
-    if len(tokenized) < 2:
-        raise CorpusTooSmall("CIDEr needs at least 2 pairs for corpus statistics")
-
-    corpus_size = len(tokenized)
-    doc_freq = [defaultdict(int) for _ in range(4)]
-    for _, refs in tokenized:
-        for n in range(4):
-            seen = set()
-            for ref in refs:
-                seen.update(_ngram_counts(ref, n + 1))
-            for gram in seen:
-                doc_freq[n][gram] += 1
-
-    def vector(tokens, n):
-        counts = _ngram_counts(tokens, n + 1)
-        vec = {}
-        norm_sq = 0.0
-        for gram, tf in counts.items():
-            weight = tf * math.log(corpus_size / max(doc_freq[n][gram], 1))
-            vec[gram] = weight
-            norm_sq += weight * weight
-        return vec, math.sqrt(norm_sq)
-
-    scores = []
-    for cand, refs in tokenized:
-        per_n = []
-        for n in range(4):
-            cand_vec, cand_norm = vector(cand, n)
-            sims = []
-            for ref in refs:
-                ref_vec, ref_norm = vector(ref, n)
-                if cand_norm == 0.0 or ref_norm == 0.0:
-                    sims.append(0.0)
-                    continue
-                dot = sum(w * ref_vec.get(g, 0.0) for g, w in cand_vec.items())
-                sims.append(dot / (cand_norm * ref_norm))
-            per_n.append(sum(sims) / len(sims))
-        scores.append(10.0 * sum(per_n) / 4.0)
-    return scores
+    return _cider([(_count(cand), _count_refs(refs)) for cand, refs in pairs])
 
 
 def cider(pairs) -> float:
     """Corpus CIDEr: mean of the per-pair scores."""
     scores = cider_scores(pairs)
-    return sum(scores) / len(scores)
+    return _left_sum(scores) / len(scores)
+
+
+@dataclass(frozen=True)
+class PairScore:
+    bleu4: float
+    rouge_l: float  # against the first reference
+    cider: float | None  # None below two pairs: CIDEr needs corpus statistics
+
+
+def score_pairs(pairs) -> list[PairScore]:
+    """BLEU-4, ROUGE-L and CIDEr of every (candidate, references) pair, in
+    one pass that tokenizes and counts each text once."""
+    counted = [(_count(cand), _count_refs(refs)) for cand, refs in pairs]
+    try:
+        ciders = _cider(counted)
+    except CorpusTooSmall:
+        ciders = [None] * len(counted)
+    return [PairScore(_bleu(cand, refs), _rouge(cand.tokens, refs[0].tokens), c)
+            for (cand, refs), c in zip(counted, ciders)]
 
 
 @dataclass(frozen=True)
@@ -207,21 +263,25 @@ class MetricReport:
     cider: float
     pairs_evaluated: int
 
+    @classmethod
+    def of(cls, scores) -> MetricReport:
+        """Left-fold means of per-pair scores."""
+        count = len(scores)
+        if count < 2:
+            raise CorpusTooSmall("corpus metrics need at least 2 pairs")
+        return cls(bleu4=_left_sum(s.bleu4 for s in scores) / count,
+                   rouge_l=_left_sum(s.rouge_l for s in scores) / count,
+                   cider=_left_sum(s.cider for s in scores) / count,
+                   pairs_evaluated=count)
+
     def as_dict(self) -> dict:
         return {"bleu4": self.bleu4, "rouge_l": self.rouge_l,
                 "cider": self.cider, "pairs_evaluated": self.pairs_evaluated}
 
 
 def corpus_metrics(pairs) -> MetricReport:
-    """Mean sentence metrics over (candidate, references) pairs, fixed fold
-    order for reproducible floats."""
-    pairs = [(cand, list(refs)) for cand, refs in pairs]
-    if len(pairs) < 2:
-        raise CorpusTooSmall("corpus metrics need at least 2 pairs")
-    bleu_mean = sum(bleu4(c, rs) for c, rs in pairs) / len(pairs)
-    rouge_mean = sum(rouge_l(c, rs[0]) for c, rs in pairs) / len(pairs)
-    return MetricReport(bleu4=bleu_mean, rouge_l=rouge_mean,
-                        cider=cider(pairs), pairs_evaluated=len(pairs))
+    """Mean sentence metrics over (candidate, references) pairs."""
+    return MetricReport.of(score_pairs(pairs))
 
 
 # ---------------------------------------------------------------------------

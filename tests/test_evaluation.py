@@ -14,6 +14,7 @@ from courtside.evaluation import (
     MockJudgeClient,
     SanityReport,
     UnparsableOutput,
+    _left_sum,
     aggregate,
     bleu4,
     build_judge_prompt,
@@ -99,6 +100,15 @@ class TestRouge:
     def test_golden_values(self):
         for (cand, refs), expected in zip(CORPUS, GOLDEN["rouge_l"]):
             assert rouge_l(cand, refs[0]) == pytest.approx(expected, abs=1e-6)
+
+
+class TestLeftSum:
+    def test_folds_left_to_right_without_compensation(self):
+        # compensated summation (builtin sum since Python 3.12) gives 1.0
+        assert _left_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_empty_is_zero(self):
+        assert _left_sum([]) == 0.0
 
 
 class TestCider:

@@ -1,15 +1,29 @@
 """Property-based tests: the commentary sanity check on arbitrary text, the
-rally codec on simulated matches of every supported format, and dataset
-ingestion on arbitrary values."""
+rally codec on simulated matches of every supported format, dataset
+ingestion on arbitrary values, and the text metrics on arbitrary corpora."""
 
 import copy
 import json
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from courtside.evaluation import SanityReport, _fold, sanity_check
+from courtside.evaluation import (
+    PairScore,
+    SanityReport,
+    _fold,
+    _lcs,
+    bleu4,
+    cider_scores,
+    corpus_metrics,
+    rouge_l,
+    sanity_check,
+    score_pairs,
+    tokenize,
+)
 from courtside.event_stream import BounceEvent, rally_from_json, rally_to_json
 from courtside.match_model import ScoringConfig
 from courtside.pipeline import load_dataset
@@ -132,3 +146,52 @@ def test_load_dataset_yields_or_lists_any_line(line_file, line_and_path, value,
     loaded = list(load_dataset(line_file, config, errors=errors))
     assert len(loaded) + len(errors) == 1
     assert all(line == 1 and isinstance(message, str) for line, message in errors)
+
+
+# Token lists over a small alphabet, so tokens repeat heavily, either short or
+# longer than 64 tokens, so the LCS bit vector spans several machine words.
+TOKEN_PAIRS = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True).flatmap(
+    lambda alphabet: st.tuples(*[st.one_of(
+        st.lists(st.sampled_from(alphabet), max_size=12),
+        st.lists(st.sampled_from(alphabet), min_size=65, max_size=150))] * 2))
+
+
+@settings(deadline=None)
+@given(TOKEN_PAIRS)
+@example(([], []))
+@example((["ace"], []))
+@example((["a"] * 130, ["a", "b"] * 40))
+def test_lcs_equals_dp_table(pair):
+    a, b = pair
+    assert _lcs(a, b) == oracles.lcs_length(a, b)
+
+
+WORDS = ["Ace!", "ace", "the", "net,", "Forehand", "forehand", "down", "line.",
+         "Moreau", "deuce", "...", "winner", "a", "break"]
+TEXT_OF_WORDS = st.lists(st.sampled_from(WORDS), max_size=20).map(" ".join)
+CORPORA = st.lists(st.tuples(TEXT_OF_WORDS,
+                             st.lists(TEXT_OF_WORDS, min_size=1, max_size=3)),
+                   min_size=2, max_size=8)
+
+
+def _mean(values):
+    return reduce(add, values, 0.0) / len(values)
+
+
+@settings(deadline=None)
+@given(CORPORA)
+def test_corpus_metrics_are_means_of_sentence_metrics(pairs):
+    bleus = [bleu4(cand, refs) for cand, refs in pairs]
+    rouges = [rouge_l(cand, refs[0]) for cand, refs in pairs]
+    ciders = cider_scores(pairs)
+    report = corpus_metrics(pairs)
+    assert score_pairs(pairs) == [PairScore(*s) for s in zip(bleus, rouges, ciders)]
+    assert (report.bleu4, report.rouge_l, report.cider, report.pairs_evaluated) == (
+        _mean(bleus), _mean(rouges), _mean(ciders), len(pairs))
+
+    tokens = [(tokenize(cand), [tokenize(r) for r in refs]) for cand, refs in pairs]
+    for (cand, refs), b, r, c, ref_c in zip(tokens, bleus, rouges, ciders,
+                                          oracles.ref_cider(tokens)):
+        assert abs(b - oracles.ref_bleu4(cand, refs)) <= 1e-9
+        assert abs(r - oracles.ref_rouge_l(cand, refs[0])) <= 1e-9
+        assert abs(c - ref_c) <= 1e-9
