@@ -98,7 +98,7 @@ def _left_sum(values) -> float:
 
 class _Counted(NamedTuple):
     tokens: list[str]
-    grams: Counter  # all 1-grams, then all 2-grams, ...; each in first-occurrence order
+    grams: Counter  # 1-grams, then 2-grams, ...; each n in first-occurrence order
 
 
 def _count(text: str) -> _Counted:
@@ -149,14 +149,14 @@ def bleu4(candidate: str, references) -> float:
     numerator and denominator; unigram precision is never smoothed, so
     zero-overlap pairs score 0.
     """
-    refs = _count_refs(references)
-    return _bleu(_count(candidate), refs)
+    return _bleu(_count(candidate), _count_refs(references))
 
 
 def _lcs(a, b) -> int:
     """Length of the longest common subsequence, bit-parallel (Allison & Dix
-    1986; Hyyrö 2004): bit i of ``v`` is clear where a row of the DP table
-    steps up at position i of the longer sequence."""
+    1986; Hyyrö 2004).  The bits of ``v`` stand for the positions of the
+    longer sequence; after each token of the shorter one, the clear bits mark
+    where the DP table's row steps up by one, so the length is their count."""
     if len(a) < len(b):
         a, b = b, a
     masks: dict = {}
@@ -184,16 +184,20 @@ def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
     return _rouge(tokenize(candidate), tokenize(reference), beta)
 
 
-def _cider(counted) -> list[float]:
-    if len(counted) < 2:
+def _idf(ref_lists) -> tuple[dict, float]:
+    """Inverse document frequency of every gram over the reference side of
+    the corpus, and the weight of a gram that no reference holds (df 1)."""
+    corpus_size = len(ref_lists)
+    if corpus_size < 2:
         raise CorpusTooSmall("CIDEr needs at least 2 pairs for corpus statistics")
-    corpus_size = len(counted)
-    unseen = math.log(corpus_size)  # a gram in no reference counts as df = 1
     doc_freq: Counter = Counter()
-    for _, refs in counted:
+    for refs in ref_lists:
         doc_freq.update(set().union(*(r.grams for r in refs)))
-    idf = {gram: math.log(corpus_size / df) for gram, df in doc_freq.items()}
+    return ({gram: math.log(corpus_size / df) for gram, df in doc_freq.items()},
+            math.log(corpus_size))
 
+
+def _cider(cand: _Counted, refs: list[_Counted], idf: dict, unseen: float) -> float:
     def vector(text):
         """TF-IDF weights and, by n, the norm of the n-gram part."""
         vec = {}
@@ -204,31 +208,30 @@ def _cider(counted) -> list[float]:
             norm_sq[len(gram)] += weight * weight
         return vec, [math.sqrt(x) for x in norm_sq]
 
-    scores = []
-    for cand, refs in counted:
-        cand_vec, cand_norm = vector(cand)
-        sims = [[] for _ in range(5)]  # by n, one per reference
-        for ref in refs:
-            ref_vec, ref_norm = vector(ref)
-            dot = [0.0] * 5  # in candidate order; absent grams would add +0.0
-            for gram, weight in cand_vec.items():
-                if gram in ref_vec:
-                    dot[len(gram)] += weight * ref_vec[gram]
-            for n in range(1, 5):
-                if cand_norm[n] == 0.0 or ref_norm[n] == 0.0:
-                    sims[n].append(0.0)
-                else:
-                    sims[n].append(dot[n] / (cand_norm[n] * ref_norm[n]))
-        per_n = [_left_sum(s) / len(s) for s in sims[1:]]
-        scores.append(10.0 * _left_sum(per_n) / 4.0)
-    return scores
+    cand_vec, cand_norm = vector(cand)
+    sims = [[] for _ in range(5)]  # by n, one per reference
+    for ref in refs:
+        ref_vec, ref_norm = vector(ref)
+        dot = [0.0] * 5  # in candidate order; absent grams would add +0.0
+        for gram, weight in cand_vec.items():
+            if gram in ref_vec:
+                dot[len(gram)] += weight * ref_vec[gram]
+        for n in range(1, 5):
+            if cand_norm[n] == 0.0 or ref_norm[n] == 0.0:
+                sims[n].append(0.0)
+            else:
+                sims[n].append(dot[n] / (cand_norm[n] * ref_norm[n]))
+    per_n = [_left_sum(s) / len(s) for s in sims[1:]]
+    return 10.0 * _left_sum(per_n) / 4.0
 
 
 def cider_scores(pairs) -> list[float]:
     """Per-pair CIDEr: TF-IDF n-gram cosine (n = 1..4) against each
     reference, averaged over n and references, scaled by 10.  IDF comes from
     the reference side of the whole corpus."""
-    return _cider([(_count(cand), _count_refs(refs)) for cand, refs in pairs])
+    pairs = [(cand, _count_refs(refs)) for cand, refs in pairs]
+    weights = _idf([refs for _, refs in pairs])
+    return [_cider(_count(cand), refs, *weights) for cand, refs in pairs]
 
 
 def cider(pairs) -> float:
@@ -245,15 +248,21 @@ class PairScore:
 
 
 def score_pairs(pairs) -> list[PairScore]:
-    """BLEU-4, ROUGE-L and CIDEr of every (candidate, references) pair, in
-    one pass that tokenizes and counts each text once."""
-    counted = [(_count(cand), _count_refs(refs)) for cand, refs in pairs]
+    """BLEU-4, ROUGE-L and CIDEr of every (candidate, references) pair.
+    Each text is tokenized and counted once; the references are counted up
+    front for CIDEr's document frequencies, and each candidate only when its
+    pair is scored, so that one candidate's counts are alive at a time."""
+    pairs = [(cand, _count_refs(refs)) for cand, refs in pairs]
     try:
-        ciders = _cider(counted)
+        weights = _idf([refs for _, refs in pairs])
     except CorpusTooSmall:
-        ciders = [None] * len(counted)
-    return [PairScore(_bleu(cand, refs), _rouge(cand.tokens, refs[0].tokens), c)
-            for (cand, refs), c in zip(counted, ciders)]
+        weights = None
+    scores = []
+    for text, refs in pairs:
+        cand = _count(text)
+        scores.append(PairScore(_bleu(cand, refs), _rouge(cand.tokens, refs[0].tokens),
+                                None if weights is None else _cider(cand, refs, *weights)))
+    return scores
 
 
 @dataclass(frozen=True)
