@@ -80,11 +80,13 @@ def _fold(text: str) -> str:
 # Text metrics
 # ---------------------------------------------------------------------------
 #
-# One pass per corpus: each text is tokenized and its 1..4-gram counts are
-# built once, in one Counter keyed by the gram tuples (a gram's n is its
-# length), then shared by BLEU-4's clipped precision, CIDEr's document
-# frequencies and CIDEr's TF-IDF vectors.  Every float is an exact
-# left-to-right fold, so the bytes are the same on every supported Python.
+# Each text is tokenized once.  CIDEr's document frequencies take each
+# reference's set of grams; then, one pair at a time, each text's 1..4-gram
+# counts are built once, in one Counter keyed by the gram tuples (a gram's n
+# is its length), and shared by BLEU-4's clipped precision and CIDEr's TF-IDF
+# vectors.  Only one pair's counts are alive at a time.  Every float is an
+# exact left-to-right fold, so the bytes are the same on every supported
+# Python.
 
 
 def _left_sum(values) -> float:
@@ -98,20 +100,23 @@ def _left_sum(values) -> float:
 
 class _Counted(NamedTuple):
     tokens: list[str]
-    grams: Counter  # 1-grams, then 2-grams, ...; each n in first-occurrence order
+    grams: Counter
 
 
-def _count(text: str) -> _Counted:
-    t = tokenize(text)
-    return _Counted(t, Counter(chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]),
-                                     zip(t, t[1:], t[2:], t[3:]))))
+def _grams(t: list[str]):
+    """The 1-grams, then the 2-grams, ...; each n in order of position."""
+    return chain(zip(t), zip(t, t[1:]), zip(t, t[1:], t[2:]), zip(t, t[1:], t[2:], t[3:]))
 
 
-def _count_refs(references) -> list[_Counted]:
-    refs = [_count(r) for r in references]
+def _count(tokens: list[str]) -> _Counted:
+    return _Counted(tokens, Counter(_grams(tokens)))
+
+
+def _tokenize_pair(candidate: str, references) -> tuple[list[str], list[list[str]]]:
+    refs = [tokenize(r) for r in references]
     if not refs:
         raise ValueError("references must be non-empty")
-    return refs
+    return tokenize(candidate), refs
 
 
 def _bleu(cand: _Counted, refs: list[_Counted]) -> float:
@@ -149,7 +154,8 @@ def bleu4(candidate: str, references) -> float:
     numerator and denominator; unigram precision is never smoothed, so
     zero-overlap pairs score 0.
     """
-    return _bleu(_count(candidate), _count_refs(references))
+    cand, refs = _tokenize_pair(candidate, references)
+    return _bleu(_count(cand), [_count(r) for r in refs])
 
 
 def _lcs(a, b) -> int:
@@ -192,7 +198,7 @@ def _idf(ref_lists) -> tuple[dict, float]:
         raise CorpusTooSmall("CIDEr needs at least 2 pairs for corpus statistics")
     doc_freq: Counter = Counter()
     for refs in ref_lists:
-        doc_freq.update(set().union(*(r.grams for r in refs)))
+        doc_freq.update(set(chain.from_iterable(map(_grams, refs))))
     return ({gram: math.log(corpus_size / df) for gram, df in doc_freq.items()},
             math.log(corpus_size))
 
@@ -229,9 +235,10 @@ def cider_scores(pairs) -> list[float]:
     """Per-pair CIDEr: TF-IDF n-gram cosine (n = 1..4) against each
     reference, averaged over n and references, scaled by 10.  IDF comes from
     the reference side of the whole corpus."""
-    pairs = [(cand, _count_refs(refs)) for cand, refs in pairs]
+    pairs = [_tokenize_pair(cand, refs) for cand, refs in pairs]
     weights = _idf([refs for _, refs in pairs])
-    return [_cider(_count(cand), refs, *weights) for cand, refs in pairs]
+    return [_cider(_count(cand), [_count(r) for r in refs], *weights)
+            for cand, refs in pairs]
 
 
 def cider(pairs) -> float:
@@ -248,19 +255,17 @@ class PairScore:
 
 
 def score_pairs(pairs) -> list[PairScore]:
-    """BLEU-4, ROUGE-L and CIDEr of every (candidate, references) pair.
-    Each text is tokenized and counted once; the references are counted up
-    front for CIDEr's document frequencies, and each candidate only when its
-    pair is scored, so that one candidate's counts are alive at a time."""
-    pairs = [(cand, _count_refs(refs)) for cand, refs in pairs]
+    """BLEU-4, ROUGE-L and CIDEr of every (candidate, references) pair, in
+    one pass that tokenizes each text once and counts its n-grams once."""
+    pairs = [_tokenize_pair(cand, refs) for cand, refs in pairs]
     try:
         weights = _idf([refs for _, refs in pairs])
     except CorpusTooSmall:
         weights = None
     scores = []
-    for text, refs in pairs:
-        cand = _count(text)
-        scores.append(PairScore(_bleu(cand, refs), _rouge(cand.tokens, refs[0].tokens),
+    for cand_tokens, ref_tokens in pairs:
+        cand, refs = _count(cand_tokens), [_count(r) for r in ref_tokens]
+        scores.append(PairScore(_bleu(cand, refs), _rouge(cand_tokens, ref_tokens[0]),
                                 None if weights is None else _cider(cand, refs, *weights)))
     return scores
 
