@@ -203,21 +203,22 @@ def _idf(ref_lists) -> tuple[dict, float]:
             math.log(corpus_size))
 
 
-def _cider(cand: _Counted, refs: list[_Counted], idf: dict, unseen: float) -> float:
-    def vector(text):
-        """TF-IDF weights and, by n, the norm of the n-gram part."""
-        vec = {}
-        norm_sq = [0.0] * 5
-        for gram, tf in text.grams.items():
-            weight = tf * idf.get(gram, unseen)
-            vec[gram] = weight
-            norm_sq[len(gram)] += weight * weight
-        return vec, [math.sqrt(x) for x in norm_sq]
+def _tfidf(text: _Counted, idf: dict, unseen: float) -> tuple[dict, list[float]]:
+    """TF-IDF weights and, by n, the norm of the n-gram part."""
+    vec = {}
+    norm_sq = [0.0] * 5
+    for gram, tf in text.grams.items():
+        weight = tf * idf.get(gram, unseen)
+        vec[gram] = weight
+        norm_sq[len(gram)] += weight * weight
+    return vec, [math.sqrt(x) for x in norm_sq]
 
-    cand_vec, cand_norm = vector(cand)
+
+def _cider(cand: _Counted, refs: list[_Counted], idf: dict, unseen: float) -> float:
+    cand_vec, cand_norm = _tfidf(cand, idf, unseen)
     sims = [[] for _ in range(5)]  # by n, one per reference
     for ref in refs:
-        ref_vec, ref_norm = vector(ref)
+        ref_vec, ref_norm = _tfidf(ref, idf, unseen)
         dot = [0.0] * 5  # in candidate order; absent grams would add +0.0
         for gram, weight in cand_vec.items():
             if gram in ref_vec:
