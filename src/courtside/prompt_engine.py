@@ -17,8 +17,6 @@ import re
 import time
 from dataclasses import dataclass, field, fields
 
-import requests
-
 from .event_stream import (
     RallyRecord,
     SchemaViolation,
@@ -447,6 +445,7 @@ class HttpCommentaryClient:
             raise ValueError(
                 f"no endpoint configured; set {self.ENDPOINT_ENV} or pass one")
         self.timeout_s = timeout_s
+        import requests  # only the HTTP client needs it; keeps replay start-up light
         self.session = session or requests.Session()
         self.log_path = log_path
 
@@ -474,6 +473,7 @@ class HttpCommentaryClient:
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        import requests
         try:
             http_response = self.session.post(
                 self.endpoint, json=body, headers=headers, timeout=self.timeout_s)
@@ -481,6 +481,8 @@ class HttpCommentaryClient:
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
 
         self._log(body, http_response)
+        if http_response.status_code == 429:
+            raise TransportFailure("rate limited (status 429)")
         if http_response.status_code >= 500:
             raise TransportFailure(f"server error {http_response.status_code}")
         if http_response.status_code >= 400:

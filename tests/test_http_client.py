@@ -177,6 +177,19 @@ class TestFailureModes:
         assert len(session.calls) == 3
         assert slept == [0.5, 1.0]
 
+    def test_rate_limited_reply_is_retried(self):
+        session = FakeSession([
+            FakeResponse(status_code=429, payload={}),
+            FakeResponse(payload={"text": "after the wait", "usage": {}}),
+        ])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session)
+        slept = []
+        response = generate(client, request_with_prior(), sleep=slept.append)
+        assert response.text == "after the wait"
+        assert len(session.calls) == 2
+        assert slept == [0.5]
+
 
 class TestRequestLogging:
     def test_log_written_with_credential_redacted(self, tmp_path):
