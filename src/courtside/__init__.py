@@ -30,8 +30,7 @@ _EXPORTS = {
     ),
     "memory": (
         "ContextView", "LongTermMemory", "MatchMemory", "MemoryEntry",
-        "PlayerStatLine", "ShortTermMemory", "consolidate", "flush_memory",
-        "memory_snapshot", "push_rally",
+        "PlayerStatLine", "consolidate",
     ),
     "prompt_engine": (
         "GenerationRequest", "GenerationResponse", "HttpCommentaryClient",

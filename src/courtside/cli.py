@@ -118,8 +118,8 @@ def cmd_stats(args) -> int:
     long_term = LongTermMemory()
     records = load_dataset(args.input, config.scoring, errors=errors)
     for index, record in enumerate(records):
-        entry = MemoryEntry(rally_index=index, rally_ref=record.clip_id,
-                            metadata=record, commentary=record.commentary)
+        entry = MemoryEntry(rally_index=index, metadata=record,
+                            commentary=record.commentary)
         long_term = consolidate(long_term, entry)
     payload = long_term.report()
     if errors:
@@ -156,6 +156,7 @@ def _read_pairs(path):
 
 
 def cmd_evaluate(args) -> int:
+    config = _build_config(args)
     pairs = _read_pairs(args.input)
     scores = score_pairs((p["prediction"], [p["reference"]]) for p in pairs)
     try:
@@ -165,7 +166,7 @@ def cmd_evaluate(args) -> int:
 
     records, errors = [], []
     if args.dataset:
-        records, errors = _load_all(args.dataset, _build_config(args).scoring)
+        records, errors = _load_all(args.dataset, config.scoring)
     metadata_by_clip = {r.clip_id: serialize_metadata(r) for r in records}
 
     per_clip = []
@@ -285,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("segment", help="cluster impact detections into intervals")
-    common(p)
+    p.add_argument("--input", required=True, help="impact detections JSONL file")
+    p.add_argument("--output", help="write the result here instead of stdout")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--max-gap", type=float, default=3.0, dest="max_gap")
     p.add_argument("--min-hits", type=int, default=2, dest="min_hits")

@@ -347,7 +347,6 @@ def _score_pairs_of(score) -> set[tuple[str, str]]:
 
 
 def sanity_check(commentary: str, rally: RallyRecord,
-                 shot_taxonomy=DEFAULT_SHOT_TAXONOMY,
                  known_players=()) -> SanityReport:
     """Deterministic entity checks of a commentary against its rally.
 
@@ -417,7 +416,7 @@ def sanity_check(commentary: str, rally: RallyRecord,
     for shot in rally.shots:
         seen_terms.add(shot.stroke)
         seen_terms.add(shot.technique)
-    for term in shot_taxonomy:
+    for term in DEFAULT_SHOT_TAXONOMY:
         folded_term = _fold(term)
         if (folded_term in folded_text
                 and re.search(rf"\b{re.escape(folded_term)}\b", folded_text)):

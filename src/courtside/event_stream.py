@@ -241,9 +241,7 @@ def _shot_violations(shots) -> list[str]:
         if prev.outcome not in ("in", "fault", "let"):
             # one trailing touch after a winning serve is a recorded fact,
             # not continued play
-            touch = (prev.stroke == "serve" and prev.outcome == "winner"
-                     and i == len(shots) - 1 and cur.hitter != prev.hitter)
-            if not touch:
+            if not (i == len(shots) - 1 and _touched_service_winner(shots)):
                 v.append(f"shot {i}: play continued after a point-ending "
                          f"{prev.outcome!r}")
     return v
@@ -325,7 +323,6 @@ class StatContribution:
     """Sparse per-player statistic increments extracted from one rally."""
 
     per_player: dict[str, dict[str, int]]
-    point_winner: str
 
     def of(self, player_id: str) -> dict[str, int]:
         return self.per_player[player_id]
@@ -378,7 +375,7 @@ def classify_point(rally: RallyRecord) -> StatContribution:
     for shot in shots:
         bump(shot.hitter, "total_shots")
 
-    return StatContribution(per_player=inc, point_winner=outcome.point_winner)
+    return StatContribution(per_player=inc)
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,13 @@ class ScoringConfig:
     def __post_init__(self):
         if self.best_of not in (3, 5):
             raise ValueError("best_of must be 3 or 5")
-        if self.set_trigger_games < 1:
-            raise ValueError("set_trigger_games must be >= 1")
-        if self.tiebreak_points < 1 or self.final_set_tiebreak_points < 1:
-            raise ValueError("tiebreak targets must be >= 1")
+        # Scores have at most two digits, and the state closure that
+        # validate_scoreboard builds grows with the square of each value.
+        if not 1 <= self.set_trigger_games <= 99:
+            raise ValueError("set_trigger_games must be in 1..99")
+        for target in (self.tiebreak_points, self.final_set_tiebreak_points):
+            if not 1 <= target <= 99:
+                raise ValueError("tiebreak targets must be in 1..99")
 
     @property
     def sets_to_win(self) -> int:

@@ -103,31 +103,15 @@ class PlayerStatLine:
 
 @dataclass(frozen=True)
 class MemoryEntry:
-    """One remembered rally: clip reference, metadata and its commentary."""
+    """One remembered rally: its stream index, metadata and commentary."""
 
     rally_index: int
-    rally_ref: str
     metadata: RallyRecord
     commentary: str | None
 
     def __post_init__(self):
-        if not self.rally_ref:
-            raise ValueError("rally_ref must be non-empty")
         if self.rally_index < 0:
             raise ValueError("rally_index must be non-negative")
-
-
-@dataclass(frozen=True)
-class ShortTermMemory:
-    capacity: int = DEFAULT_WINDOW
-    entries: tuple[MemoryEntry, ...] = ()
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -147,20 +131,6 @@ class LongTermMemory:
                 score_summary(self.last_consolidated_score)
                 if self.last_consolidated_score is not None else None),
         }
-
-
-def push_rally(short: ShortTermMemory,
-               entry: MemoryEntry) -> tuple[ShortTermMemory, MemoryEntry | None]:
-    """Append an entry; return the evicted oldest entry once over capacity."""
-    if short.entries and entry.rally_index <= short.entries[-1].rally_index:
-        raise OutOfOrderEntry(
-            f"rally index {entry.rally_index} does not exceed stored "
-            f"{short.entries[-1].rally_index}")
-    entries = short.entries + (entry,)
-    evicted = None
-    if len(entries) > short.capacity:
-        evicted, entries = entries[0], entries[1:]
-    return replace(short, entries=entries), evicted
 
 
 def total_games(score: MatchScore, idx: int) -> int:
@@ -198,14 +168,6 @@ def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
     )
 
 
-def flush_memory(short: ShortTermMemory,
-                 long: LongTermMemory) -> tuple[ShortTermMemory, LongTermMemory]:
-    """Consolidate everything left in the window (used at match end)."""
-    for entry in short.entries:
-        long = consolidate(long, entry)
-    return replace(short, entries=()), long
-
-
 @dataclass(frozen=True)
 class ContextView:
     """Immutable snapshot handed to prompt assembly: the recent window plus
@@ -216,33 +178,44 @@ class ContextView:
     rallies_consolidated: int
 
 
-def memory_snapshot(short: ShortTermMemory, long: LongTermMemory) -> ContextView:
-    return ContextView(
-        recent=tuple((e.metadata, e.commentary) for e in short.entries),
-        stat_lines=long.stat_lines,
-        rallies_consolidated=long.rallies_consolidated,
-    )
-
-
 class MatchMemory:
-    """Single-writer convenience wrapper pairing the two memory tiers.
+    """The two memory tiers of one match: a window of the ``capacity`` most
+    recent entries, oldest first, and the consolidated statistic lines.
 
     Rally order is semantically meaningful, so one instance serves one match;
     snapshots are immutable and safe to share.
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
-        self.short = ShortTermMemory(capacity=capacity)
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.short: list[MemoryEntry] = []
         self.long = LongTermMemory()
 
     def snapshot(self) -> ContextView:
-        return memory_snapshot(self.short, self.long)
+        return ContextView(
+            recent=tuple((e.metadata, e.commentary) for e in self.short),
+            stat_lines=self.long.stat_lines,
+            rallies_consolidated=self.long.rallies_consolidated,
+        )
 
     def observe(self, entry: MemoryEntry) -> MemoryEntry | None:
-        self.short, evicted = push_rally(self.short, entry)
-        if evicted is not None:
-            self.long = consolidate(self.long, evicted)
+        """Append an entry; once the window overflows, consolidate and
+        return the evicted oldest entry."""
+        if self.short and entry.rally_index <= self.short[-1].rally_index:
+            raise OutOfOrderEntry(
+                f"rally index {entry.rally_index} does not exceed stored "
+                f"{self.short[-1].rally_index}")
+        self.short.append(entry)
+        if len(self.short) <= self.capacity:
+            return None
+        evicted = self.short.pop(0)
+        self.long = consolidate(self.long, evicted)
         return evicted
 
     def flush(self) -> None:
-        self.short, self.long = flush_memory(self.short, self.long)
+        """Consolidate everything left in the window (used at match end)."""
+        for entry in self.short:
+            self.long = consolidate(self.long, entry)
+        self.short = []

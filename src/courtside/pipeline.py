@@ -255,8 +255,8 @@ def replay_match(records, config: PipelineConfig | None = None,
             if rally.commentary:
                 generated.append((commentary, rally.commentary))
 
-        memory.observe(MemoryEntry(rally_index=index, rally_ref=rally.clip_id,
-                                   metadata=rally, commentary=commentary))
+        memory.observe(MemoryEntry(rally_index=index, metadata=rally,
+                                   commentary=commentary))
         engine_s = (time.perf_counter() - engine_started) - client_s
         run_records.append(RallyRunRecord(
             rally_index=index, clip_id=rally.clip_id,

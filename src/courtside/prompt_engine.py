@@ -117,8 +117,6 @@ class PersonaConfig:
 class GenerationRequest:
     bundle: PromptBundle
     clip_ref: str | None = None
-    max_tokens: int | None = None
-    temperature: float | None = None
 
 
 @dataclass(frozen=True)
@@ -426,7 +424,7 @@ class MockCommentaryClient:
 class HttpCommentaryClient:
     """Thin chat-completion client over the minimal JSON wire shape.
 
-    Request body: ``{system, messages, max_tokens, temperature, clip_ref}``;
+    Request body: ``{system, messages, clip_ref}``;
     expected reply: ``{"text": ..., "usage": {...}}``.  Endpoint and
     credential come from the environment unless given explicitly.
     """
@@ -463,10 +461,6 @@ class HttpCommentaryClient:
             "system": request.bundle.system_text,
             "messages": self._messages(request.bundle),
         }
-        if request.max_tokens is not None:
-            body["max_tokens"] = request.max_tokens
-        if request.temperature is not None:
-            body["temperature"] = request.temperature
         if request.clip_ref is not None:
             body["clip_ref"] = request.clip_ref
 

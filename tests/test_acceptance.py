@@ -191,8 +191,7 @@ def test_criterion_04_memory_oracle_equivalence():
 
     memory = MatchMemory(capacity=4)
     for t, record in enumerate(records, start=1):
-        memory.observe(MemoryEntry(rally_index=t - 1, rally_ref=record.clip_id,
-                                   metadata=record, commentary=None))
+        memory.observe(MemoryEntry(rally_index=t - 1, metadata=record, commentary=None))
         assert len(memory.short) == min(t, 4)
         assert memory.long.rallies_consolidated == max(0, t - 4)
     memory.flush()
@@ -200,7 +199,7 @@ def test_criterion_04_memory_oracle_equivalence():
     batch = LongTermMemory()
     for i, record in enumerate(records):
         batch = consolidate(batch, MemoryEntry(
-            rally_index=i, rally_ref=record.clip_id, metadata=record,
+            rally_index=i, metadata=record,
             commentary=None))
     assert memory.long.stat_lines == batch.stat_lines
     assert memory.long.rallies_consolidated == len(records)

@@ -151,8 +151,7 @@ def mock_commentary_for(records, index):
         text = generate(client, GenerationRequest(bundle=bundle)).text
         if i == index:
             return text
-        memory.observe(MemoryEntry(rally_index=i, rally_ref=rally.clip_id,
-                                   metadata=rally, commentary=text))
+        memory.observe(MemoryEntry(rally_index=i, metadata=rally, commentary=text))
     raise AssertionError
 
 

@@ -189,6 +189,18 @@ class TestValidateRally:
         rally = make_rally(shots, outcome=RallyOutcome(P1, P2, "winner"))
         assert any("continued" in v for v in validate_rally(rally).violations)
 
+    @pytest.mark.parametrize("shots", [
+        # two touches after the winning serve
+        [serve(0, P1, outcome="winner"), shot(1, P2, outcome="forced_error"),
+         shot(2, P1, outcome="forced_error")],
+        # the one trailing touch is the server's own
+        [serve(0, P1, outcome="winner"), shot(1, P1, outcome="forced_error")],
+    ], ids=["two_touches", "server_touch"])
+    def test_touch_after_winning_serve_is_limited(self, shots):
+        rally = make_rally(shots, outcome=RallyOutcome(P1, P2, "service_winner"))
+        assert ("shot 1: play continued after a point-ending 'winner'"
+                in validate_rally(rally).violations)
+
 
 class TestEditScore:
     def test_identical_sequences(self):

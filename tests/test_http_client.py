@@ -46,8 +46,7 @@ class FakeSession:
 def request_with_prior():
     bundle = PromptBundle(system_text="persona", user_text="current rally",
                           prior_interaction=("previous rally", "previous call"))
-    return GenerationRequest(bundle=bundle, clip_ref="m1_0.0_5.0",
-                             max_tokens=128, temperature=0.4)
+    return GenerationRequest(bundle=bundle, clip_ref="m1_0.0_5.0")
 
 
 class TestWireShape:
@@ -70,8 +69,6 @@ class TestWireShape:
             {"role": "assistant", "content": "previous call"},
             {"role": "user", "content": "current rally"},
         ]
-        assert body["max_tokens"] == 128
-        assert body["temperature"] == 0.4
         assert body["clip_ref"] == "m1_0.0_5.0"
 
     def test_no_prior_single_message(self):

@@ -10,10 +10,7 @@ from courtside.memory import (
     NonSequentialConsolidation,
     OutOfOrderEntry,
     PlayerStatLine,
-    ShortTermMemory,
     consolidate,
-    memory_snapshot,
-    push_rally,
 )
 from courtside.simulate import simulate_match
 
@@ -21,7 +18,7 @@ P1, P2 = "player_1", "player_2"
 
 
 def entries_for(records):
-    return [MemoryEntry(rally_index=i, rally_ref=r.clip_id, metadata=r,
+    return [MemoryEntry(rally_index=i, metadata=r,
                         commentary=f"c{i}") for i, r in enumerate(records)]
 
 
@@ -32,35 +29,37 @@ def match_records():
 
 class TestPushRally:
     def test_push_into_empty(self, match_records):
-        short = ShortTermMemory(capacity=4)
+        memory = MatchMemory(capacity=4)
         e = entries_for(match_records[:1])[0]
-        short, evicted = push_rally(short, e)
-        assert evicted is None
-        assert short.entries == (e,)
+        assert memory.observe(e) is None
+        assert memory.short == [e]
 
     def test_fifo_eviction_at_capacity(self, match_records):
         entries = entries_for(match_records[:5])
-        short = ShortTermMemory(capacity=4)
+        memory = MatchMemory(capacity=4)
         for e in entries[:4]:
-            short, evicted = push_rally(short, e)
-            assert evicted is None
-        short, evicted = push_rally(short, entries[4])
-        assert evicted == entries[0]
-        assert short.entries == tuple(entries[1:5])
+            assert memory.observe(e) is None
+        assert memory.observe(entries[4]) == entries[0]
+        assert memory.short == entries[1:5]
+        assert memory.long.rallies_consolidated == 1
 
     def test_out_of_order_rejected(self, match_records):
         entries = entries_for(match_records[:6])
-        short = ShortTermMemory(capacity=4)
-        short, _ = push_rally(short, entries[5])
-        with pytest.raises(OutOfOrderEntry):
-            push_rally(short, entries[3])
+        memory = MatchMemory(capacity=4)
+        memory.observe(entries[5])
+        with pytest.raises(OutOfOrderEntry, match="rally index 3 does not "
+                                                  "exceed stored 5"):
+            memory.observe(entries[3])
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            MatchMemory(capacity=0)
 
 
 class TestConsolidate:
     def test_ace_rally_increments(self, match_records):
         ace = next(r for r in match_records if r.outcome.reason == "ace")
-        entry = MemoryEntry(rally_index=0, rally_ref=ace.clip_id,
-                            metadata=ace, commentary=None)
+        entry = MemoryEntry(rally_index=0, metadata=ace, commentary=None)
         long = consolidate(LongTermMemory(), entry)
         server_idx = 0 if ace.shots[0].hitter == P1 else 1
         line = long.stat_lines[server_idx]
@@ -170,7 +169,7 @@ def _recount_stats(records):
 
 class TestSnapshotAndWindow:
     def test_fresh_snapshot_is_empty(self):
-        view = memory_snapshot(ShortTermMemory(), LongTermMemory())
+        view = MatchMemory().snapshot()
         assert view.recent == ()
         assert view.stat_lines == (PlayerStatLine(), PlayerStatLine())
 

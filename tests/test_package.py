@@ -34,8 +34,7 @@ EXPORTS = {
     ],
     "memory": [
         "ContextView", "LongTermMemory", "MatchMemory", "MemoryEntry",
-        "PlayerStatLine", "ShortTermMemory", "consolidate", "flush_memory",
-        "memory_snapshot", "push_rally",
+        "PlayerStatLine", "consolidate",
     ],
     "prompt_engine": [
         "GenerationRequest", "GenerationResponse", "HttpCommentaryClient",
@@ -61,7 +60,7 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 class TestNamespace:
     def test_all_is_exactly_the_exported_names(self):
-        assert len(NAMES) == 74
+        assert len(NAMES) == 70
         assert sorted(courtside.__all__) == sorted(NAMES)
 
     @pytest.mark.parametrize("module, name", [

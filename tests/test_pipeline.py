@@ -116,7 +116,7 @@ class TestReplay:
         direct = LongTermMemory()
         for i, rally in enumerate(records):
             direct = consolidate(direct, MemoryEntry(
-                rally_index=i, rally_ref=rally.clip_id, metadata=rally,
+                rally_index=i, metadata=rally,
                 commentary=None))
         assert report.final_stats["player_1"] == direct.report()["player_1"]
         assert report.final_stats["player_2"] == direct.report()["player_2"]
@@ -254,6 +254,10 @@ class TestConfig:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(str(path))
+
+    def test_scoring_values_above_two_digits_rejected(self):
+        with pytest.raises(ConfigError, match="1..99"):
+            PipelineConfig.from_dict({"scoring": {"tiebreak_points": 1000}})
 
 
 class TestCli:
@@ -438,6 +442,23 @@ class TestCli:
         bad.write_text("{]", encoding="utf-8")
         code = main(["validate", "--input", str(bad), "--config", str(bad)])
         assert code == 2
+
+    def test_evaluate_reads_its_config_without_dataset(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("", encoding="utf-8")
+        missing = str(tmp_path / "missing.json")
+        code = main(["evaluate", "--input", str(pairs), "--config", missing])
+        assert code == 2
+        assert "missing.json" in capsys.readouterr().err
+
+    def test_segment_takes_no_config(self, tmp_path, capsys):
+        impacts = tmp_path / "impacts.jsonl"
+        impacts.write_text("", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", "--input", str(impacts),
+                  "--config", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_http_client_without_endpoint_exit_two(self, dataset_file,
                                                    monkeypatch, capsys):

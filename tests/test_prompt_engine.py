@@ -7,7 +7,7 @@ import pytest
 
 from courtside.event_stream import SchemaViolation
 from courtside.match_model import MatchScore
-from courtside.memory import LongTermMemory, MatchMemory, MemoryEntry, ShortTermMemory, memory_snapshot
+from courtside.memory import MatchMemory, MemoryEntry
 from courtside.prompt_engine import (
     GenerationRequest,
     GenerationResponse,
@@ -40,8 +40,7 @@ def records():
 def view_after(records, n, capacity=4):
     memory = MatchMemory(capacity=capacity)
     for i, r in enumerate(records[:n]):
-        memory.observe(MemoryEntry(rally_index=i, rally_ref=r.clip_id,
-                                   metadata=r, commentary=f"call {i}"))
+        memory.observe(MemoryEntry(rally_index=i, metadata=r, commentary=f"call {i}"))
     return memory.snapshot()
 
 
@@ -127,7 +126,7 @@ class TestParseMetadataErrors:
 
 class TestSerializeMemory:
     def test_empty_memory(self):
-        text = serialize_memory(memory_snapshot(ShortTermMemory(), LongTermMemory()))
+        text = serialize_memory(MatchMemory().snapshot())
         assert "(none yet)" in text
         assert "consolidated over 0 rallies" in text
         # all-zero table
@@ -246,8 +245,7 @@ class TestMockGolden:
             text = generate(client, GenerationRequest(bundle=bundle)).text
             assert text == expected["commentary"]
             prior = (bundle.user_text, text)
-            memory.observe(MemoryEntry(rally_index=i, rally_ref=rally.clip_id,
-                                       metadata=rally, commentary=text))
+            memory.observe(MemoryEntry(rally_index=i, metadata=rally, commentary=text))
 
 
 class TestRetries:
@@ -314,8 +312,7 @@ class TestBoundedContext:
             context_sizes.append(estimate_prompt(bundle))
             response = generate(client, GenerationRequest(bundle=bundle))
             prior = (bundle.user_text, response.text)
-            memory.observe(MemoryEntry(rally_index=i, rally_ref=rally.clip_id,
-                                       metadata=rally,
+            memory.observe(MemoryEntry(rally_index=i, metadata=rally,
                                        commentary=response.text))
         baseline = turn_sizes[4]  # first rally with a full window behind it
         assert max(turn_sizes) <= baseline + 512
