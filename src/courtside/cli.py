@@ -130,15 +130,14 @@ def cmd_stats(args) -> int:
 
 def _read_jsonl(path):
     """Yield ``(line_number, object)`` for each non-blank line of a JSONL
-    input; a line that is not a JSON object is a :class:`ConfigError`."""
-    with open(path, encoding="utf-8") as fh:
+    input; a line that is not a UTF-8 JSON object is a :class:`ConfigError`."""
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:
+                obj = json.loads(line.decode("utf-8").strip())
+            except ValueError as exc:  # UnicodeDecodeError included
                 raise ConfigError(f"{path} line {line_no}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise ConfigError(f"{path} line {line_no}: expected a JSON object")

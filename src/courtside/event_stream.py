@@ -24,6 +24,7 @@ from .match_model import (
     other_player,
     parse_scoreboard,
     render_scoreboard,
+    wins_game,
 )
 from .validity import ValidityReport
 
@@ -331,8 +332,9 @@ class StatContribution:
 def classify_point(rally: RallyRecord) -> StatContribution:
     """Break one rally down into broadcast-statistic increments.
 
-    Covers service, return, shot-ending and break-point categories; every
-    rally yields exactly one point won, one serve point and one return point.
+    Covers service, return, shot-ending, break-point and game categories:
+    every rally yields one point won, one serve point and one return point,
+    and a point that ends a game (a tiebreak too) one game won for its winner.
     """
     shots = rally.shots
     server = shots[0].hitter
@@ -371,6 +373,9 @@ def classify_point(rally: RallyRecord) -> StatContribution:
             bump(server, "break_points_saved")
         else:
             bump(returner, "break_points_converted")
+
+    if wins_game(rally.initial_score, outcome.point_winner):
+        bump(outcome.point_winner, "games_won")
 
     for shot in shots:
         bump(shot.hitter, "total_shots")

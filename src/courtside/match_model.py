@@ -311,8 +311,15 @@ def advance_point(score: MatchScore, winner) -> MatchScore:
     return replace(score, points=points)
 
 
+def wins_game(score: MatchScore, winner: str) -> bool:
+    """True iff the point won by player id ``winner`` ends a game (a tiebreak too)."""
+    return _advance_set_state(score.games, score.in_tiebreak, score.points,
+                              _index(winner), score.config, score.tiebreak_target())[3]
+
+
 def is_break_point(score: MatchScore) -> bool:
-    """True iff the returner takes the game by winning the next point.
+    """True iff the returner takes the game by winning the next point,
+    except at a no-ad deciding point (40-40), which is not counted.
 
     Defined for standard games only; inside a tiebreak there is no game to
     break and the answer is False.

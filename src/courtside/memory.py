@@ -21,9 +21,6 @@ from .match_model import (
 
 DEFAULT_WINDOW = 4
 
-# Derived ratios of PlayerStatLine, in report and prompt-table order.
-RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
-
 
 class OutOfOrderEntry(ValueError):
     """A pushed rally does not extend the stored sequence."""
@@ -55,7 +52,7 @@ class PlayerStatLine:
     total_shots: int = 0
 
     def add(self, increments: dict[str, int]) -> "PlayerStatLine":
-        unknown = set(increments) - {f.name for f in fields(self)}
+        unknown = [k for k in increments if k not in COUNT_FIELDS]
         if unknown:
             raise ValueError(f"unknown statistic fields: {sorted(unknown)}")
         return replace(self, **{
@@ -64,7 +61,7 @@ class PlayerStatLine:
 
     def bound_violations(self) -> list[str]:
         v = []
-        for name in (f.name for f in fields(self)):
+        for name in COUNT_FIELDS:
             if getattr(self, name) < 0:
                 v.append(f"{name} is negative")
         if self.first_serves_in > self.serve_points:
@@ -97,8 +94,13 @@ class PlayerStatLine:
         return self.return_points_won / self.return_points
 
     def as_dict(self) -> dict:
-        names = [f.name for f in fields(self)] + list(RATIO_FIELDS)
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self, name) for name in COUNT_FIELDS + RATIO_FIELDS}
+
+
+# The count and derived-ratio fields of PlayerStatLine, in report and
+# prompt-table order.
+COUNT_FIELDS = tuple(f.name for f in fields(PlayerStatLine))
+RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
 
 
 @dataclass(frozen=True)
@@ -133,38 +135,25 @@ class LongTermMemory:
         }
 
 
-def total_games(score: MatchScore, idx: int) -> int:
-    """Games won by player ``idx`` (0 or 1) over the whole match so far."""
-    return sum(pair[idx] for pair in score.completed_sets) + score.games[idx]
-
-
 def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
-    """Fold one evicted rally into the cumulative statistic lines.
+    """Fold one evicted rally's statistic increments into the cumulative
+    lines and record the score after its point.
 
-    Rallies must arrive in stream order.  Game wins are detected by replaying
-    the point on the rally's initial score, so the counter stays correct on
-    partial streams.
+    Rallies must arrive in stream order.
     """
     if evicted.rally_index != long.rallies_consolidated:
         raise NonSequentialConsolidation(
             f"expected rally {long.rallies_consolidated}, got {evicted.rally_index}")
 
-    contribution = classify_point(evicted.metadata)
-    before = evicted.metadata.initial_score
-    after = advance_point(before, evicted.metadata.outcome.point_winner)
-
-    lines = []
-    for idx, pid in enumerate((PLAYER_1, PLAYER_2)):
-        increments = dict(contribution.per_player.get(pid, {}))
-        games_delta = total_games(after, idx) - total_games(before, idx)
-        if games_delta:
-            increments["games_won"] = increments.get("games_won", 0) + games_delta
-        lines.append(long.stat_lines[idx].add(increments))
-
+    rally = evicted.metadata
+    contribution = classify_point(rally)
+    p1, p2 = long.stat_lines
     return LongTermMemory(
-        stat_lines=(lines[0], lines[1]),
+        stat_lines=(p1.add(contribution.of(PLAYER_1)),
+                    p2.add(contribution.of(PLAYER_2))),
         rallies_consolidated=long.rallies_consolidated + 1,
-        last_consolidated_score=after,
+        last_consolidated_score=advance_point(rally.initial_score,
+                                              rally.outcome.point_winner),
     )
 
 

@@ -114,11 +114,11 @@ def make_client(config: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-def _read_record(line: str, config: ScoringConfig | None) -> RallyRecord:
+def _read_record(line: bytes, config: ScoringConfig | None) -> RallyRecord:
     """One dataset line as a validated record; SchemaViolation otherwise."""
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:
+        obj = json.loads(line.decode("utf-8").strip())
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise SchemaViolation(f"invalid JSON: {exc}") from None
     record = rally_from_json(obj, config)
     problems = (validate_rally(record).violations
@@ -139,10 +139,9 @@ def load_dataset(path, config: ScoringConfig | None = None, errors=None):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 record = _read_record(line, config)

@@ -1,11 +1,12 @@
 """Prompt assembly and the pluggable commentary-model client boundary.
 
 Rally metadata and the memory snapshot are serialized into a bounded-size
-text prompt; the prompt plus decoding hints form a request for a commentary
-client.  The HTTP client speaks a minimal chat-completion JSON shape; the
-mock client is a pure function of its request and is used for tests and
-offline runs.  Conversation context keeps at most the single most recent
-interaction, so context size stays constant as a match progresses.
+text prompt; a request for a commentary client carries that prompt together
+with the rally and memory snapshot it was built from.  The HTTP client
+speaks a minimal chat-completion JSON shape; the mock client is a pure
+function of its request and is used for tests and offline runs.
+Conversation context keeps at most the single most recent interaction, so
+context size stays constant as a match progresses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .event_stream import (
     RallyRecord,
@@ -31,9 +32,9 @@ from .match_model import (
     PLAYER_IDS,
     PlayerRef,
     ScoringConfig,
-    advance_point,
+    wins_game,
 )
-from .memory import RATIO_FIELDS, ContextView, PlayerStatLine, total_games
+from .memory import COUNT_FIELDS, RATIO_FIELDS, ContextView, PlayerStatLine
 
 COMMENTATOR_SYSTEM_PROMPT = """\
 I want you to act as a professional tennis commentator and coach. I will give \
@@ -274,8 +275,6 @@ def parse_metadata(text: str | dict,
 # Memory serialization
 # ---------------------------------------------------------------------------
 
-_COUNT_ROWS = tuple(f.name for f in fields(PlayerStatLine))
-
 COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
 
 
@@ -302,7 +301,7 @@ def _stats_table(lines: tuple[PlayerStatLine, PlayerStatLine],
     width = max(len(names[0]), len(names[1]), 10) + 2
     header = f"{'statistic':<26}{names[0]:>{width}}{names[1]:>{width}}"
     rows = [header]
-    for name in _COUNT_ROWS:
+    for name in COUNT_FIELDS:
         rows.append(f"{name:<26}{getattr(lines[0], name):>{width}}"
                     f"{getattr(lines[1], name):>{width}}")
     for name in RATIO_FIELDS:
@@ -408,8 +407,7 @@ class MockCommentaryClient:
             sentence = f"{win} wrestles the point away {at}, forcing the miss."
 
         idx = 0 if outcome.point_winner == PLAYER_1 else 1
-        after = advance_point(score, outcome.point_winner)
-        if total_games(after, idx) > total_games(score, idx):
+        if wins_game(score, outcome.point_winner):
             sentence += " That seals the game."
 
         if view.rallies_consolidated > 0:

@@ -126,6 +126,12 @@ def reachable_set_states(trigger: int = 6, tb_target: int = 7, ad: bool = True) 
     return out
 
 
+def total_games(score, idx: int) -> int:
+    """Games won by player ``idx`` (0 or 1) over the whole match so far:
+    the games of every completed set plus those of the live set."""
+    return sum(pair[idx] for pair in score.completed_sets) + score.games[idx]
+
+
 # ---------------------------------------------------------------------------
 # Text folding
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from courtside.event_stream import (
     rally_to_json,
     validate_rally,
 )
-from courtside.match_model import MatchScore, PlayerRef
+from courtside.match_model import MatchScore, PlayerRef, advance_point
 
 import oracles
 
@@ -262,6 +262,18 @@ class TestClassifyPoint:
         contrib = classify_point(rally)
         assert contrib.of(P1)["break_points_saved"] == 1
 
+    @pytest.mark.parametrize("score,games_won", [
+        (MatchScore(points=("40", "0"), server=P1), 1),
+        (MatchScore(games=(6, 6), in_tiebreak=True, points=(6, 5), server=P1), 1),
+        (MatchScore(games=(5, 3), points=("40", "30"), server=P1), 1),
+        (MatchScore(points=("15", "30"), server=P1), None),
+    ], ids=["hold_from_40_0", "tiebreak_from_6_5", "set_ending_game", "mid_game"])
+    def test_games_won_credited_when_point_ends_game(self, score, games_won):
+        contrib = classify_point(make_rally([serve(0, P1, outcome="winner")],
+                                            score=score))
+        assert contrib.of(P1).get("games_won") == games_won
+        assert "games_won" not in contrib.of(P2)
+
     def test_exactly_one_point_and_serve_sides(self):
         rallies = _varied_rallies()
         for rally in rallies:
@@ -304,6 +316,8 @@ def _varied_rallies():
                    score=MatchScore(server=P2)),
         make_rally([serve(0, P1), shot(1, P2), shot(2, P1), shot(3, P2),
                     shot(4, P1, outcome="winner")],
+                   score=MatchScore(points=("30", "40"), server=P1)),
+        make_rally([serve(0, P1), shot(1, P2, outcome="winner")],
                    score=MatchScore(points=("30", "40"), server=P1)),
     ]
     # pad with deterministic variations to reach 20
@@ -359,6 +373,10 @@ def _recount(rallies):
             bump(server, "break_points_faced")
             bump(server if winner == server else returner,
                  "break_points_saved" if winner == server else "break_points_converted")
+        after = advance_point(score, winner)
+        idx = 0 if winner == P1 else 1
+        if oracles.total_games(after, idx) > oracles.total_games(score, idx):
+            bump(winner, "games_won")
         for s in rally.shots:
             bump(s.hitter, "total_shots")
     return out

@@ -224,6 +224,12 @@ class TestBreakAndTerminal:
         nxt = advance_point(s, PLAYER_2)
         assert nxt.games == (0, 1)
 
+    def test_no_ad_deciding_point_is_not_break_point(self):
+        s = MatchScore(points=("40", "40"), server=PLAYER_1, config=NO_AD)
+        assert not is_break_point(s)
+        # although the returner's point there decides the game
+        assert advance_point(s, PLAYER_2).games == (0, 1)
+
     def test_server_advantage_is_not(self):
         s = MatchScore(points=(AD, "40"), server=PLAYER_1)
         assert not is_break_point(s)

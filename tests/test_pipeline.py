@@ -276,6 +276,20 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert len(out["violations"]) == 1
 
+    def test_validate_lists_non_utf8_line(self, tmp_path, records, capsys):
+        lines = [json.dumps(rally_to_json(r)).encode("utf-8") for r in records]
+        key = b'"audio_transcript": "'
+        at = lines[3].index(key) + len(key)
+        lines[3] = lines[3][:at] + b"\xff\xfe" + lines[3][at:]
+        path = tmp_path / "non_utf8.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["validate", "--input", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid_records"] == len(records) - 1
+        [violation] = out["violations"]
+        assert violation["line"] == 4
+        assert violation["message"].startswith("invalid JSON: 'utf-8' codec")
+
     @pytest.mark.parametrize("path,value,part", [
         (("match_info", "player_1", "handedness"), "ambi", "match_info"),
         (("match_info", "player_2", "name"), "", "match_info"),
@@ -535,6 +549,15 @@ class TestBadInputLines:
         good = json.dumps({"clip_id": "a", "prediction": "x", "reference": "y"})
         err = self._run(tmp_path, capsys, "evaluate", [good, "{oops"])
         assert "line 2" in err and "invalid JSON" in err
+
+    def test_evaluate_non_utf8_line(self, tmp_path, capsys):
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(b'{"clip_id": "a", "prediction": "x", "reference": "y"}\n'
+                         b'{"clip_id": "b", "prediction": "\xff\xfe", '
+                         b'"reference": "y"}\n')
+        assert main(["evaluate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'utf-8' codec can't decode" in err
 
     def test_segment_non_json_line(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, "segment",

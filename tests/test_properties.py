@@ -25,7 +25,7 @@ from courtside.evaluation import (
     tokenize,
 )
 from courtside.event_stream import BounceEvent, rally_from_json, rally_to_json
-from courtside.match_model import ScoringConfig
+from courtside.match_model import PLAYER_IDS, ScoringConfig, advance_point, wins_game
 from courtside.pipeline import load_dataset
 from courtside.prompt_engine import parse_metadata, serialize_metadata
 from courtside.simulate import simulate_match
@@ -81,6 +81,21 @@ def test_codec_round_trips_file_loaded_records(seed, config):
         assert rally_from_json(_through_json(rally_to_json(record)), config) == record
         assert (parse_metadata(serialize_metadata(record), config)
                 == replace(record, commentary=None))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.sampled_from(FORMATS + (ScoringConfig(best_of=5, ad_scoring=False),)))
+# a final-set tiebreak in best-of-3 with ad scoring and best-of-5 without
+@example(4, ScoringConfig())
+@example(2, ScoringConfig(best_of=5, ad_scoring=False))
+def test_wins_game_equals_games_rising(seed, config):
+    for rally in simulate_match(seed=seed, config=config):
+        score = rally.initial_score
+        for idx, winner in enumerate(PLAYER_IDS):
+            after = advance_point(score, winner)
+            rose = oracles.total_games(after, idx) > oracles.total_games(score, idx)
+            assert wins_game(score, winner) == rose
 
 
 def _paths(value, path=()):
