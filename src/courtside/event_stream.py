@@ -112,6 +112,11 @@ class MatchInfo:
     player_1: PlayerRef
     player_2: PlayerRef
 
+    def __post_init__(self):
+        # Boards, prompts and name lookups are keyed by display name.
+        if self.player_1.name == self.player_2.name:
+            raise ValueError(f"both players are named {self.player_1.name!r}")
+
     def player(self, player_id: str) -> PlayerRef:
         return self.player_1 if player_id == "player_1" else self.player_2
 

@@ -18,17 +18,11 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from .event_stream import (
-    RallyRecord,
-    SchemaViolation,
-    ShotEvent,
-    bounces_json,
-    match_info_json,
-    rally_from_json,
-    score_cell,
-)
+from .event_stream import RallyRecord, SchemaViolation, ShotEvent, rally_from_json
 from .match_model import (
+    AD,
     PLAYER_1,
+    PLAYER_2,
     PLAYER_IDS,
     PlayerRef,
     ScoringConfig,
@@ -113,6 +107,15 @@ class PersonaConfig:
     min_words: int = 5
     max_words: int = 60
 
+    def __post_init__(self):
+        if not isinstance(self.system_text, str) or not self.system_text:
+            raise ValueError("persona system_text must be a non-empty string")
+        if not (type(self.min_words) is int and type(self.max_words) is int
+                and 1 <= self.min_words <= self.max_words):
+            raise ValueError("persona word counts must be ints with "
+                             f"1 <= min_words <= max_words, got "
+                             f"{self.min_words!r} and {self.max_words!r}")
+
 
 @dataclass(frozen=True)
 class GenerationRequest:
@@ -167,59 +170,101 @@ def _parse_shot_description(desc: str) -> dict:
     raise SchemaViolation(f"unparsable shot description: {desc!r}")
 
 
-def metadata_object(rally: RallyRecord) -> dict:
-    """The structured metadata block, with commentary-facing display names."""
-    info = rally.match_info
-    score = rally.initial_score
-    p1, p2 = info.player_1, info.player_2
-    sets_won = score.sets_won()
+_encode = json.encoder.encode_basestring  # the C encoder json.dumps uses for str
 
-    score_state = {
-        "server": info.name_of(score.server),
-        "returner": info.name_of(score.returner),
-        "sets": {p1.name: sets_won[0], p2.name: sets_won[1]},
-        "games_in_current_set": {p1.name: score.games[0], p2.name: score.games[1]},
-        "points_in_current_game": {p1.name: score_cell(score.points[0]),
-                                   p2.name: score_cell(score.points[1])},
-    }
-    if score.in_tiebreak:
-        score_state["tiebreak"] = True
 
-    rally_block = []
-    for shot in rally.shots:
-        hitter = info.player(shot.hitter)
-        entry = {
-            "shot_index": shot.index,
-            "hitter": hitter.name,
-            "shot_description": describe_shot(shot, hitter),
-            "timestamp": shot.timestamp,
-        }
-        if shot.hitter_position is not None:
-            entry["hitter_position"] = list(shot.hitter_position)
-        if shot.ball_position is not None:
-            entry["ball_position"] = list(shot.ball_position)
-        rally_block.append(entry)
+def _number(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
-    obj = {
-        "clip_id": rally.clip_id,
-        "match_info": match_info_json(info),
-        "score_state (initial)": score_state,
-        "rally": rally_block,
-        "outcome": {
-            "point_winner": info.name_of(rally.outcome.point_winner),
-            "point_loser": info.name_of(rally.outcome.point_loser),
-            "reason": rally.outcome.reason,
-        },
-        "audio_transcription (background context)": rally.transcript,
-    }
-    if rally.bounces:
-        obj["bounces"] = bounces_json(rally.bounces)
-    return obj
+
+def _pair(pos: tuple[float, float]) -> str:
+    x, y = pos
+    return f"[\n        {_number(x)},\n        {_number(y)}\n      ]"
+
+
+def _cell(value) -> str:
+    return '"AD"' if value == AD else repr(int(value))
 
 
 def serialize_metadata(rally: RallyRecord) -> str:
-    """Deterministic JSON rendering of the metadata block."""
-    return json.dumps(metadata_object(rally), indent=2, ensure_ascii=False)
+    """The metadata block as indented JSON text.
+
+    Byte contract: the result equals ``json.dumps(metadata_object(rally),
+    indent=2, ensure_ascii=False)``, where ``metadata_object`` is the
+    reference dict builder in ``tests/oracles.py``: same keys in the same
+    order, ``tiebreak``, a shot's ``hitter_position``/``ball_position``,
+    ``bounces`` and a bounce's ``position`` present only when set, strings
+    through json's encoder, ints by ``int.__repr__``, floats by json's rule
+    (``NaN``, ``Infinity``, ``-Infinity`` when not finite) and an empty shot
+    list as ``[]``.  The layout is written directly because json's indenting
+    encoder is pure Python and was the costliest step of prompt assembly.
+    """
+    info = rally.match_info
+    score = rally.initial_score
+    outcome = rally.outcome
+    p1, p2 = info.player_1, info.player_2
+    n1, n2 = _encode(p1.name), _encode(p2.name)
+    names = {PLAYER_1: n1, PLAYER_2: n2}
+    s1, s2 = score.sets_won()
+    g1, g2 = score.games
+    parts = [
+        f'{{\n  "clip_id": {_encode(rally.clip_id)},\n'
+        f'  "match_info": {{\n'
+        f'    "tournament": {_encode(info.tournament)},\n'
+        f'    "round": {_encode(info.round)},\n'
+        f'    "surface": {_encode(info.surface)},\n'
+        f'    "player_1": {{\n      "name": {n1},\n'
+        f'      "handedness": {_encode(p1.handedness)}\n    }},\n'
+        f'    "player_2": {{\n      "name": {n2},\n'
+        f'      "handedness": {_encode(p2.handedness)}\n    }}\n  }},\n'
+        f'  "score_state (initial)": {{\n'
+        f'    "server": {names[score.server]},\n'
+        f'    "returner": {names[score.returner]},\n'
+        f'    "sets": {{\n      {n1}: {s1!r},\n      {n2}: {s2!r}\n    }},\n'
+        f'    "games_in_current_set": {{\n      {n1}: {g1!r},\n'
+        f'      {n2}: {g2!r}\n    }},\n'
+        f'    "points_in_current_game": {{\n      {n1}: {_cell(score.points[0])},\n'
+        f'      {n2}: {_cell(score.points[1])}\n    }}'
+    ]
+    if score.in_tiebreak:
+        parts.append(',\n    "tiebreak": true')
+    parts.append('\n  },\n  "rally": [')
+    sep = "\n    {"
+    for shot in rally.shots:
+        hitter = p1 if shot.hitter == PLAYER_1 else p2
+        parts.append(
+            f'{sep}\n      "shot_index": {shot.index!r},\n'
+            f'      "hitter": {names[shot.hitter]},\n'
+            f'      "shot_description": {_encode(describe_shot(shot, hitter))},\n'
+            f'      "timestamp": {_number(shot.timestamp)}')
+        if shot.hitter_position is not None:
+            parts.append(f',\n      "hitter_position": {_pair(shot.hitter_position)}')
+        if shot.ball_position is not None:
+            parts.append(f',\n      "ball_position": {_pair(shot.ball_position)}')
+        parts.append("\n    }")
+        sep = ",\n    {"
+    parts.append("\n  ]" if rally.shots else "]")
+    parts.append(
+        f',\n  "outcome": {{\n'
+        f'    "point_winner": {names[outcome.point_winner]},\n'
+        f'    "point_loser": {names[outcome.point_loser]},\n'
+        f'    "reason": {_encode(outcome.reason)}\n  }},\n'
+        f'  "audio_transcription (background context)": {_encode(rally.transcript)}')
+    if rally.bounces:
+        sep = ',\n  "bounces": [\n    {'
+        for bounce in rally.bounces:
+            parts.append(f'{sep}\n      "timestamp": {_number(bounce.timestamp)},\n'
+                         f'      "court_half": {_encode(bounce.court_half)}')
+            if bounce.position is not None:
+                parts.append(f',\n      "position": {_pair(bounce.position)}')
+            parts.append("\n    }")
+            sep = ",\n    {"
+        parts.append("\n  ]")
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _dataset_shape(obj: dict) -> dict:

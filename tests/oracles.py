@@ -11,6 +11,8 @@ import math
 import unicodedata
 from collections import Counter, defaultdict
 
+from courtside.prompt_engine import describe_shot
+
 LADDER = ("0", "15", "30", "40")
 
 
@@ -272,6 +274,83 @@ def ref_cider(pairs_tokens) -> list[float]:
             per_n.append(sum(sims) / len(sims))
         scores.append(10.0 * sum(per_n) / 4.0)
     return scores
+
+
+# ---------------------------------------------------------------------------
+# Prompt metadata block, as a dict for json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+
+def metadata_object(rally) -> dict:
+    """The structured metadata block, with commentary-facing display names.
+
+    ``json.dumps(metadata_object(r), indent=2, ensure_ascii=False)`` is the
+    byte contract of ``prompt_engine.serialize_metadata(r)``.
+    """
+    info = rally.match_info
+    score = rally.initial_score
+    players = {"player_1": info.player_1, "player_2": info.player_2}
+    p1, p2 = info.player_1, info.player_2
+    sets_won = (sum(a > b for a, b in score.completed_sets),
+                sum(b > a for a, b in score.completed_sets))
+
+    def cell(value):
+        return value if value == "AD" else int(value)
+
+    score_state = {
+        "server": players[score.server].name,
+        "returner": players["player_2" if score.server == "player_1"
+                            else "player_1"].name,
+        "sets": {p1.name: sets_won[0], p2.name: sets_won[1]},
+        "games_in_current_set": {p1.name: score.games[0], p2.name: score.games[1]},
+        "points_in_current_game": {p1.name: cell(score.points[0]),
+                                   p2.name: cell(score.points[1])},
+    }
+    if score.in_tiebreak:
+        score_state["tiebreak"] = True
+
+    rally_block = []
+    for shot in rally.shots:
+        hitter = players[shot.hitter]
+        entry = {
+            "shot_index": shot.index,
+            "hitter": hitter.name,
+            "shot_description": describe_shot(shot, hitter),
+            "timestamp": shot.timestamp,
+        }
+        if shot.hitter_position is not None:
+            entry["hitter_position"] = list(shot.hitter_position)
+        if shot.ball_position is not None:
+            entry["ball_position"] = list(shot.ball_position)
+        rally_block.append(entry)
+
+    obj = {
+        "clip_id": rally.clip_id,
+        "match_info": {
+            "tournament": info.tournament,
+            "round": info.round,
+            "surface": info.surface,
+            "player_1": {"name": p1.name, "handedness": p1.handedness},
+            "player_2": {"name": p2.name, "handedness": p2.handedness},
+        },
+        "score_state (initial)": score_state,
+        "rally": rally_block,
+        "outcome": {
+            "point_winner": players[rally.outcome.point_winner].name,
+            "point_loser": players[rally.outcome.point_loser].name,
+            "reason": rally.outcome.reason,
+        },
+        "audio_transcription (background context)": rally.transcript,
+    }
+    if rally.bounces:
+        bounces = []
+        for bounce in rally.bounces:
+            entry = {"timestamp": bounce.timestamp, "court_half": bounce.court_half}
+            if bounce.position is not None:
+                entry["position"] = list(bounce.position)
+            bounces.append(entry)
+        obj["bounces"] = bounces
+    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="1..99"):
             PipelineConfig.from_dict({"scoring": {"tiebreak_points": 1000}})
 
+    @pytest.mark.parametrize("persona,message", [
+        ({"system_text": ""}, "system_text"),
+        ({"system_text": 5}, "system_text"),
+        ({"min_words": 80, "max_words": 10}, "min_words <= max_words"),
+        ({"min_words": -3}, "min_words <= max_words"),
+    ])
+    def test_persona_that_cannot_make_a_prompt_exits_two(
+            self, dataset_file, tmp_path, capsys, persona, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"persona": persona}), encoding="utf-8")
+        assert main(["replay", "--input", str(dataset_file), "--no-timing",
+                     "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestCli:
     def test_validate_clean_file_exit_zero(self, dataset_file, capsys):
@@ -312,6 +328,28 @@ class TestCli:
         [violation] = out["violations"]
         assert violation["line"] == 2
         assert violation["message"].startswith(f"{records[1].clip_id} {part}: ")
+
+    @pytest.mark.parametrize("argv,key", [(["validate"], "violations"),
+                                          (["replay", "--client", "mock",
+                                            "--no-timing"], "schema_violations")])
+    def test_shared_player_name_is_listed(self, tmp_path, capsys, argv, key):
+        # The board is keyed by name: with one name, one row reads for both.
+        served = [r for r in simulate_match(seed=1)
+                  if r.initial_score.server == P1][:12]
+        lines = []
+        for record in served:
+            obj = rally_to_json(record)
+            del obj["scoreboard"][record.match_info.player_2.name]
+            obj["match_info"]["player_2"]["name"] = record.match_info.player_1.name
+            lines.append(json.dumps(obj))
+        path = tmp_path / "one_name.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([*argv, "--input", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("valid_records", 0) == 0 and not out.get("rallies")
+        assert [v["line"] for v in out[key]] == list(range(1, 13))
+        assert all("match_info: both players are named" in v["message"]
+                   for v in out[key])
 
     @pytest.mark.parametrize("argv,key", [(["validate"], "violations"),
                                           (["stats"], "schema_violations"),

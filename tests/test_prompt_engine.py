@@ -20,7 +20,6 @@ from courtside.prompt_engine import (
     estimate_prompt,
     estimate_tokens,
     generate,
-    metadata_object,
     parse_metadata,
     serialize_memory,
     serialize_metadata,
@@ -64,7 +63,7 @@ class TestTokenEstimate:
 
 class TestSerializeMetadata:
     def test_section_names(self, records):
-        obj = metadata_object(records[0])
+        obj = json.loads(serialize_metadata(records[0]))
         assert list(obj)[:6] == ["clip_id", "match_info", "score_state (initial)",
                                  "rally", "outcome",
                                  "audio_transcription (background context)"]
@@ -75,7 +74,7 @@ class TestSerializeMetadata:
 
     def test_ace_rally_block(self, records):
         ace = next(r for r in records if r.outcome.reason == "ace")
-        obj = metadata_object(ace)
+        obj = json.loads(serialize_metadata(ace))
         assert obj["outcome"]["reason"] == "ace"
         serves = [e for e in obj["rally"]
                   if "serve" in e["shot_description"].split()[0]]
@@ -122,6 +121,13 @@ class TestParseMetadataErrors:
         del obj["score_state (initial)"]
         with pytest.raises(SchemaViolation, match="score_state"):
             parse_metadata(json.dumps(obj))
+
+    def test_shared_player_name(self, records):
+        info = records[0].match_info
+        text = serialize_metadata(records[0]).replace(
+            json.dumps(info.player_2.name), json.dumps(info.player_1.name))
+        with pytest.raises(SchemaViolation, match="both players are named"):
+            parse_metadata(text)
 
 
 class TestSerializeMemory:

@@ -4,6 +4,7 @@ ingestion on arbitrary values, and the text metrics on arbitrary corpora."""
 
 import copy
 import json
+import math
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -96,6 +97,55 @@ def test_wins_game_equals_games_rising(seed, config):
             after = advance_point(score, winner)
             rose = oracles.total_games(after, idx) > oracles.total_games(score, idx)
             assert wins_game(score, winner) == rose
+
+
+def _board_pool():
+    """Tiebreak, AD and ordinary boards from best-of-3, best-of-5 and no-ad."""
+    pool = []
+    for seed, config in ((1, ScoringConfig()), (1, ScoringConfig(best_of=5)),
+                         (2, ScoringConfig(ad_scoring=False))):
+        match = simulate_match(seed=seed, config=config)
+        pool += [r for r in match if r.initial_score.in_tiebreak][:8]
+        pool += [r for r in match if "AD" in r.initial_score.points][:8]
+        pool += match[::25]
+    return pool
+
+
+BOARDS = _board_pool()
+
+# Strings json must escape or pass through: quotes, backslashes, control
+# characters, line separators, non-BMP characters and lone surrogates.
+JSON_TEXT = st.lists(st.one_of(st.text(max_size=5), st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "é",
+     "\U0001F3BE", "\ud800", "\udfff"])), max_size=6).map("".join)
+POSITION = st.none() | st.tuples(*[st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]))] * 2)
+
+
+@st.composite
+def metadata_rallies(draw):
+    rally = draw(st.sampled_from(BOARDS))
+    info = rally.match_info
+    name_1, name_2 = draw(st.tuples(JSON_TEXT, JSON_TEXT).filter(
+        lambda names: names[0] and names[1] and names[0] != names[1]))
+    shots = tuple(replace(shot, hitter_position=draw(POSITION),
+                          ball_position=draw(POSITION)) for shot in rally.shots)
+    bounces = draw(st.lists(st.builds(
+        BounceEvent, timestamp=st.floats(), court_half=st.sampled_from(("near", "far")),
+        position=POSITION), max_size=3))
+    return replace(
+        rally, clip_id=draw(JSON_TEXT), transcript=draw(JSON_TEXT),
+        match_info=replace(info, tournament=draw(JSON_TEXT),
+                           player_1=replace(info.player_1, name=name_1),
+                           player_2=replace(info.player_2, name=name_2)),
+        shots=shots if draw(st.integers(0, 9)) else (), bounces=tuple(bounces))
+
+
+@settings(deadline=None, max_examples=200)
+@given(metadata_rallies())
+def test_serialize_metadata_equals_json_dumps_of_oracle(rally):
+    assert serialize_metadata(rally) == json.dumps(
+        oracles.metadata_object(rally), indent=2, ensure_ascii=False)
 
 
 def _paths(value, path=()):
