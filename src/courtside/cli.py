@@ -27,7 +27,8 @@ from .memory import LongTermMemory, MemoryEntry, consolidate
 from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
                        replay_match)
 from .prompt_engine import GenerationRequest, generate, serialize_metadata
-from .segmentation import ImpactEvent, SegmentationParams, cluster_impacts, filter_intervals
+from .segmentation import (FlagCountMismatch, ImpactEvent, SegmentationParams,
+                           cluster_impacts, filter_intervals)
 from .simulate import simulate_match
 from .event_stream import rally_to_json
 
@@ -137,7 +138,7 @@ def _read_jsonl(path):
                 continue
             try:
                 obj = json.loads(line.decode("utf-8").strip())
-            except ValueError as exc:  # UnicodeDecodeError included
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
                 raise ConfigError(f"{path} line {line_no}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise ConfigError(f"{path} line {line_no}: expected a JSON object")
@@ -222,13 +223,15 @@ def cmd_segment(args) -> int:
     if args.flags:
         flags = []
         for line_no, obj in _read_jsonl(args.flags):
-            try:
-                flags.append((bool(obj["broadcast_view"]),
-                              bool(obj["scoreboard_visible"])))
-            except KeyError as exc:
-                raise ConfigError(
-                    f"{args.flags} line {line_no}: missing {exc.args[0]!r}") from None
-        intervals = filter_intervals(intervals, flags)
+            for key in ("broadcast_view", "scoreboard_visible"):
+                if not isinstance(obj.get(key), bool):
+                    raise ConfigError(
+                        f"{args.flags} line {line_no}: {key!r} must be true or false")
+            flags.append((obj["broadcast_view"], obj["scoreboard_visible"]))
+        try:
+            intervals = filter_intervals(intervals, flags)
+        except FlagCountMismatch as exc:
+            raise ConfigError(f"{args.flags}: {exc}") from None
     rows = [{"start": round(i.start, 3), "end": round(i.end, 3),
              "hits": i.hit_count} for i in intervals]
     _write_jsonl(rows, args.output)

@@ -176,18 +176,19 @@ def _lcs(a, b) -> int:
     return len(a) - v.bit_count()
 
 
-def _rouge(cand, ref, beta: float = ROUGE_BETA) -> float:
+def _rouge(cand, ref) -> float:
     lcs = _lcs(cand, ref)
     if lcs == 0:
         return 0.0
     precision = lcs / len(cand)
     recall = lcs / len(ref)
-    return (1 + beta ** 2) * precision * recall / (recall + beta ** 2 * precision)
+    return ((1 + ROUGE_BETA ** 2) * precision * recall
+            / (recall + ROUGE_BETA ** 2 * precision))
 
 
-def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
+def rouge_l(candidate: str, reference: str) -> float:
     """Longest-common-subsequence F measure over tokens, recall-weighted."""
-    return _rouge(tokenize(candidate), tokenize(reference), beta)
+    return _rouge(tokenize(candidate), tokenize(reference))
 
 
 def _idf(ref_lists) -> tuple[dict, float]:
@@ -581,14 +582,6 @@ def parse_scorecard(judge_output: str) -> JudgeScorecard:
     expected = sum(values.values())
     corrected = total != expected
     return JudgeScorecard(total=expected, corrected=corrected, **values)
-
-
-def render_scorecard(card: JudgeScorecard) -> str:
-    """The judge output format for a scorecard, nested shape."""
-    return json.dumps({
-        "scores": {c: getattr(card, c) for c in CRITERIA},
-        "total_score": card.total,
-    }, indent=4)
 
 
 class MockJudgeClient:

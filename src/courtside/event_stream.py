@@ -9,6 +9,7 @@ with the normalized edit-distance metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .match_model import (
@@ -324,18 +325,8 @@ def edit_score(predicted, reference) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatContribution:
-    """Sparse per-player statistic increments extracted from one rally."""
-
-    per_player: dict[str, dict[str, int]]
-
-    def of(self, player_id: str) -> dict[str, int]:
-        return self.per_player[player_id]
-
-
-def classify_point(rally: RallyRecord) -> StatContribution:
-    """Break one rally down into broadcast-statistic increments.
+def classify_point(rally: RallyRecord) -> dict[str, dict[str, int]]:
+    """Break one rally down into ``{player_id: {field: n}}`` statistic increments.
 
     Covers service, return, shot-ending, break-point and game categories:
     every rally yields one point won, one serve point and one return point,
@@ -385,7 +376,7 @@ def classify_point(rally: RallyRecord) -> StatContribution:
     for shot in shots:
         bump(shot.hitter, "total_shots")
 
-    return StatContribution(per_player=inc)
+    return inc
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +458,18 @@ def rally_to_json(rally: RallyRecord) -> dict:
     return obj
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _pair(value) -> tuple[float, float]:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) for x in value)):
         raise ValueError(f"expected an [x, y] pair, got {value!r}")
-    return float(value[0]), float(value[1])
+    return _finite(value[0]), _finite(value[1])
 
 
 def _board_row(row, name: str) -> tuple[str, str, str]:
@@ -533,7 +531,7 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
                 technique=str(s["technique"]),
                 direction=str(s["direction"]),
                 outcome=str(s["outcome"]),
-                timestamp=float(s["timestamp"]),
+                timestamp=_finite(s["timestamp"]),
                 serve_attempt=s.get("serve_attempt"),
                 hitter_position=_pair(s["hitter_position"])
                 if "hitter_position" in s else None,
@@ -545,7 +543,7 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
         for i, b in enumerate(obj.get("bounces", [])):
             where = f"{clip_id} bounce {i}"
             bounces.append(BounceEvent(
-                timestamp=float(b["timestamp"]),
+                timestamp=_finite(b["timestamp"]),
                 court_half=str(b["court_half"]),
                 position=_pair(b["position"]) if "position" in b else None,
             ))

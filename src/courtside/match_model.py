@@ -29,13 +29,6 @@ LAYOUT_RG = "RG"
 LAYOUT_WIMBLEDON = "WIMBLEDON"
 LAYOUTS = (LAYOUT_AO_USO, LAYOUT_RG, LAYOUT_WIMBLEDON)
 
-# Serve-indicator tokens as they appear per tournament layout.
-SERVER_MARKERS = {
-    LAYOUT_AO_USO: ("icon",),
-    LAYOUT_RG: ("/", "//"),
-    LAYOUT_WIMBLEDON: ("<",),
-}
-
 
 class ScoreboardError(ValueError):
     """Base class for scoreboard ingestion failures."""
@@ -170,11 +163,6 @@ def _index(player_id: str) -> int:
     raise ValueError(f"unknown player id: {player_id!r}")
 
 
-def _player_of(winner) -> str:
-    # Accept a PlayerRef or a bare id string.
-    return getattr(winner, "id", winner)
-
-
 # ---------------------------------------------------------------------------
 # Set-level transition kernel
 # ---------------------------------------------------------------------------
@@ -260,16 +248,15 @@ def is_terminal(score: MatchScore) -> str | None:
     return None
 
 
-def advance_point(score: MatchScore, winner) -> MatchScore:
-    """Apply one point won by ``winner`` and return the next state.
+def advance_point(score: MatchScore, winner: str) -> MatchScore:
+    """Apply one point won by player id ``winner`` and return the next state.
 
     Handles the full progression: point ladder, deuce/advantage (or sudden
     death when ad scoring is off), game and set closure, tiebreak entry at
     trigger-trigger with the one-then-two serve rotation, and the deciding-set
     tiebreak target.
     """
-    winner_id = _player_of(winner)
-    winner_idx = _index(winner_id)
+    winner_idx = _index(winner)
     if is_terminal(score) is not None:
         raise TerminalState("match already decided")
     _check_structure(score)
@@ -572,19 +559,6 @@ class RawScoreboard:
             server_row = names.index(server_name)
         return cls(layout=layout, names=(names[0], names[1]), rows=rows,
                    server_row=server_row)
-
-
-def server_row_from_markers(layout: str, marker_cells: tuple[str, str]) -> int | None:
-    """Normalize per-layout serve-indicator cells to a row index."""
-    if layout not in LAYOUTS:
-        raise UnknownLayout(f"unknown scoreboard layout: {layout!r}")
-    tokens = SERVER_MARKERS[layout]
-    flags = [cell.strip() in tokens for cell in marker_cells]
-    if flags == [True, False]:
-        return 0
-    if flags == [False, True]:
-        return 1
-    return None
 
 
 def _normalize_rows(layout: str, rows) -> tuple[list[str], list[str]]:

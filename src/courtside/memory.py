@@ -149,8 +149,8 @@ def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
     contribution = classify_point(rally)
     p1, p2 = long.stat_lines
     return LongTermMemory(
-        stat_lines=(p1.add(contribution.of(PLAYER_1)),
-                    p2.add(contribution.of(PLAYER_2))),
+        stat_lines=(p1.add(contribution[PLAYER_1]),
+                    p2.add(contribution[PLAYER_2])),
         rallies_consolidated=long.rallies_consolidated + 1,
         last_consolidated_score=advance_point(rally.initial_score,
                                               rally.outcome.point_winner),

@@ -33,7 +33,6 @@ from .prompt_engine import (
     PersonaConfig,
     TransportFailure,
     build_commentary_prompt,
-    estimate_prompt,
     estimate_tokens,
     generate,
 )
@@ -85,7 +84,7 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             obj = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -229,7 +228,7 @@ def replay_match(records, config: PipelineConfig | None = None,
                                          persona=config.persona, prior=prior)
         prompt_tokens = estimate_tokens(
             bundle.system_text + "\n" + bundle.user_text)
-        context_tokens = estimate_prompt(bundle)
+        context_tokens = estimate_tokens(bundle.context_text())
         request = GenerationRequest(bundle=bundle, clip_ref=rally.clip_id)
 
         commentary = None

@@ -134,10 +134,6 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-def estimate_prompt(bundle: PromptBundle) -> int:
-    return estimate_tokens(bundle.context_text())
-
-
 # ---------------------------------------------------------------------------
 # Metadata serialization
 # ---------------------------------------------------------------------------
@@ -355,13 +351,8 @@ def _stats_table(lines: tuple[PlayerStatLine, PlayerStatLine],
     return "\n".join(rows)
 
 
-def serialize_memory(view: ContextView, names: tuple[str, str] | None = None) -> str:
-    """Recent-rally digest plus the consolidated two-column statistics table."""
-    if names is None and view.recent:
-        info = view.recent[0][0].match_info
-        names = (info.player_1.name, info.player_2.name)
-    names = names or ("player_1", "player_2")
-
+def serialize_memory(view: ContextView, names: tuple[str, str]) -> str:
+    """Recent-rally digest plus the two-column statistics table headed by ``names``."""
     lines = ["RECENT RALLIES (oldest first):"]
     if view.recent:
         for i, (rally, commentary) in enumerate(view.recent, start=1):

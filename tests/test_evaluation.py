@@ -22,7 +22,6 @@ from courtside.evaluation import (
     cider_scores,
     corpus_metrics,
     parse_scorecard,
-    render_scorecard,
     rouge_l,
     sanity_check,
     tokenize,
@@ -301,11 +300,6 @@ class TestParseScorecard:
     def test_garbage_rejected(self):
         with pytest.raises(UnparsableOutput):
             parse_scorecard("the commentary was quite good, 17/20 overall")
-
-    def test_render_parse_identity(self):
-        card = JudgeScorecard(accuracy=17, coherence=14, excitement=12,
-                              professionalism=19, pacing=16, total=78)
-        assert parse_scorecard(render_scorecard(card)) == card
 
     def test_bool_is_not_an_int_score(self):
         with pytest.raises(CriterionOutOfRange):

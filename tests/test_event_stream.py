@@ -233,34 +233,34 @@ class TestClassifyPoint:
     def test_ace_increments(self):
         rally = make_rally([serve(0, P1, outcome="winner")])
         contrib = classify_point(rally)
-        assert contrib.of(P1) == {"serve_points": 1, "first_serves_in": 1,
-                                  "aces": 1, "points_won": 1,
-                                  "serve_points_won": 1, "total_shots": 1}
-        assert contrib.of(P2) == {"return_points": 1}
+        assert contrib[P1] == {"serve_points": 1, "first_serves_in": 1,
+                               "aces": 1, "points_won": 1,
+                               "serve_points_won": 1, "total_shots": 1}
+        assert contrib[P2] == {"return_points": 1}
 
     def test_double_fault_increments(self):
         rally = make_rally([serve(0, P1, outcome="fault"),
                             serve(1, P1, outcome="fault", attempt="second")])
         contrib = classify_point(rally)
-        assert contrib.of(P1) == {"serve_points": 1, "double_faults": 1,
-                                  "total_shots": 2}
-        assert contrib.of(P2) == {"return_points": 1, "return_points_won": 1,
-                                  "points_won": 1}
+        assert contrib[P1] == {"serve_points": 1, "double_faults": 1,
+                               "total_shots": 2}
+        assert contrib[P2] == {"return_points": 1, "return_points_won": 1,
+                               "points_won": 1}
 
     def test_break_point_converted(self):
         score = MatchScore(points=("30", "40"), server=P1)
         rally = make_rally([serve(0, P1), shot(1, P2, outcome="winner")],
                            score=score)
         contrib = classify_point(rally)
-        assert contrib.of(P1)["break_points_faced"] == 1
-        assert contrib.of(P2)["break_points_converted"] == 1
-        assert "break_points_saved" not in contrib.of(P1)
+        assert contrib[P1]["break_points_faced"] == 1
+        assert contrib[P2]["break_points_converted"] == 1
+        assert "break_points_saved" not in contrib[P1]
 
     def test_break_point_saved(self):
         score = MatchScore(points=("30", "40"), server=P1)
         rally = make_rally([serve(0, P1, outcome="winner")], score=score)
         contrib = classify_point(rally)
-        assert contrib.of(P1)["break_points_saved"] == 1
+        assert contrib[P1]["break_points_saved"] == 1
 
     @pytest.mark.parametrize("score,games_won", [
         (MatchScore(points=("40", "0"), server=P1), 1),
@@ -271,26 +271,26 @@ class TestClassifyPoint:
     def test_games_won_credited_when_point_ends_game(self, score, games_won):
         contrib = classify_point(make_rally([serve(0, P1, outcome="winner")],
                                             score=score))
-        assert contrib.of(P1).get("games_won") == games_won
-        assert "games_won" not in contrib.of(P2)
+        assert contrib[P1].get("games_won") == games_won
+        assert "games_won" not in contrib[P2]
 
     def test_exactly_one_point_and_serve_sides(self):
         rallies = _varied_rallies()
         for rally in rallies:
             contrib = classify_point(rally)
             total_points = sum(side.get("points_won", 0)
-                               for side in contrib.per_player.values())
+                               for side in contrib.values())
             assert total_points == 1
             server = rally.shots[0].hitter
-            assert contrib.of(server).get("serve_points") == 1
+            assert contrib[server].get("serve_points") == 1
             returner = P2 if server == P1 else P1
-            assert contrib.of(returner).get("return_points") == 1
+            assert contrib[returner].get("return_points") == 1
 
     def test_increment_sum_matches_recount_oracle(self):
         rallies = _varied_rallies()
         totals = {P1: {}, P2: {}}
         for rally in rallies:
-            for pid, side in classify_point(rally).per_player.items():
+            for pid, side in classify_point(rally).items():
                 for k, n in side.items():
                     totals[pid][k] = totals[pid].get(k, 0) + n
         expected = _recount(rallies)

@@ -480,18 +480,6 @@ class TestScoreboardParsing:
         with pytest.raises(IllegalToken, match="best-of-3"):
             parse_scoreboard(raw)
 
-    def test_marker_tokens_normalized_per_layout(self):
-        from courtside.match_model import server_row_from_markers
-        assert server_row_from_markers("AO_USO", ("icon", "")) == 0
-        assert server_row_from_markers("AO_USO", ("", "icon")) == 1
-        assert server_row_from_markers("RG", ("", "/")) == 1
-        assert server_row_from_markers("RG", ("//", "")) == 0
-        assert server_row_from_markers("WIMBLEDON", ("<", "")) == 0
-        assert server_row_from_markers("AO_USO", ("", "")) is None
-        assert server_row_from_markers("AO_USO", ("icon", "icon")) is None
-        with pytest.raises(UnknownLayout):
-            server_row_from_markers("ATP_FINALS", ("icon", ""))
-
     def test_tournament_examples_summary_round_trip(self):
         for layout, obj in (("AO_USO", AO_EXAMPLE), ("RG", RG_EXAMPLE),
                             ("WIMBLEDON", WIMBLEDON_VISIBLE),

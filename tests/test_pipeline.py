@@ -329,6 +329,26 @@ class TestCli:
         assert violation["line"] == 2
         assert violation["message"].startswith(f"{records[1].clip_id} {part}: ")
 
+    def test_validate_lists_non_finite_numbers(self, tmp_path, records, capsys):
+        lines = [rally_to_json(r) for r in records[:5]]
+        lines[1]["shot_sequence"][0]["timestamp"] = float("nan")
+        lines[2]["shot_sequence"][1]["hitter_position"] = [float("nan"), float("inf")]
+        lines[3]["shot_sequence"][0]["ball_position"] = [1.0, float("-inf")]
+        lines[4]["bounces"] = [{"timestamp": float("inf"), "court_half": "near"}]
+        path = tmp_path / "non_finite.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in lines),
+                        encoding="utf-8")
+        assert "NaN" in path.read_text() and "Infinity" in path.read_text()
+        assert main(["validate", "--input", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid_records"] == 1
+        assert [(v["line"], v["message"]) for v in out["violations"]] == [
+            (2, f"{records[1].clip_id} shot 0: expected a finite number, got nan"),
+            (3, f"{records[2].clip_id} shot 1: expected a finite number, got nan"),
+            (4, f"{records[3].clip_id} shot 0: expected a finite number, got -inf"),
+            (5, f"{records[4].clip_id} bounce 0: expected a finite number, got inf"),
+        ]
+
     @pytest.mark.parametrize("argv,key", [(["validate"], "violations"),
                                           (["replay", "--client", "mock",
                                             "--no-timing"], "schema_violations")])
@@ -617,3 +637,44 @@ class TestBadInputLines:
                         extra=("--flags", str(flags)))
         assert "line 1" in err and "'scoreboard_visible'" in err
 
+    IMPACTS = ['{"t": 1.0, "conf": 0.9}', '{"t": 1.5, "conf": 0.9}',
+               '{"t": 9.0, "conf": 0.9}', '{"t": 9.5, "conf": 0.9}']
+
+    def _segment_with_flags(self, tmp_path, capsys, flag_lines):
+        flags = tmp_path / "flags.jsonl"
+        flags.write_text("\n".join(flag_lines) + "\n", encoding="utf-8")
+        return self._run(tmp_path, capsys, "segment", self.IMPACTS,
+                         extra=("--flags", str(flags)))
+
+    @pytest.mark.parametrize("command", ["evaluate", "segment", "segment --flags",
+                                         "simulate --config"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, command):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        inputs = tmp_path / "impacts.jsonl"
+        inputs.write_text("\n".join(self.IMPACTS) + "\n", encoding="utf-8")
+        argv = {
+            "evaluate": ["evaluate", "--input", str(nested)],
+            "segment": ["segment", "--input", str(nested)],
+            "segment --flags": ["segment", "--input", str(inputs),
+                                "--flags", str(nested)],
+            "simulate --config": ["simulate", "--config", str(nested)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "maximum recursion depth" in captured.err
+        assert str(nested) in captured.err
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_segment_flag_count_mismatch(self, tmp_path, capsys, count):
+        row = '{"broadcast_view": true, "scoreboard_visible": true}'
+        err = self._segment_with_flags(tmp_path, capsys, [row] * count)
+        assert f"2 intervals but {count} flag pairs" in err
+
+    @pytest.mark.parametrize("value", ['"false"', '"no"', "0", "null"])
+    def test_segment_flag_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        good = '{"broadcast_view": true, "scoreboard_visible": true}'
+        bad = f'{{"broadcast_view": true, "scoreboard_visible": {value}}}'
+        err = self._segment_with_flags(tmp_path, capsys, [good, bad])
+        assert "line 2" in err and "'scoreboard_visible' must be true or false" in err

@@ -17,7 +17,6 @@ from courtside.prompt_engine import (
     PromptBundle,
     TransportFailure,
     build_commentary_prompt,
-    estimate_prompt,
     estimate_tokens,
     generate,
     parse_metadata,
@@ -41,6 +40,11 @@ def view_after(records, n, capacity=4):
     for i, r in enumerate(records[:n]):
         memory.observe(MemoryEntry(rally_index=i, metadata=r, commentary=f"call {i}"))
     return memory.snapshot()
+
+
+def names_of(records):
+    info = records[0].match_info
+    return info.player_1.name, info.player_2.name
 
 
 class TestTokenEstimate:
@@ -132,7 +136,7 @@ class TestParseMetadataErrors:
 
 class TestSerializeMemory:
     def test_empty_memory(self):
-        text = serialize_memory(MatchMemory().snapshot())
+        text = serialize_memory(MatchMemory().snapshot(), ("player_1", "player_2"))
         assert "(none yet)" in text
         assert "consolidated over 0 rallies" in text
         # all-zero table
@@ -140,14 +144,14 @@ class TestSerializeMemory:
 
     def test_full_window_has_k_rows(self, records):
         view = view_after(records, 9, capacity=4)
-        text = serialize_memory(view)
+        text = serialize_memory(view, names_of(records))
         digest = [line for line in text.splitlines()
                   if line[:2] in ("1.", "2.", "3.", "4.", "5.")]
         assert len(digest) == 4
 
     def test_stats_reprint_long_term_fields(self, records):
         view = view_after(records, 9, capacity=4)
-        text = serialize_memory(view)
+        text = serialize_memory(view, names_of(records))
         for idx in (0, 1):
             line = view.stat_lines[idx]
             for name in ("aces", "winners", "points_won", "total_shots"):
@@ -315,7 +319,7 @@ class TestBoundedContext:
             bundle = build_commentary_prompt(rally, memory.snapshot(), prior=prior)
             turn_sizes.append(estimate_tokens(
                 bundle.system_text + "\n" + bundle.user_text))
-            context_sizes.append(estimate_prompt(bundle))
+            context_sizes.append(estimate_tokens(bundle.context_text()))
             response = generate(client, GenerationRequest(bundle=bundle))
             prior = (bundle.user_text, response.text)
             memory.observe(MemoryEntry(rally_index=i, metadata=rally,
