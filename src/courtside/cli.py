@@ -202,12 +202,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    params = SegmentationParams(
-        confidence_threshold=args.threshold,
-        max_gap_s=args.max_gap,
-        min_hits=args.min_hits,
-        padding_s=args.padding,
-    )
+    try:
+        params = SegmentationParams(
+            confidence_threshold=args.threshold,
+            max_gap_s=args.max_gap,
+            min_hits=args.min_hits,
+            padding_s=args.padding,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"segment parameters: {exc}") from None
     events = []
     for line_no, obj in _read_jsonl(args.input):
         try:

@@ -8,7 +8,9 @@ any instant every past rally is represented in exactly one of the two tiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .event_stream import RallyRecord, classify_point
 from .match_model import (
@@ -30,9 +32,14 @@ class NonSequentialConsolidation(ValueError):
     """Rallies must be consolidated in stream order, without gaps."""
 
 
-@dataclass(frozen=True)
-class PlayerStatLine:
-    """Cumulative broadcast statistics for one player."""
+class PlayerStatLine(NamedTuple):
+    """Cumulative broadcast statistics for one player.
+
+    A tuple of int counts, one per field in report and prompt-table order
+    (``COUNT_FIELDS``), so a fold can add increments by index and rebuild
+    the line with ``_make``; it equals the plain tuple of the same counts.
+    The ratios are derived views.
+    """
 
     aces: int = 0
     double_faults: int = 0
@@ -50,14 +57,6 @@ class PlayerStatLine:
     points_won: int = 0
     games_won: int = 0
     total_shots: int = 0
-
-    def add(self, increments: dict[str, int]) -> "PlayerStatLine":
-        unknown = [k for k in increments if k not in COUNT_FIELDS]
-        if unknown:
-            raise ValueError(f"unknown statistic fields: {sorted(unknown)}")
-        return replace(self, **{
-            k: getattr(self, k) + n for k, n in increments.items()
-        })
 
     def bound_violations(self) -> list[str]:
         v = []
@@ -99,8 +98,12 @@ class PlayerStatLine:
 
 # The count and derived-ratio fields of PlayerStatLine, in report and
 # prompt-table order.
-COUNT_FIELDS = tuple(f.name for f in fields(PlayerStatLine))
+COUNT_FIELDS = PlayerStatLine._fields
 RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
+
+_FIELD_INDEX = {name: i for i, name in enumerate(COUNT_FIELDS)}
+
+COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,28 @@ class MemoryEntry:
     def __post_init__(self):
         if self.rally_index < 0:
             raise ValueError("rally_index must be non-negative")
+
+    @cached_property
+    def digest(self) -> str:
+        """The rally's line in the prompt's recent-rally digest, without its
+        ``"{i}. "`` position prefix: the score the point started at, the
+        server, the point winner and reason, then the commentary in double
+        quotes as given (no escaping), or ``COMMENTARY_PLACEHOLDER`` when there
+        is none.  Players are named by surname.  The entry is immutable, so
+        the text is rendered on first read and kept for the entry's life."""
+        rally = self.metadata
+        info = rally.match_info
+        score = rally.initial_score
+        sets_won = score.sets_won()
+        winner = info.player(rally.outcome.point_winner).surname
+        server = info.player(score.server).surname
+        commentary = self.commentary
+        return (f"[sets {sets_won[0]}-{sets_won[1]}, games "
+                f"{score.games[0]}-{score.games[1]}, points "
+                f"{score.points[0]}:{score.points[1]}, {server} serving] "
+                f"{winner} won ({rally.outcome.reason}) -- "
+                + (f'"{commentary}"' if commentary is not None
+                   else COMMENTARY_PLACEHOLDER))
 
 
 @dataclass(frozen=True)
@@ -147,22 +172,29 @@ def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
 
     rally = evicted.metadata
     contribution = classify_point(rally)
-    p1, p2 = long.stat_lines
     return LongTermMemory(
-        stat_lines=(p1.add(contribution[PLAYER_1]),
-                    p2.add(contribution[PLAYER_2])),
+        stat_lines=(_plus(long.stat_lines[0], contribution[PLAYER_1]),
+                    _plus(long.stat_lines[1], contribution[PLAYER_2])),
         rallies_consolidated=long.rallies_consolidated + 1,
         last_consolidated_score=advance_point(rally.initial_score,
                                               rally.outcome.point_winner),
     )
 
 
+def _plus(line: PlayerStatLine, increments: dict[str, int]) -> PlayerStatLine:
+    """``line`` with ``increments`` added; an unknown field raises KeyError."""
+    counts = list(line)
+    for name, n in increments.items():
+        counts[_FIELD_INDEX[name]] += n
+    return PlayerStatLine._make(counts)
+
+
 @dataclass(frozen=True)
 class ContextView:
-    """Immutable snapshot handed to prompt assembly: the recent window plus
-    the consolidated statistic lines."""
+    """Immutable snapshot handed to prompt assembly: the window's entries,
+    oldest first, plus the consolidated statistic lines."""
 
-    recent: tuple[tuple[RallyRecord, str | None], ...]
+    recent: tuple[MemoryEntry, ...]
     stat_lines: tuple[PlayerStatLine, PlayerStatLine]
     rallies_consolidated: int
 
@@ -184,7 +216,7 @@ class MatchMemory:
 
     def snapshot(self) -> ContextView:
         return ContextView(
-            recent=tuple((e.metadata, e.commentary) for e in self.short),
+            recent=tuple(self.short),
             stat_lines=self.long.stat_lines,
             rallies_consolidated=self.long.rallies_consolidated,
         )

@@ -316,38 +316,26 @@ def parse_metadata(text: str | dict,
 # Memory serialization
 # ---------------------------------------------------------------------------
 
-COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
-
-
-def _digest_line(index: int, rally: RallyRecord, commentary: str | None) -> str:
-    info = rally.match_info
-    score = rally.initial_score
-    sets_won = score.sets_won()
-    winner = info.player(rally.outcome.point_winner).surname
-    server = info.player(score.server).surname
-    line = (f"{index}. [sets {sets_won[0]}-{sets_won[1]}, games "
-            f"{score.games[0]}-{score.games[1]}, points "
-            f"{score.points[0]}:{score.points[1]}, {server} serving] "
-            f"{winner} won ({rally.outcome.reason}) -- ")
-    line += f'"{commentary}"' if commentary is not None else COMMENTARY_PLACEHOLDER
-    return line
-
 
 def _pct(value: float | None) -> str:
     return "-" if value is None else f"{100.0 * value:.1f}%"
 
 
+_STATISTIC_LABEL = f"{'statistic':<26}"
+_COUNT_LABELS = tuple(f"{name:<26}" for name in COUNT_FIELDS)
+_RATIO_ROWS = tuple((f"{name:<26}", name) for name in RATIO_FIELDS)
+
+
 def _stats_table(lines: tuple[PlayerStatLine, PlayerStatLine],
                  names: tuple[str, str]) -> str:
     width = max(len(names[0]), len(names[1]), 10) + 2
-    header = f"{'statistic':<26}{names[0]:>{width}}{names[1]:>{width}}"
-    rows = [header]
-    for name in COUNT_FIELDS:
-        rows.append(f"{name:<26}{getattr(lines[0], name):>{width}}"
-                    f"{getattr(lines[1], name):>{width}}")
-    for name in RATIO_FIELDS:
-        rows.append(f"{name:<26}{_pct(getattr(lines[0], name)):>{width}}"
-                    f"{_pct(getattr(lines[1], name)):>{width}}")
+    a, b = lines
+    rows = [_STATISTIC_LABEL + names[0].rjust(width) + names[1].rjust(width)]
+    for label, x, y in zip(_COUNT_LABELS, a, b):
+        rows.append(label + str(x).rjust(width) + str(y).rjust(width))
+    for label, name in _RATIO_ROWS:
+        rows.append(label + _pct(getattr(a, name)).rjust(width)
+                    + _pct(getattr(b, name)).rjust(width))
     return "\n".join(rows)
 
 
@@ -355,8 +343,8 @@ def serialize_memory(view: ContextView, names: tuple[str, str]) -> str:
     """Recent-rally digest plus the two-column statistics table headed by ``names``."""
     lines = ["RECENT RALLIES (oldest first):"]
     if view.recent:
-        for i, (rally, commentary) in enumerate(view.recent, start=1):
-            lines.append(_digest_line(i, rally, commentary))
+        for i, entry in enumerate(view.recent, start=1):
+            lines.append(f"{i}. {entry.digest}")
     else:
         lines.append("(none yet)")
     lines.append("")

@@ -8,6 +8,7 @@ neighbours overlap; those are merged so the output stays disjoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,8 +22,8 @@ class ImpactEvent:
     confidence: float
 
     def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
+            raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
@@ -36,11 +37,13 @@ class SegmentationParams:
 
     def __post_init__(self):
         if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must be in [0, 1]")
-        if self.max_gap_s < 0 or self.padding_s < 0:
-            raise ValueError("max_gap_s and padding_s must be >= 0")
+            raise ValueError("confidence_threshold must be in [0, 1], "
+                             f"got {self.confidence_threshold}")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.max_gap_s, self.padding_s)):
+            raise ValueError("max_gap_s and padding_s must be finite and >= 0, "
+                             f"got {self.max_gap_s} and {self.padding_s}")
         if self.min_hits < 1:
-            raise ValueError("min_hits must be >= 1")
+            raise ValueError(f"min_hits must be >= 1, got {self.min_hits}")
 
 
 @dataclass(frozen=True)

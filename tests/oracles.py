@@ -354,6 +354,68 @@ def metadata_object(rally) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Prompt memory block, rendered line by line on every call
+# ---------------------------------------------------------------------------
+
+COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
+COUNT_FIELDS = ("aces", "double_faults", "first_serves_in", "serve_points",
+                "serve_points_won", "return_points", "return_points_won",
+                "winners", "unforced_errors", "forced_errors_conceded",
+                "break_points_faced", "break_points_saved",
+                "break_points_converted", "points_won", "games_won",
+                "total_shots")
+RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
+
+
+def digest_line(index: int, rally, commentary) -> str:
+    info = rally.match_info
+    score = rally.initial_score
+    sets_won = score.sets_won()
+    winner = info.player(rally.outcome.point_winner).surname
+    server = info.player(score.server).surname
+    line = (f"{index}. [sets {sets_won[0]}-{sets_won[1]}, games "
+            f"{score.games[0]}-{score.games[1]}, points "
+            f"{score.points[0]}:{score.points[1]}, {server} serving] "
+            f"{winner} won ({rally.outcome.reason}) -- ")
+    line += f'"{commentary}"' if commentary is not None else COMMENTARY_PLACEHOLDER
+    return line
+
+
+def _pct(value) -> str:
+    return "-" if value is None else f"{100.0 * value:.1f}%"
+
+
+def stats_table(lines, names: tuple[str, str]) -> str:
+    width = max(len(names[0]), len(names[1]), 10) + 2
+    header = f"{'statistic':<26}{names[0]:>{width}}{names[1]:>{width}}"
+    rows = [header]
+    for name in COUNT_FIELDS:
+        rows.append(f"{name:<26}{getattr(lines[0], name):>{width}}"
+                    f"{getattr(lines[1], name):>{width}}")
+    for name in RATIO_FIELDS:
+        rows.append(f"{name:<26}{_pct(getattr(lines[0], name)):>{width}}"
+                    f"{_pct(getattr(lines[1], name)):>{width}}")
+    return "\n".join(rows)
+
+
+def memory_text(recent, stat_lines, rallies_consolidated: int,
+                names: tuple[str, str]) -> str:
+    """The prompt's memory block from ``(rally, commentary)`` pairs, oldest
+    first: the byte contract of ``prompt_engine.serialize_memory``."""
+    lines = ["RECENT RALLIES (oldest first):"]
+    if recent:
+        for i, (rally, commentary) in enumerate(recent, start=1):
+            lines.append(digest_line(i, rally, commentary))
+    else:
+        lines.append("(none yet)")
+    lines.append("")
+    lines.append(f"MATCH STATISTICS (consolidated over "
+                 f"{rallies_consolidated} rallies):")
+    lines.append(stats_table(stat_lines, names))
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
 # Temporal clustering by transitive closure
 # ---------------------------------------------------------------------------
 

@@ -181,8 +181,8 @@ class TestSnapshotAndWindow:
         assert len(view.recent) == 4
         assert view.rallies_consolidated == 2
         # the window holds rallies 2..5, the two oldest are consolidated
-        assert view.recent[0][0] is match_records[2]
-        assert view.recent[-1][0] is match_records[5]
+        assert view.recent[0].metadata is match_records[2]
+        assert view.recent[-1].metadata is match_records[5]
 
     def test_window_invariant_at_every_step(self, match_records):
         memory = MatchMemory(capacity=4)

@@ -678,3 +678,29 @@ class TestBadInputLines:
         bad = f'{{"broadcast_view": true, "scoreboard_visible": {value}}}'
         err = self._segment_with_flags(tmp_path, capsys, [good, bad])
         assert "line 2" in err and "'scoreboard_visible' must be true or false" in err
+
+    @pytest.mark.parametrize("lines,bad_line", [
+        (['{"t": 2.0, "conf": 0.9}', '{"t": NaN, "conf": 0.9}',
+          '{"t": 1.5, "conf": 0.9}'], 2),
+        (['{"t": Infinity, "conf": 0.9}', '{"t": Infinity, "conf": 0.9}'], 1),
+    ])
+    def test_segment_non_finite_impact_timestamp(self, tmp_path, capsys, lines,
+                                                 bad_line):
+        path = tmp_path / "input.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["segment", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {bad_line}" in captured.err and "finite" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--threshold", "2"), ("--threshold", "NaN"), ("--min-hits", "0"),
+        ("--max-gap", "-1"), ("--max-gap", "nan"), ("--padding", "inf"),
+    ])
+    def test_segment_parameter_out_of_range(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "input.jsonl"
+        path.write_text("\n".join(self.IMPACTS) + "\n", encoding="utf-8")
+        assert main(["segment", "--input", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: segment parameters:" in captured.err

@@ -25,10 +25,12 @@ from courtside.evaluation import (
     score_pairs,
     tokenize,
 )
-from courtside.event_stream import BounceEvent, rally_from_json, rally_to_json
+from courtside.event_stream import (BounceEvent, classify_point, rally_from_json,
+                                    rally_to_json)
 from courtside.match_model import PLAYER_IDS, ScoringConfig, advance_point, wins_game
+from courtside.memory import COUNT_FIELDS, MatchMemory, MemoryEntry
 from courtside.pipeline import load_dataset
-from courtside.prompt_engine import parse_metadata, serialize_metadata
+from courtside.prompt_engine import parse_metadata, serialize_memory, serialize_metadata
 from courtside.simulate import simulate_match
 
 import oracles
@@ -99,12 +101,28 @@ def test_wins_game_equals_games_rising(seed, config):
             assert wins_game(score, winner) == rose
 
 
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.sampled_from(FORMATS + (ScoringConfig(best_of=5, ad_scoring=False),)))
+def test_classify_point_emits_only_count_fields(seed, config):
+    for rally in simulate_match(seed=seed, config=config):
+        contribution = classify_point(rally)
+        assert set(contribution) == set(PLAYER_IDS)
+        for increments in contribution.values():
+            assert set(increments) <= set(COUNT_FIELDS)
+            assert all(type(n) is int and n > 0 for n in increments.values())
+
+
+# Best-of-3, best-of-5 and no-ad matches; each holds tiebreak and AD boards.
+MATCHES = tuple(simulate_match(seed=seed, config=config) for seed, config in (
+    (1, ScoringConfig()), (1, ScoringConfig(best_of=5)),
+    (2, ScoringConfig(ad_scoring=False))))
+
+
 def _board_pool():
     """Tiebreak, AD and ordinary boards from best-of-3, best-of-5 and no-ad."""
     pool = []
-    for seed, config in ((1, ScoringConfig()), (1, ScoringConfig(best_of=5)),
-                         (2, ScoringConfig(ad_scoring=False))):
-        match = simulate_match(seed=seed, config=config)
+    for match in MATCHES:
         pool += [r for r in match if r.initial_score.in_tiebreak][:8]
         pool += [r for r in match if "AD" in r.initial_score.points][:8]
         pool += match[::25]
@@ -146,6 +164,46 @@ def metadata_rallies(draw):
 def test_serialize_metadata_equals_json_dumps_of_oracle(rally):
     assert serialize_metadata(rally) == json.dumps(
         oracles.metadata_object(rally), indent=2, ensure_ascii=False)
+
+
+COMMENTARY = st.none() | JSON_TEXT
+
+
+@st.composite
+def memory_windows(draw):
+    """A match, the last rally observed (often a tiebreak or AD board), the
+    window size and the commentaries of the last few observed rallies."""
+    match = draw(st.sampled_from(MATCHES))
+    boards = [i for i, r in enumerate(match)
+              if r.initial_score.in_tiebreak or "AD" in r.initial_score.points]
+    end = draw(st.sampled_from(boards) | st.integers(0, len(match) - 1))
+    k = draw(st.integers(1, 16))
+    tail = draw(st.lists(COMMENTARY, min_size=1, max_size=min(end + 1, k + 3)))
+    names = draw(st.tuples(JSON_TEXT, JSON_TEXT))
+    return match, end, k, tail, names
+
+
+@settings(deadline=None, max_examples=100)
+@given(memory_windows())
+def test_serialize_memory_equals_oracle(window):
+    """Each snapshot's memory block equals the line-by-line reference, also
+    once the window has slid and each kept digest sits under a new prefix."""
+    match, end, k, tail, names = window
+    memory = MatchMemory(capacity=k)
+    assert serialize_memory(memory.snapshot(), names) == oracles.memory_text(
+        [], memory.long.stat_lines, 0, names)
+    start = end + 1 - len(tail)
+    commentaries = [None] * start + tail
+    for i, rally in enumerate(match[:end + 1]):
+        memory.observe(MemoryEntry(rally_index=i, metadata=rally,
+                                   commentary=commentaries[i]))
+        if i < start:
+            continue
+        first = max(0, i + 1 - k)
+        recent = [(match[j], commentaries[j]) for j in range(first, i + 1)]
+        view = memory.snapshot()
+        assert serialize_memory(view, names) == oracles.memory_text(
+            recent, view.stat_lines, first, names)
 
 
 def _paths(value, path=()):

@@ -118,6 +118,23 @@ class TestClusterImpacts:
         assert counts == sorted(counts, reverse=True)
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_impact_timestamp(self, t):
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            ImpactEvent(timestamp=t, confidence=0.9)
+
+    @pytest.mark.parametrize("field", ["max_gap_s", "padding_s"])
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_gap_and_padding(self, field, x):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            SegmentationParams(**{field: x})
+
+    def test_threshold(self):
+        with pytest.raises(ValueError, match="confidence_threshold"):
+            SegmentationParams(confidence_threshold=float("nan"))
+
+
 class TestFilterIntervals:
     INTERVALS = [RallyInterval(0.0, 5.0, 3), RallyInterval(8.0, 12.0, 4),
                  RallyInterval(15.0, 18.0, 2)]
