@@ -39,7 +39,7 @@ _EXPORTS = {
         "parse_metadata", "serialize_memory", "serialize_metadata",
     ),
     "evaluation": (
-        "JudgeScorecard", "MetricReport", "SanityReport", "aggregate", "bleu4",
+        "JudgeScorecard", "MetricReport", "aggregate", "bleu4",
         "build_judge_prompt", "cider", "parse_scorecard", "rouge_l",
         "sanity_check",
     ),
@@ -49,7 +49,6 @@ _EXPORTS = {
     ),
     "pipeline": ("PipelineConfig", "RunReport", "load_dataset", "replay_match"),
     "simulate": ("simulate_match",),
-    "validity": ("ValidityReport",),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

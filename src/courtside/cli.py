@@ -151,14 +151,17 @@ def _read_pairs(path):
         for key in ("clip_id", "prediction", "reference"):
             if key not in obj:
                 raise ConfigError(f"{path} line {line_no}: missing {key!r}")
-        pairs.append(obj)
+        for key in ("prediction", "reference"):
+            if not isinstance(obj[key], str):
+                raise ConfigError(f"{path} line {line_no}: {key!r} must be a string")
+        pairs.append((line_no, obj))
     return pairs
 
 
 def cmd_evaluate(args) -> int:
     config = _build_config(args)
     pairs = _read_pairs(args.input)
-    scores = score_pairs((p["prediction"], [p["reference"]]) for p in pairs)
+    scores = score_pairs((p["prediction"], [p["reference"]]) for _, p in pairs)
     try:
         report = MetricReport.of(scores)
     except CorpusTooSmall:
@@ -172,7 +175,7 @@ def cmd_evaluate(args) -> int:
     per_clip = []
     scorecards = []
     judge = MockJudgeClient() if args.judge == "mock" else None
-    for obj, score in zip(pairs, scores):
+    for (line_no, obj), score in zip(pairs, scores):
         row = {
             "clip_id": obj["clip_id"],
             "bleu4": score.bleu4,
@@ -182,8 +185,11 @@ def cmd_evaluate(args) -> int:
         if judge is not None:
             metadata = obj.get("metadata") or metadata_by_clip.get(obj["clip_id"])
             if metadata:
-                bundle = build_judge_prompt(metadata, obj["reference"],
-                                            obj["prediction"])
+                try:
+                    bundle = build_judge_prompt(metadata, obj["reference"],
+                                                obj["prediction"])
+                except ValueError as exc:
+                    raise ConfigError(f"{args.input} line {line_no}: {exc}") from None
                 response = generate(judge, GenerationRequest(bundle=bundle))
                 card = parse_scorecard(response.text)
                 scorecards.append(card)

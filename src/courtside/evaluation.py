@@ -311,15 +311,6 @@ class SanityViolation:
     detail: str
 
 
-@dataclass(frozen=True)
-class SanityReport:
-    violations: tuple[SanityViolation, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 _SCORE_PAIR_RE = re.compile(r"\b(0|15|30|40|ad|\d{1,2})\s*[-:]\s*(0|15|30|40|ad|\d{1,2})\b",
                             re.IGNORECASE)
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -348,14 +339,14 @@ def _score_pairs_of(score) -> set[tuple[str, str]]:
 
 
 def sanity_check(commentary: str, rally: RallyRecord,
-                 known_players=()) -> SanityReport:
+                 known_players=()) -> tuple[SanityViolation, ...]:
     """Deterministic entity checks of a commentary against its rally.
 
-    Flags (a) player-name problems: mentions of known non-match players, and
-    single-name sentences attributing a rally-ending act to the wrong player;
-    (b) score mentions inconsistent with the rally's initial or post-point
-    score; (c) shot terms from the taxonomy that never occur in the rally.
-    Anything the detectors cannot parse is ignored, not flagged.
+    Returns one violation per (a) player-name problem: a mention of a known
+    non-match player, or a single-name sentence naming the wrong player as
+    the actor of a rally-ending act; (b) score mention inconsistent with the
+    rally's initial or post-point score; (c) taxonomy shot term absent from
+    the rally. Unparsable text is ignored; an empty tuple means it passed.
     """
     violations: list[SanityViolation] = []
     info = rally.match_info
@@ -426,7 +417,7 @@ def sanity_check(commentary: str, rally: RallyRecord,
                     "shot_term", f"mentions {term!r} which never occurs in "
                                  f"the rally"))
 
-    return SanityReport(tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +504,8 @@ def build_judge_prompt(metadata: str, reference: str,
         raise ValueError("metadata, reference and prediction must be non-empty")
     user = JUDGE_USER_TEMPLATE.format(metadata=metadata, reference=reference,
                                       prediction=prediction)
-    return PromptBundle(system_text=JUDGE_SYSTEM_PROMPT, user_text=user)
+    return PromptBundle(system_text=JUDGE_SYSTEM_PROMPT, user_text=user,
+                        reference=reference, prediction=prediction)
 
 
 def _candidate_payloads(text: str):
@@ -586,24 +578,15 @@ def parse_scorecard(judge_output: str) -> JudgeScorecard:
 
 class MockJudgeClient:
     """Deterministic judge stand-in: scores surface overlap between the
-    prediction and the reference pulled back out of the prompt."""
+    prediction and the reference carried on the request's bundle."""
 
     name = "mock-judge"
 
-    _REFERENCE_RE = re.compile(
-        r'\*\*REFERENCE COMMENTARY \(Style/Tone Baseline\):\*\* "(.*?)"\n3\.',
-        re.DOTALL)
-    _PREDICTION_RE = re.compile(
-        r'\*\*PREDICTION \(Target to Evaluate\):\*\* "(.*?)"\n\n### SCORING',
-        re.DOTALL)
-
     def complete(self, request: GenerationRequest) -> GenerationResponse:
-        user = request.bundle.user_text
-        ref_match = self._REFERENCE_RE.search(user)
-        pred_match = self._PREDICTION_RE.search(user)
-        if not (ref_match and pred_match):
-            raise UnparsableOutput("judge prompt missing reference/prediction slots")
-        reference, prediction = ref_match.group(1), pred_match.group(1)
+        reference = request.bundle.reference
+        prediction = request.bundle.prediction
+        if reference is None or prediction is None:
+            raise UnparsableOutput("judge prompt carries no reference/prediction")
 
         overlap = rouge_l(prediction, reference)
         accuracy = round(overlap * CRITERION_MAX)
@@ -648,6 +631,6 @@ def aggregate(scorecards, metric_report: MetricReport | None = None,
         if reports:
             summary["sanity"] = {
                 "count": len(reports),
-                "pass_rate": sum(1 for r in reports if r.passed) / len(reports),
+                "pass_rate": sum(1 for r in reports if not r) / len(reports),
             }
     return summary

@@ -27,7 +27,6 @@ from .match_model import (
     render_scoreboard,
     wins_game,
 )
-from .validity import ValidityReport
 
 STROKES = ("serve", "forehand", "backhand")
 DIRECTIONS = ("cross-court", "down-the-line", "down-the-middle", "inside-out",
@@ -254,8 +253,9 @@ def _shot_violations(shots) -> list[str]:
     return v
 
 
-def validate_rally(rally: RallyRecord) -> ValidityReport:
-    """Structural checks for one record: events, identity and outcome."""
+def validate_rally(rally: RallyRecord) -> tuple[str, ...]:
+    """Violations of the structural rules for one record (events, identity,
+    outcome); an empty tuple means the record passed."""
     v = _shot_violations(rally.shots)
 
     try:
@@ -287,7 +287,7 @@ def validate_rally(rally: RallyRecord) -> ValidityReport:
                 v.append(
                     f"recorded outcome {rally.outcome} disagrees with "
                     f"derived {derived}")
-    return ValidityReport(tuple(v))
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------

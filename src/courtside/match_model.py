@@ -15,8 +15,6 @@ import functools
 import re
 from dataclasses import dataclass, field, replace
 
-from .validity import ValidityReport
-
 PLAYER_1 = "player_1"
 PLAYER_2 = "player_2"
 PLAYER_IDS = (PLAYER_1, PLAYER_2)
@@ -102,6 +100,13 @@ class ScoringConfig:
     ad_scoring: bool = True
 
     def __post_init__(self):
+        for name in ("best_of", "set_trigger_games", "tiebreak_points",
+                     "final_set_tiebreak_points"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if type(self.ad_scoring) is not bool:
+            raise ValueError(f"ad_scoring must be a boolean, got {self.ad_scoring!r}")
         if self.best_of not in (3, 5):
             raise ValueError("best_of must be 3 or 5")
         # Scores have at most two digits, and the state closure that
@@ -411,11 +416,11 @@ def _valid_set_result(pair: tuple[int, int], trigger: int) -> bool:
     return (w == trigger and w - l >= 2) or (w == trigger + 1 and l in (trigger - 1, trigger))
 
 
-def validate_scoreboard(score: MatchScore) -> ValidityReport:
-    """Check every MatchScore invariant, including exact reachability.
+def validate_scoreboard(score: MatchScore) -> tuple[str, ...]:
+    """Violations of every MatchScore invariant, including reachability.
 
-    A state passes iff it can be produced by ``advance_point`` transitions
-    from a fresh match under the score's own config.
+    An empty tuple means the state passed: ``advance_point`` transitions
+    can produce it from a fresh match under the score's own config.
     """
     v: list[str] = []
     config = score.config
@@ -473,7 +478,7 @@ def validate_scoreboard(score: MatchScore) -> ValidityReport:
                 f"in_tiebreak={score.in_tiebreak} unreachable from 0-0"
             )
 
-    return ValidityReport(tuple(v))
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------

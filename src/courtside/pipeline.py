@@ -54,10 +54,10 @@ class PipelineConfig:
     log_requests: str | None = None
 
     def __post_init__(self):
-        if self.memory_window < 1:
-            raise ConfigError("memory window must be >= 1")
-        if self.token_cap <= 0:
-            raise ConfigError("token cap must be > 0")
+        if type(self.memory_window) is not int or self.memory_window < 1:
+            raise ConfigError("memory window must be an integer >= 1")
+        if type(self.token_cap) is not int or self.token_cap <= 0:
+            raise ConfigError("token cap must be an integer > 0")
         if self.client not in CLIENT_KINDS:
             raise ConfigError(f"client must be one of {CLIENT_KINDS}")
         if self.log_requests and self.client != "http":
@@ -120,8 +120,7 @@ def _read_record(line: bytes, config: ScoringConfig | None) -> RallyRecord:
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise SchemaViolation(f"invalid JSON: {exc}") from None
     record = rally_from_json(obj, config)
-    problems = (validate_rally(record).violations
-                + validate_scoreboard(record.initial_score).violations)
+    problems = validate_rally(record) + validate_scoreboard(record.initial_score)
     if problems:
         raise SchemaViolation(f"{record.clip_id}: " + "; ".join(problems))
     return record
@@ -248,7 +247,7 @@ def replay_match(records, config: PipelineConfig | None = None,
 
         sanity_passed = None
         if commentary is not None:
-            sanity_passed = sanity_check(commentary, rally).passed
+            sanity_passed = not sanity_check(commentary, rally)
             prior = (bundle.user_text, commentary)
             if rally.commentary:
                 generated.append((commentary, rally.commentary))

@@ -77,9 +77,10 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """The prompt text, plus the rally and memory snapshot it was built from.
+    """The prompt text, plus the facts it was built from.
 
-    ``rally`` and ``view`` are set by :func:`build_commentary_prompt`; they are
+    ``rally`` and ``view`` are set by :func:`build_commentary_prompt`, and
+    ``reference`` and ``prediction`` by the judge prompt builder; they are
     facts for offline clients and never leave the process.
     """
 
@@ -88,6 +89,8 @@ class PromptBundle:
     prior_interaction: tuple[str, str] | None = None
     rally: RallyRecord | None = field(default=None, compare=False, repr=False)
     view: ContextView | None = field(default=None, compare=False, repr=False)
+    reference: str | None = field(default=None, compare=False, repr=False)
+    prediction: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.system_text:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from courtside.evaluation import (
     JudgeScorecard,
     MissingKey,
     MockJudgeClient,
-    SanityReport,
+    SanityViolation,
     UnparsableOutput,
     _left_sum,
     aggregate,
@@ -158,49 +159,49 @@ class TestSanityCheck:
     def test_reference_commentary_self_consistent(self, records):
         for rally in records:
             report = sanity_check(rally.commentary, rally)
-            assert report.passed, (rally.clip_id, report.violations)
+            assert not report, (rally.clip_id, report)
 
     def test_mock_commentary_self_consistent(self, records):
         for index in (0, 3, 7, 11):
             rally = records[index]
             text = mock_commentary_for(records, index)
             report = sanity_check(text, rally)
-            assert report.passed, (rally.clip_id, text, report.violations)
+            assert not report, (rally.clip_id, text, report)
 
     def test_wrong_actor_on_final_winner_flagged(self, records):
         rally = next(r for r in records if r.outcome.reason == "winner")
         loser = rally.match_info.player(rally.outcome.point_loser).surname
         commentary = f"{loser} crushes the winner."
         report = sanity_check(commentary, rally)
-        assert any(v.kind == "player_name" for v in report.violations)
+        assert any(v.kind == "player_name" for v in report)
 
     def test_inconsistent_score_flagged(self, records):
         rally = records[0]  # fresh match: points 0-0
         report = sanity_check("They arrive at 30-30 in a flash.", rally)
-        assert any(v.kind == "score_mention" for v in report.violations)
+        assert any(v.kind == "score_mention" for v in report)
 
     def test_consistent_post_point_score_allowed(self, records):
         rally = records[0]
         # first point of the match: 15-0 (in some order) is the post state
         report = sanity_check("And that makes it 15-0.", rally)
-        score_flags = [v for v in report.violations if v.kind == "score_mention"]
+        score_flags = [v for v in report if v.kind == "score_mention"]
         assert score_flags == []
 
     def test_phantom_shot_term_flagged(self, records):
         rally = next(r for r in records if r.outcome.reason == "double_fault")
         report = sanity_check("A gorgeous smash ends it.", rally)
-        assert any(v.kind == "shot_term" for v in report.violations)
+        assert any(v.kind == "shot_term" for v in report)
 
     def test_non_match_player_flagged(self, records):
         rally = records[0]
         report = sanity_check("Shades of Ivanov here.", rally,
                               known_players=("Igor Ivanov",))
-        assert any(v.kind == "player_name" for v in report.violations)
+        assert any(v.kind == "player_name" for v in report)
 
     def test_deuce_mention_checked(self, records):
         rally = records[0]
         report = sanity_check("Deuce already!", rally)
-        assert any("deuce" in v.detail for v in report.violations)
+        assert any("deuce" in v.detail for v in report)
 
     def test_advantage_pair_mention_valid_when_ad_held(self, records):
         base = next(r for r in records if not r.initial_score.in_tiebreak)
@@ -210,12 +211,12 @@ class TestSanityCheck:
         rally = base.__class__(**{**base.__dict__, "initial_score": score})
         report = sanity_check(f"Advantage saved at {points[0]}-{points[1]}.",
                               rally)
-        assert not any(v.kind == "score_mention" for v in report.violations)
+        assert not any(v.kind == "score_mention" for v in report)
 
     def test_advantage_mention_invalid_without_ad(self, records):
         rally = records[0]
         report = sanity_check("Advantage to the server.", rally)
-        assert any("advantage" in v.detail for v in report.violations)
+        assert any("advantage" in v.detail for v in report)
 
 
 class TestJudgePrompt:
@@ -328,6 +329,14 @@ class TestMockJudge:
             MockJudgeClient().complete(GenerationRequest(bundle=bundle)).text)
         assert card.accuracy == 20
 
+    def test_scores_from_bundle_fields_not_prompt_text(self, records):
+        bundle = build_judge_prompt("metadata", records[0].commentary,
+                                    "A deep forehand winner down the line!")
+        unrelated = replace(bundle, user_text="nothing to parse here")
+        client = MockJudgeClient()
+        assert (client.complete(GenerationRequest(bundle=unrelated)).text
+                == client.complete(GenerationRequest(bundle=bundle)).text)
+
 
 class TestAggregate:
     def _card(self, base):
@@ -361,9 +370,6 @@ class TestAggregate:
             assert summary["judge"][f"{name}_mean"] == pytest.approx(expected)
 
     def test_sanity_pass_rate(self):
-        reports = [SanityReport(), SanityReport(),
-                   SanityReport(violations=(
-                       __import__("courtside.evaluation", fromlist=["SanityViolation"])
-                       .SanityViolation("shot_term", "x"),))]
+        reports = [(), (), (SanityViolation("shot_term", "x"),)]
         summary = aggregate([], metric_report=None, sanity_reports=reports)
         assert summary["sanity"]["pass_rate"] == pytest.approx(2 / 3)

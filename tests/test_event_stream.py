@@ -148,46 +148,46 @@ class TestValidateRally:
     def test_minimal_legal_rally(self):
         rally = make_rally([serve(0, P1), shot(1, P2, outcome="winner")])
         report = validate_rally(rally)
-        assert report.passed, report.violations
+        assert not report, report
         assert rally.outcome.point_winner == P2
 
     def test_consecutive_hits_flagged(self):
         shots = [serve(0, P1), shot(1, P1, outcome="winner")]
         rally = make_rally(shots, outcome=RallyOutcome(P1, P2, "winner"))
         report = validate_rally(rally)
-        assert any("alternation" in v for v in report.violations)
+        assert any("alternation" in v for v in report)
 
     def test_double_fault_rally_valid(self):
         rally = make_rally([serve(0, P1, outcome="fault"),
                             serve(1, P1, outcome="fault", attempt="second")])
-        assert validate_rally(rally).passed
+        assert not validate_rally(rally)
         assert rally.outcome == RallyOutcome(P2, P1, "double_fault")
 
     def test_non_increasing_timestamps_flagged(self):
         shots = [serve(0, P1, t=1.0), shot(1, P2, t=1.0, outcome="winner")]
         rally = make_rally(shots)
-        assert any("timestamps" in v for v in validate_rally(rally).violations)
+        assert any("timestamps" in v for v in validate_rally(rally))
 
     def test_outcome_disagreement_flagged(self):
         rally = make_rally([serve(0, P1, outcome="winner")],
                            outcome=RallyOutcome(P2, P1, "winner"))
-        assert any("disagrees" in v for v in validate_rally(rally).violations)
+        assert any("disagrees" in v for v in validate_rally(rally))
 
     def test_server_scoreboard_mismatch_flagged(self):
         rally = make_rally([serve(0, P2, outcome="winner")],
                            score=MatchScore(server=P1))
-        assert any("server" in v for v in validate_rally(rally).violations)
+        assert any("server" in v for v in validate_rally(rally))
 
     def test_bounce_outside_clip_flagged(self):
         rally = make_rally([serve(0, P1, outcome="winner")],
                            bounces=[BounceEvent(timestamp=99.0, court_half="far")])
-        assert any("outside the clip" in v for v in validate_rally(rally).violations)
+        assert any("outside the clip" in v for v in validate_rally(rally))
 
     def test_play_after_point_end_flagged(self):
         shots = [serve(0, P1), shot(1, P2, outcome="unforced_error"),
                  shot(2, P1, outcome="winner")]
         rally = make_rally(shots, outcome=RallyOutcome(P1, P2, "winner"))
-        assert any("continued" in v for v in validate_rally(rally).violations)
+        assert any("continued" in v for v in validate_rally(rally))
 
     @pytest.mark.parametrize("shots", [
         # two touches after the winning serve
@@ -199,7 +199,7 @@ class TestValidateRally:
     def test_touch_after_winning_serve_is_limited(self, shots):
         rally = make_rally(shots, outcome=RallyOutcome(P1, P2, "service_winner"))
         assert ("shot 1: play continued after a point-ending 'winner'"
-                in validate_rally(rally).violations)
+                in validate_rally(rally))
 
 
 class TestEditScore:

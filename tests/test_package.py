@@ -43,7 +43,7 @@ EXPORTS = {
         "parse_metadata", "serialize_memory", "serialize_metadata",
     ],
     "evaluation": [
-        "JudgeScorecard", "MetricReport", "SanityReport", "aggregate", "bleu4",
+        "JudgeScorecard", "MetricReport", "aggregate", "bleu4",
         "build_judge_prompt", "cider", "parse_scorecard", "rouge_l",
         "sanity_check",
     ],
@@ -53,14 +53,13 @@ EXPORTS = {
     ],
     "pipeline": ["PipelineConfig", "RunReport", "load_dataset", "replay_match"],
     "simulate": ["simulate_match"],
-    "validity": ["ValidityReport"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 class TestNamespace:
     def test_all_is_exactly_the_exported_names(self):
-        assert len(NAMES) == 70
+        assert len(NAMES) == 68
         assert sorted(courtside.__all__) == sorted(NAMES)
 
     @pytest.mark.parametrize("module, name", [

@@ -259,6 +259,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="1..99"):
             PipelineConfig.from_dict({"scoring": {"tiebreak_points": 1000}})
 
+    @pytest.mark.parametrize("config,message", [
+        # no games score equals 6.5, so a set could never reach its tiebreak
+        ({"scoring": {"set_trigger_games": 6.5}}, "set_trigger_games"),
+        ({"scoring": {"best_of": 3.0}}, "best_of"),
+        ({"scoring": {"tiebreak_points": 7.5}}, "tiebreak_points"),
+        ({"scoring": {"final_set_tiebreak_points": True}},
+         "final_set_tiebreak_points"),
+        ({"scoring": {"ad_scoring": "no"}}, "ad_scoring"),
+        ({"scoring": {"ad_scoring": 0}}, "ad_scoring"),
+        ({"memory_window": 2.5}, "memory window"),
+        ({"memory_window": True}, "memory window"),
+        ({"token_cap": 1e9}, "token cap"),
+    ])
+    def test_non_integer_value_exits_two(self, tmp_path, capsys, config,
+                                         message):
+        # the config is rejected before any record is read, so an empty
+        # input keeps a regression from hanging on the first scoreboard
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["replay", "--input", str(empty), "--no-timing",
+                     "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("persona,message", [
         ({"system_text": ""}, "system_text"),
         ({"system_text": 5}, "system_text"),
@@ -616,6 +643,26 @@ class TestBadInputLines:
         assert main(["evaluate", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "'utf-8' codec can't decode" in err
+
+    @pytest.mark.parametrize("pair,message", [
+        ({"prediction": 5, "reference": "y"}, "'prediction' must be a string"),
+        ({"prediction": "x", "reference": None}, "'reference' must be a string"),
+        ({"prediction": "", "reference": "y", "metadata": "facts"},
+         "must be non-empty"),
+    ])
+    def test_evaluate_unusable_pair(self, tmp_path, capsys, pair, message):
+        good = json.dumps({"clip_id": "a", "prediction": "x", "reference": "y"})
+        bad = json.dumps({"clip_id": "b", **pair})
+        err = self._run(tmp_path, capsys, "evaluate", [good, bad],
+                        extra=("--judge", "mock"))
+        assert "line 2" in err and message in err
+
+    def test_evaluate_unjudged_empty_prediction_scores(self, tmp_path, capsys):
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps({"clip_id": "a", "prediction": "",
+                                    "reference": "y"}) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--input", str(path), "--judge", "mock"]) == 0
+        assert json.loads(capsys.readouterr().out)["pairs"] == 1
 
     def test_segment_non_json_line(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, "segment",
