@@ -151,9 +151,12 @@ def _read_pairs(path):
         for key in ("clip_id", "prediction", "reference"):
             if key not in obj:
                 raise ConfigError(f"{path} line {line_no}: missing {key!r}")
-        for key in ("prediction", "reference"):
             if not isinstance(obj[key], str):
                 raise ConfigError(f"{path} line {line_no}: {key!r} must be a string")
+        if "metadata" in obj and not (isinstance(obj["metadata"], str)
+                                      and obj["metadata"]):
+            raise ConfigError(
+                f"{path} line {line_no}: 'metadata' must be a non-empty string")
         pairs.append((line_no, obj))
     return pairs
 

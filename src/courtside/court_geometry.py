@@ -4,15 +4,12 @@ Pixel points from the broadcast frame are mapped onto a metric court plane
 whose origin sits at the near-left doubles corner, x running across the court
 and y toward the far baseline.  Estimation is the direct linear transform over
 point correspondences with Hartley-style isotropic normalization for
-conditioning.  Correspondences travel as JSONL of ``{"pixel": [x, y],
-"court": [x, y]}`` rows.
+conditioning.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -163,33 +160,6 @@ def project(h: Homography, p: PixelPoint) -> CourtPoint:
     if abs(vec[2]) < 1e-12:
         raise AtInfinity(f"point ({p.x}, {p.y}) maps to infinity")
     return CourtPoint(x=float(vec[0] / vec[2]), y=float(vec[1] / vec[2]))
-
-
-def read_correspondences(path) -> list[tuple[PixelPoint, CourtPoint]]:
-    """Load pixel/court correspondence pairs from a JSONL file."""
-    pairs = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            try:
-                px, ct = obj["pixel"], obj["court"]
-                pairs.append((PixelPoint(float(px[0]), float(px[1])),
-                              CourtPoint(float(ct[0]), float(ct[1]))))
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ValueError(
-                    f"line {line_no}: expected pixel/court [x, y] pairs: {exc}"
-                ) from None
-    return pairs
-
-
-def write_correspondences(path, pairs) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for pixel, court in pairs:
-            fh.write(json.dumps({"pixel": [pixel.x, pixel.y],
-                                 "court": [court.x, court.y]}) + "\n")
 
 
 def reprojection_error(h: Homography, pairs) -> float:

@@ -497,7 +497,7 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
 
         where = f"{clip_id} match_info"
         info_obj = obj["match_info"]
-        p1, p2 = (PlayerRef(id=pid, name=str(info_obj[pid]["name"]),
+        p1, p2 = (PlayerRef(name=str(info_obj[pid]["name"]),
                             handedness=info_obj[pid].get("handedness", "right"))
                   for pid in PLAYER_IDS)
         info = MatchInfo(
@@ -515,7 +515,7 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
         if server is None:
             raise ValueError(f"server {board['server']!r} is not a match player")
         score = parse_scoreboard(RawScoreboard(
-            LAYOUT_WIMBLEDON, names, rows, PLAYER_IDS.index(server)), config)
+            LAYOUT_WIMBLEDON, rows, PLAYER_IDS.index(server)), config)
 
         where = clip_id
         raw_shots = obj["shot_sequence"]

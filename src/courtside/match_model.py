@@ -68,13 +68,10 @@ def other_player(player_id: str) -> str:
 class PlayerRef:
     """One of the two competitors, as referenced by metadata and prompts."""
 
-    id: str
     name: str
     handedness: str = "right"
 
     def __post_init__(self):
-        if self.id not in PLAYER_IDS:
-            raise ValueError(f"player id must be one of {PLAYER_IDS}, got {self.id!r}")
         if not self.name:
             raise ValueError("player name must be non-empty")
         if self.handedness not in ("left", "right"):
@@ -547,7 +544,6 @@ class RawScoreboard:
     """
 
     layout: str
-    names: tuple[str, str]
     rows: tuple[tuple[str, ...], tuple[str, ...]]
     server_row: int | None
 
@@ -562,8 +558,7 @@ class RawScoreboard:
         server_name = obj.get("server")
         if server_name in names:
             server_row = names.index(server_name)
-        return cls(layout=layout, names=(names[0], names[1]), rows=rows,
-                   server_row=server_row)
+        return cls(layout=layout, rows=rows, server_row=server_row)
 
 
 def _normalize_rows(layout: str, rows) -> tuple[list[str], list[str]]:

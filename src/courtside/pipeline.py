@@ -228,7 +228,7 @@ def replay_match(records, config: PipelineConfig | None = None,
         prompt_tokens = estimate_tokens(
             bundle.system_text + "\n" + bundle.user_text)
         context_tokens = estimate_tokens(bundle.context_text())
-        request = GenerationRequest(bundle=bundle, clip_ref=rally.clip_id)
+        request = GenerationRequest(bundle=bundle)
 
         commentary = None
         failure = None

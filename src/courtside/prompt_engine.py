@@ -62,6 +62,10 @@ USER_INSTRUCTION_TEMPLATE = (
 _METADATA_MARKER = "Metadata:"
 _CONTEXT_MARKER = "Match context:"
 
+HTTP_TIMEOUT_S = 30.0
+GENERATE_RETRIES = 3
+GENERATE_BACKOFF_S = 0.5
+
 
 class TransportFailure(RuntimeError):
     """Network-level failure talking to the commentary endpoint; retryable."""
@@ -123,7 +127,6 @@ class PersonaConfig:
 @dataclass(frozen=True)
 class GenerationRequest:
     bundle: PromptBundle
-    clip_ref: str | None = None
 
 
 @dataclass(frozen=True)
@@ -398,8 +401,6 @@ class MockCommentaryClient:
     history exists.  A bundle without those facts is a malformed request.
     """
 
-    name = "mock"
-
     def complete(self, request: GenerationRequest) -> GenerationResponse:
         bundle = request.bundle
         if bundle.rally is None or bundle.view is None:
@@ -449,25 +450,22 @@ class MockCommentaryClient:
 class HttpCommentaryClient:
     """Thin chat-completion client over the minimal JSON wire shape.
 
-    Request body: ``{system, messages, clip_ref}``;
+    Request body: ``{system, messages, clip_ref}``, where ``clip_ref`` is the
+    ``clip_id`` of the bundle's rally and is left out when there is none;
     expected reply: ``{"text": ..., "usage": {...}}``.  Endpoint and
     credential come from the environment unless given explicitly.
     """
-
-    name = "http"
 
     ENDPOINT_ENV = "COMMENTARY_API_URL"
     API_KEY_ENV = "COMMENTARY_API_KEY"
 
     def __init__(self, endpoint: str | None = None, api_key: str | None = None,
-                 timeout_s: float = 30.0, session=None,
-                 log_path: str | None = None):
+                 session=None, log_path: str | None = None):
         self.endpoint = endpoint or os.environ.get(self.ENDPOINT_ENV)
         self.api_key = api_key or os.environ.get(self.API_KEY_ENV)
         if not self.endpoint:
             raise ValueError(
                 f"no endpoint configured; set {self.ENDPOINT_ENV} or pass one")
-        self.timeout_s = timeout_s
         import requests  # only the HTTP client needs it; keeps replay start-up light
         self.session = session or requests.Session()
         self.log_path = log_path
@@ -486,8 +484,8 @@ class HttpCommentaryClient:
             "system": request.bundle.system_text,
             "messages": self._messages(request.bundle),
         }
-        if request.clip_ref is not None:
-            body["clip_ref"] = request.clip_ref
+        if request.bundle.rally is not None:
+            body["clip_ref"] = request.bundle.rally.clip_id
 
         headers = {}
         if self.api_key:
@@ -495,7 +493,7 @@ class HttpCommentaryClient:
         import requests
         try:
             http_response = self.session.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout_s)
+                self.endpoint, json=body, headers=headers, timeout=HTTP_TIMEOUT_S)
         except requests.RequestException as exc:
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
 
@@ -530,8 +528,8 @@ class HttpCommentaryClient:
             fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-def generate(client, request: GenerationRequest, retries: int = 3,
-             backoff_s: float = 0.5, sleep=time.sleep) -> GenerationResponse:
+def generate(client, request: GenerationRequest,
+             sleep=time.sleep) -> GenerationResponse:
     """Run one generation call with bounded retries.
 
     Only transport-level failures are retried (exponential backoff);
@@ -542,9 +540,9 @@ def generate(client, request: GenerationRequest, retries: int = 3,
         try:
             response = client.complete(request)
         except TransportFailure:
-            if attempt >= retries:
+            if attempt >= GENERATE_RETRIES:
                 raise
-            sleep(backoff_s * (2 ** attempt))
+            sleep(GENERATE_BACKOFF_S * (2 ** attempt))
             attempt += 1
             continue
         if not response.text:

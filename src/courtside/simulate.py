@@ -61,8 +61,8 @@ _REASON_PHRASES = {
 def _pick_players(rng: random.Random) -> tuple[PlayerRef, PlayerRef]:
     first, second = rng.sample(_NAME_POOL, 2)
     return (
-        PlayerRef(id=PLAYER_1, name=first, handedness=rng.choice(("left", "right"))),
-        PlayerRef(id=PLAYER_2, name=second, handedness=rng.choice(("left", "right"))),
+        PlayerRef(name=first, handedness=rng.choice(("left", "right"))),
+        PlayerRef(name=second, handedness=rng.choice(("left", "right"))),
     )
 
 

@@ -159,25 +159,6 @@ class TestSerialization:
         assert flat[0] == round(1.0 / np.sqrt(3.0), 9)
         assert flat[1] == 0.0
 
-    def test_correspondence_file_round_trip(self, tmp_path):
-        from courtside.court_geometry import read_correspondences, write_correspondences
-        rng = np.random.default_rng(2)
-        h = random_homography(rng)
-        pairs = exact_pairs(h, rng, 6)
-        path = tmp_path / "pairs.jsonl"
-        write_correspondences(path, pairs)
-        loaded = read_correspondences(path)
-        assert len(loaded) == 6
-        est = estimate_homography(loaded)
-        assert reprojection_error(est, pairs) < 1e-6
-
-    def test_malformed_correspondence_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"pixel": [1, 2]}\n', encoding="utf-8")
-        from courtside.court_geometry import read_correspondences
-        with pytest.raises(ValueError):
-            read_correspondences(path)
-
 
 KEYPOINT_REGIONS = {
     "near_left_doubles": {"doubles"},

@@ -192,12 +192,6 @@ class TestSanityCheck:
         report = sanity_check("A gorgeous smash ends it.", rally)
         assert any(v.kind == "shot_term" for v in report)
 
-    def test_non_match_player_flagged(self, records):
-        rally = records[0]
-        report = sanity_check("Shades of Ivanov here.", rally,
-                              known_players=("Igor Ivanov",))
-        assert any(v.kind == "player_name" for v in report)
-
     def test_deuce_mention_checked(self, records):
         rally = records[0]
         report = sanity_check("Deuce already!", rally)

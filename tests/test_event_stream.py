@@ -28,8 +28,8 @@ P1, P2 = "player_1", "player_2"
 
 INFO = MatchInfo(
     tournament="Metro Open", round="Final", surface="hard",
-    player_1=PlayerRef(id=P1, name="Alice Moreau", handedness="right"),
-    player_2=PlayerRef(id=P2, name="Bob Keller", handedness="left"),
+    player_1=PlayerRef(name="Alice Moreau", handedness="right"),
+    player_2=PlayerRef(name="Bob Keller", handedness="left"),
 )
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 import requests
 
+from courtside.evaluation import build_judge_prompt
 from courtside.prompt_engine import (
     GenerationRequest,
     HttpCommentaryClient,
@@ -43,10 +44,14 @@ class FakeSession:
         return item
 
 
+RALLY = simulate_match(seed=2024)[0]
+
+
 def request_with_prior():
     bundle = PromptBundle(system_text="persona", user_text="current rally",
-                          prior_interaction=("previous rally", "previous call"))
-    return GenerationRequest(bundle=bundle, clip_ref="m1_0.0_5.0")
+                          prior_interaction=("previous rally", "previous call"),
+                          rally=RALLY)
+    return GenerationRequest(bundle=bundle)
 
 
 class TestWireShape:
@@ -69,7 +74,27 @@ class TestWireShape:
             {"role": "assistant", "content": "previous call"},
             {"role": "user", "content": "current rally"},
         ]
-        assert body["clip_ref"] == "m1_0.0_5.0"
+        assert body["clip_ref"] == RALLY.clip_id
+
+    def test_replay_sends_each_rally_clip_id(self):
+        records = simulate_match(seed=2024)[:4]
+        session = FakeSession([FakeResponse(payload={"text": f"call {i}"})
+                               for i in range(len(records))])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session)
+        report = replay_match(records, client=client)
+        assert report.failures == 0
+        assert ([call["json"]["clip_ref"] for call in session.calls]
+                == [r.clip_id for r in records])
+
+    def test_judge_bundle_sends_no_clip_ref(self):
+        session = FakeSession([FakeResponse(payload={"text": "ok"})])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session)
+        bundle = build_judge_prompt("metadata", "a deep forehand",
+                                    "a deep forehand winner")
+        client.complete(GenerationRequest(bundle=bundle))
+        assert "clip_ref" not in session.calls[0]["json"]
 
     def test_no_prior_single_message(self):
         session = FakeSession([FakeResponse(payload={"text": "ok"})])

@@ -437,7 +437,7 @@ class TestScoreboardParsing:
         assert not validate_scoreboard(score)
 
     def test_unknown_layout(self):
-        raw = RawScoreboard(layout="ATP_FINALS", names=("A", "B"),
+        raw = RawScoreboard(layout="ATP_FINALS",
                             rows=(("0", "0"), ("0", "0")), server_row=0)
         with pytest.raises(UnknownLayout):
             parse_scoreboard(raw)

@@ -649,13 +649,19 @@ class TestBadInputLines:
         ({"prediction": "x", "reference": None}, "'reference' must be a string"),
         ({"prediction": "", "reference": "y", "metadata": "facts"},
          "must be non-empty"),
+        ({"clip_id": [1], "prediction": "x", "reference": "y"},
+         "'clip_id' must be a string"),
+        ({"prediction": "x", "reference": "y", "metadata": 5},
+         "'metadata' must be a non-empty string"),
+        ({"prediction": "x", "reference": "y", "metadata": {"k": [1, 2]}},
+         "'metadata' must be a non-empty string"),
     ])
     def test_evaluate_unusable_pair(self, tmp_path, capsys, pair, message):
         good = json.dumps({"clip_id": "a", "prediction": "x", "reference": "y"})
         bad = json.dumps({"clip_id": "b", **pair})
         err = self._run(tmp_path, capsys, "evaluate", [good, bad],
                         extra=("--judge", "mock"))
-        assert "line 2" in err and message in err
+        assert "input.jsonl line 2" in err and message in err
 
     def test_evaluate_unjudged_empty_prediction_scores(self, tmp_path, capsys):
         path = tmp_path / "input.jsonl"

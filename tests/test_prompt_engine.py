@@ -184,7 +184,7 @@ class TestMockClient:
     def test_deterministic_for_identical_requests(self, records):
         client = MockCommentaryClient()
         bundle = build_commentary_prompt(records[2], view_after(records, 2))
-        request = GenerationRequest(bundle=bundle, clip_ref=records[2].clip_id)
+        request = GenerationRequest(bundle=bundle)
         a = generate(client, request)
         b = generate(client, request)
         assert a.text == b.text
@@ -291,7 +291,7 @@ class TestRetries:
 
         slept = []
         with pytest.raises(TransportFailure):
-            generate(Dead(), self._request(), retries=3, sleep=slept.append)
+            generate(Dead(), self._request(), sleep=slept.append)
         assert Dead.attempts == 4
         assert slept == [0.5, 1.0, 2.0]
 

@@ -59,11 +59,9 @@ def test_fold_equals_reference_fold(text):
 
 
 @settings(deadline=None)
-@given(TEXT, st.sampled_from(RECORDS),
-       st.lists(st.sampled_from(["Ivanov", "Boris Ivanov", "Élodie Marchand"]
-                                + SURNAMES), max_size=3))
-def test_sanity_check_never_raises(text, rally, known_players):
-    report = sanity_check(text, rally, known_players=known_players)
+@given(TEXT, st.sampled_from(RECORDS))
+def test_sanity_check_never_raises(text, rally):
+    report = sanity_check(text, rally)
     assert isinstance(report, tuple)
     assert all(isinstance(v, SanityViolation) for v in report)
 
