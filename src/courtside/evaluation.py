@@ -20,7 +20,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .event_stream import RallyRecord
-from .match_model import AD, advance_point, is_terminal
+from .match_model import AD, is_terminal
 from .prompt_engine import GenerationRequest, GenerationResponse, PromptBundle
 
 CRITERIA = ("accuracy", "coherence", "excitement", "professionalism", "pacing")
@@ -343,7 +343,8 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
 
     Returns one violation per (a) player-name problem: a single-name sentence
     naming the wrong player as the actor of a rally-ending act; (b) score
-    mention inconsistent with the rally's initial or post-point score; (c)
+    mention inconsistent with the rally's initial or post-point score (the
+    record's cached ``final_score``, read only while the match is live); (c)
     taxonomy shot term absent from the rally. Unparsable text is ignored; an
     empty tuple means it passed.
     """
@@ -378,7 +379,7 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
     valid_pairs = _score_pairs_of(initial)
     post = None
     if is_terminal(initial) is None:
-        post = advance_point(initial, winner_id)
+        post = rally.final_score
         valid_pairs |= _score_pairs_of(post)
     for a, b in _SCORE_PAIR_RE.findall(commentary):
         if (a.lower(), b.lower()) not in valid_pairs:

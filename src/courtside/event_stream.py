@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .match_model import (
     AD,
@@ -20,12 +21,12 @@ from .match_model import (
     PlayerRef,
     RawScoreboard,
     ScoringConfig,
+    advance_point,
     is_break_point,
     is_terminal,
     other_player,
     parse_scoreboard,
     render_scoreboard,
-    wins_game,
 )
 
 STROKES = ("serve", "forehand", "backhand")
@@ -143,6 +144,22 @@ class RallyRecord:
     transcript: str = ""
     bounces: tuple[BounceEvent, ...] = ()
     commentary: str | None = None
+
+    @cached_property
+    def final_score(self) -> MatchScore:
+        """The score after this rally's point.  The record is immutable, so
+        the point is applied on first read and the result kept for the
+        record's life; raises TerminalState when the rally starts after the
+        match was decided."""
+        return advance_point(self.initial_score, self.outcome.point_winner)
+
+    @property
+    def ends_game(self) -> bool:
+        """True iff this rally's point ends a game (a tiebreak too): the games
+        changed or a set was completed."""
+        before, after = self.initial_score, self.final_score
+        return (after.games != before.games
+                or len(after.completed_sets) != len(before.completed_sets))
 
 
 def parse_clip_id(clip_id: str) -> tuple[str, float, float]:
@@ -370,7 +387,7 @@ def classify_point(rally: RallyRecord) -> dict[str, dict[str, int]]:
         else:
             bump(returner, "break_points_converted")
 
-    if wins_game(rally.initial_score, outcome.point_winner):
+    if rally.ends_game:
         bump(outcome.point_winner, "games_won")
 
     for shot in shots:
@@ -459,6 +476,9 @@ def rally_to_json(rally: RallyRecord) -> dict:
 
 
 def _finite(value) -> float:
+    # A JSON number only: a numeric string or a boolean is not one.
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"expected a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
@@ -466,10 +486,15 @@ def _finite(value) -> float:
 
 
 def _pair(value) -> tuple[float, float]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"expected an [x, y] pair, got {value!r}")
     return _finite(value[0]), _finite(value[1])
+
+
+def _text(value, name: str) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _board_row(row, name: str) -> tuple[str, str, str]:
@@ -492,26 +517,30 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"must be a JSON object, got {type(obj).__name__}")
-        clip_id = str(obj["clip_id"])
+        clip_id = _text(obj["clip_id"], "clip_id")
         parse_clip_id(clip_id)
 
         where = f"{clip_id} match_info"
         info_obj = obj["match_info"]
-        p1, p2 = (PlayerRef(name=str(info_obj[pid]["name"]),
+        p1, p2 = (PlayerRef(name=_text(info_obj[pid]["name"], "name"),
                             handedness=info_obj[pid].get("handedness", "right"))
                   for pid in PLAYER_IDS)
         info = MatchInfo(
-            tournament=str(info_obj.get("tournament", "")),
-            round=str(info_obj.get("round", "")),
-            surface=str(info_obj.get("surface", "")),
+            tournament=_text(info_obj.get("tournament", ""), "tournament"),
+            round=_text(info_obj.get("round", ""), "round"),
+            surface=_text(info_obj.get("surface", ""), "surface"),
             player_1=p1, player_2=p2,
         )
 
+        # Fields checked against a fixed vocabulary below (hitter, stroke,
+        # direction, outcome, court_half, serve_attempt, the outcome block
+        # and the server's name) are taken as given: no other JSON value
+        # equals one of their strings.
         where = f"{clip_id} scoreboard"
         board = obj["scoreboard"]
         names = (p1.name, p2.name)
         rows = tuple(_board_row(board[name], name) for name in names)
-        server = info.id_of_name(str(board["server"]))
+        server = info.id_of_name(board["server"])
         if server is None:
             raise ValueError(f"server {board['server']!r} is not a match player")
         score = parse_scoreboard(RawScoreboard(
@@ -524,13 +553,16 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
         shots = []
         for i, s in enumerate(raw_shots):
             where = f"{clip_id} shot {i}"
+            index = s["shot_index"]
+            if type(index) is not int:
+                raise TypeError(f"shot_index must be an integer, got {index!r}")
             shots.append(ShotEvent(
-                index=int(s["shot_index"]),
-                hitter=str(s["hitter"]),
-                stroke=str(s["stroke"]),
-                technique=str(s["technique"]),
-                direction=str(s["direction"]),
-                outcome=str(s["outcome"]),
+                index=index,
+                hitter=s["hitter"],
+                stroke=s["stroke"],
+                technique=_text(s["technique"], "technique"),
+                direction=s["direction"],
+                outcome=s["outcome"],
                 timestamp=_finite(s["timestamp"]),
                 serve_attempt=s.get("serve_attempt"),
                 hitter_position=_pair(s["hitter_position"])
@@ -539,32 +571,39 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
                 if "ball_position" in s else None,
             ))
 
+        where = clip_id
+        raw_bounces = obj.get("bounces", [])
+        if not isinstance(raw_bounces, list):
+            raise TypeError(f"bounces must be a list, got {raw_bounces!r}")
         bounces = []
-        for i, b in enumerate(obj.get("bounces", [])):
+        for i, b in enumerate(raw_bounces):
             where = f"{clip_id} bounce {i}"
             bounces.append(BounceEvent(
                 timestamp=_finite(b["timestamp"]),
-                court_half=str(b["court_half"]),
+                court_half=b["court_half"],
                 position=_pair(b["position"]) if "position" in b else None,
             ))
 
         where = f"{clip_id} outcome"
         outcome_obj = obj["outcome"]
         outcome = RallyOutcome(
-            point_winner=str(outcome_obj["point_winner"]),
-            point_loser=str(outcome_obj["point_loser"]),
-            reason=str(outcome_obj["reason"]),
+            point_winner=outcome_obj["point_winner"],
+            point_loser=outcome_obj["point_loser"],
+            reason=outcome_obj["reason"],
         )
+
+        where = clip_id
+        transcript = _text(obj.get("audio_transcript", ""), "audio_transcript")
+        commentary = obj.get("commentary")
+        if commentary is not None:
+            _text(commentary, "commentary")
     except KeyError as exc:
         raise SchemaViolation(f"{where}: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation(f"{where}: {exc}") from None
 
-    commentary = obj.get("commentary")
     return RallyRecord(
         clip_id=clip_id, match_info=info, initial_score=score,
-        shots=tuple(shots), outcome=outcome,
-        transcript=str(obj.get("audio_transcript", "")),
-        bounces=tuple(bounces),
-        commentary=str(commentary) if commentary is not None else None,
+        shots=tuple(shots), outcome=outcome, transcript=transcript,
+        bounces=tuple(bounces), commentary=commentary,
     )

@@ -72,8 +72,10 @@ class PlayerRef:
     handedness: str = "right"
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("player name must be non-empty")
+        # A blank name has no surname to put in prompts and commentary.
+        if not self.name or self.name.isspace():
+            raise ValueError(f"player name must contain a non-whitespace "
+                             f"character, got {self.name!r}")
         if self.handedness not in ("left", "right"):
             raise ValueError(f"handedness must be left or right, got {self.handedness!r}")
 
@@ -298,12 +300,6 @@ def advance_point(score: MatchScore, winner: str) -> MatchScore:
         return replace(score, points=points, server=server)
 
     return replace(score, points=points)
-
-
-def wins_game(score: MatchScore, winner: str) -> bool:
-    """True iff the point won by player id ``winner`` ends a game (a tiebreak too)."""
-    return _advance_set_state(score.games, score.in_tiebreak, score.points,
-                              _index(winner), score.config, score.tiebreak_target())[3]
 
 
 def is_break_point(score: MatchScore) -> bool:

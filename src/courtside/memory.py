@@ -17,7 +17,6 @@ from .match_model import (
     MatchScore,
     PLAYER_1,
     PLAYER_2,
-    advance_point,
     score_summary,
 )
 
@@ -162,7 +161,9 @@ class LongTermMemory:
 
 def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
     """Fold one evicted rally's statistic increments into the cumulative
-    lines and record the score after its point.
+    lines and record the score after its point, the rally's cached
+    ``final_score``, so a rally the mock or the sanity check already read
+    is not advanced again.
 
     Rallies must arrive in stream order.
     """
@@ -176,8 +177,7 @@ def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
         stat_lines=(_plus(long.stat_lines[0], contribution[PLAYER_1]),
                     _plus(long.stat_lines[1], contribution[PLAYER_2])),
         rallies_consolidated=long.rallies_consolidated + 1,
-        last_consolidated_score=advance_point(rally.initial_score,
-                                              rally.outcome.point_winner),
+        last_consolidated_score=rally.final_score,
     )
 
 

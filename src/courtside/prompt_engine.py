@@ -26,7 +26,6 @@ from .match_model import (
     PLAYER_IDS,
     PlayerRef,
     ScoringConfig,
-    wins_game,
 )
 from .memory import COUNT_FIELDS, RATIO_FIELDS, ContextView, PlayerStatLine
 
@@ -435,7 +434,7 @@ class MockCommentaryClient:
             sentence = f"{win} wrestles the point away {at}, forcing the miss."
 
         idx = 0 if outcome.point_winner == PLAYER_1 else 1
-        if wins_game(score, outcome.point_winner):
+        if rally.ends_game:
             sentence += " That seals the game."
 
         if view.rallies_consolidated > 0:

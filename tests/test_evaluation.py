@@ -202,7 +202,7 @@ class TestSanityCheck:
         server = base.initial_score.server
         points = ("40", "AD") if server == "player_1" else ("AD", "40")
         score = MatchScore(points=points, server=server)
-        rally = base.__class__(**{**base.__dict__, "initial_score": score})
+        rally = replace(base, initial_score=score)
         report = sanity_check(f"Advantage saved at {points[0]}-{points[1]}.",
                               rally)
         assert not any(v.kind == "score_mention" for v in report)

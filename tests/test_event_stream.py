@@ -445,6 +445,41 @@ class TestJsonRoundTrip:
         with pytest.raises(SchemaViolation, match="scoreboard: row for"):
             rally_from_json(obj)
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("shot_sequence", 0, "timestamp"), "0.72",
+         r"shot 0: expected a number, got '0\.72'$"),
+        (("shot_sequence", 0, "timestamp"), True,
+         r"shot 0: expected a number, got True$"),
+        (("match_info", "tournament"), {"x": [1, 2]},
+         r"match_info: tournament must be a string, got \{'x': \[1, 2\]\}$"),
+        (("shot_sequence", 0, "shot_index"), 0.9,
+         r"shot 0: shot_index must be an integer, got 0\.9$"),
+        (("shot_sequence", 0, "shot_index"), False,
+         r"shot 0: shot_index must be an integer, got False$"),
+        (("bounces", 0, "position"), [412.0, True],
+         r"bounce 0: expected a number, got True$"),
+        (("clip_id",), 7, r"^record: clip_id must be a string, got 7$"),
+        (("match_info", "player_1", "name"), 5,
+         r"match_info: name must be a string, got 5$"),
+        (("shot_sequence", 1, "technique"), ["slice"],
+         r"shot 1: technique must be a string"),
+        (("commentary",), 3, r"commentary must be a string, got 3$"),
+        (("bounces",), {}, r"^m001_10\.0_18\.0: bounces must be a list, got \{\}$"),
+    ], ids=["string_timestamp", "bool_timestamp", "object_tournament",
+            "float_shot_index", "bool_shot_index", "bool_position",
+            "int_clip_id", "int_name", "list_technique", "int_commentary",
+            "object_bounces"])
+    def test_values_must_have_their_json_type(self, path, value, message):
+        # no value is converted: a string, boolean or float where another
+        # JSON type is meant is a violation, not read as that type
+        obj = rally_to_json(self._full_record())
+        holder = obj
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+        with pytest.raises(SchemaViolation, match=message):
+            rally_from_json(obj)
+
     def test_errors_name_the_record_part(self):
         obj = rally_to_json(self._full_record())
         del obj["shot_sequence"][1]["hitter"]

@@ -1,6 +1,7 @@
 """Dataset ingestion, replay loop and CLI behavior tests."""
 
 import json
+import sys
 
 import pytest
 
@@ -121,6 +122,23 @@ class TestReplay:
         assert report.final_stats["player_1"] == direct.report()["player_1"]
         assert report.final_stats["player_2"] == direct.report()["player_2"]
         assert report.final_stats["rallies_consolidated"] == len(records)
+
+    def test_mock_replay_advances_each_point_once(self, monkeypatch):
+        # fresh records: the post-point score is cached on each record
+        records = simulate_match(seed=31)
+        calls = []
+
+        def counted(score, winner):
+            calls.append(1)
+            return advance_point(score, winner)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "courtside" or name.startswith("courtside.")) and (
+                    vars(module).get("advance_point") is advance_point):
+                monkeypatch.setattr(module, "advance_point", counted)
+        report = replay_match(records, PipelineConfig())
+        assert report.failures == 0
+        assert len(calls) == len(records)
 
     def test_window_counts_at_rally_seven(self, records):
         seen = {}
@@ -338,6 +356,9 @@ class TestCli:
         (("match_info", "player_2", "name"), "", "match_info"),
         (("match_info",), ["not", "an", "object"], "match_info"),
         (("shot_sequence", 0), "serve", "shot 0"),
+        (("shot_sequence", 0, "timestamp"), "0.72", "shot 0"),
+        (("match_info", "tournament"), {"x": [1, 2]}, "match_info"),
+        (("shot_sequence", 0, "shot_index"), 0.9, "shot 0"),
     ])
     def test_validate_reports_malformed_values(self, tmp_path, records, capsys,
                                                path, value, part):
@@ -397,6 +418,30 @@ class TestCli:
         assert [v["line"] for v in out[key]] == list(range(1, 13))
         assert all("match_info: both players are named" in v["message"]
                    for v in out[key])
+
+    @pytest.mark.parametrize("argv,key", [(["validate"], "violations"),
+                                          (["replay", "--client", "mock",
+                                            "--no-timing"], "schema_violations")])
+    def test_whitespace_player_name_is_listed(self, tmp_path, records, capsys,
+                                              argv, key):
+        # a blank name has no surname for the prompt and the commentary
+        blank = rally_to_json(records[1])
+        blank["match_info"]["player_2"]["name"] = "   "
+        lines = [rally_to_json(records[0]), blank, rally_to_json(records[2])]
+        path = tmp_path / "blank_name.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in lines) + "\n",
+                        encoding="utf-8")
+        assert main([*argv, "--input", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        [violation] = out[key]
+        assert violation["line"] == 2
+        assert ("match_info: player name must contain a non-whitespace "
+                "character" in violation["message"])
+        if "rallies" in out:
+            assert [r["clip_id"] for r in out["rallies"]] == [
+                records[0].clip_id, records[2].clip_id]
+        else:
+            assert out["valid_records"] == 2
 
     @pytest.mark.parametrize("argv,key", [(["validate"], "violations"),
                                           (["stats"], "schema_violations"),

@@ -1,6 +1,7 @@
 """Prompt serialization, token budgeting and client boundary tests."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -87,7 +88,7 @@ class TestSerializeMetadata:
     def test_round_trip_recovers_record(self, records):
         for rally in records[:40]:
             parsed = parse_metadata(serialize_metadata(rally))
-            expected = rally.__class__(**{**rally.__dict__, "commentary": None})
+            expected = replace(rally, commentary=None)
             assert parsed == expected
 
     def test_deterministic_output(self, records):
@@ -196,7 +197,7 @@ class TestMockClient:
         server = base.initial_score.server
         points = ("40", "30") if server == P1 else ("30", "40")
         score = MatchScore(points=points, server=server)
-        rally = base.__class__(**{**base.__dict__, "initial_score": score})
+        rally = replace(base, initial_score=score)
         bundle = build_commentary_prompt(rally, view_after(records, 0))
         response = generate(MockCommentaryClient(), GenerationRequest(bundle=bundle))
         surname = rally.match_info.player(rally.outcome.point_winner).surname

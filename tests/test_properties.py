@@ -27,7 +27,7 @@ from courtside.evaluation import (
 )
 from courtside.event_stream import (BounceEvent, classify_point, rally_from_json,
                                     rally_to_json)
-from courtside.match_model import PLAYER_IDS, ScoringConfig, advance_point, wins_game
+from courtside.match_model import PLAYER_IDS, ScoringConfig, advance_point
 from courtside.memory import COUNT_FIELDS, MatchMemory, MemoryEntry
 from courtside.pipeline import load_dataset
 from courtside.prompt_engine import parse_metadata, serialize_memory, serialize_metadata
@@ -90,13 +90,27 @@ def test_codec_round_trips_file_loaded_records(seed, config):
 # a final-set tiebreak in best-of-3 with ad scoring and best-of-5 without
 @example(4, ScoringConfig())
 @example(2, ScoringConfig(best_of=5, ad_scoring=False))
-def test_wins_game_equals_games_rising(seed, config):
+def test_ends_game_equals_games_rising(seed, config):
     for rally in simulate_match(seed=seed, config=config):
         score = rally.initial_score
         for idx, winner in enumerate(PLAYER_IDS):
+            # the same rally with each player as the point winner
+            won = replace(rally, outcome=replace(
+                rally.outcome, point_winner=winner,
+                point_loser=PLAYER_IDS[1 - idx]))
             after = advance_point(score, winner)
             rose = oracles.total_games(after, idx) > oracles.total_games(score, idx)
-            assert wins_game(score, winner) == rose
+            assert won.ends_game == rose
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=100_000),
+       st.sampled_from(FORMATS + (ScoringConfig(best_of=5, ad_scoring=False),)))
+def test_final_score_is_the_advanced_initial_score(seed, config):
+    for rally in simulate_match(seed=seed, config=config):
+        expected = advance_point(rally.initial_score, rally.outcome.point_winner)
+        assert rally.final_score == expected
+        assert rally.final_score is rally.final_score
 
 
 @settings(deadline=None, max_examples=15)
@@ -143,7 +157,8 @@ def metadata_rallies(draw):
     rally = draw(st.sampled_from(BOARDS))
     info = rally.match_info
     name_1, name_2 = draw(st.tuples(JSON_TEXT, JSON_TEXT).filter(
-        lambda names: names[0] and names[1] and names[0] != names[1]))
+        lambda names: names[0].strip() and names[1].strip()
+        and names[0] != names[1]))
     shots = tuple(replace(shot, hitter_position=draw(POSITION),
                           ball_position=draw(POSITION)) for shot in rally.shots)
     bounces = draw(st.lists(st.builds(
