@@ -25,7 +25,7 @@ from .evaluation import (
 from .match_model import ScoringConfig
 from .memory import LongTermMemory, MemoryEntry, consolidate
 from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
-                       replay_match)
+                       read_lines, replay_match)
 from .prompt_engine import GenerationRequest, generate, serialize_metadata
 from .segmentation import (FlagCountMismatch, ImpactEvent, SegmentationParams,
                            cluster_impacts, filter_intervals)
@@ -38,22 +38,24 @@ EXIT_CONFIG = 2
 EXIT_CLIENT = 3
 
 
+def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to the ``output`` file, or to stdout without one."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output}: {exc}") from None
+
+
 def _write_output(payload, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, ensure_ascii=False)
-    if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", output)
 
 
 def _write_jsonl(rows, output: str | None) -> None:
-    lines = [json.dumps(row, ensure_ascii=False) for row in rows]
-    if output:
-        Path(output).write_text("\n".join(lines) + ("\n" if lines else ""),
-                                encoding="utf-8")
-    else:
-        for line in lines:
-            print(line)
+    lines = [json.dumps(row, ensure_ascii=False) + "\n" for row in rows]
+    _emit("".join(lines), output)
 
 
 def _build_config(args) -> PipelineConfig:
@@ -132,17 +134,14 @@ def cmd_stats(args) -> int:
 def _read_jsonl(path):
     """Yield ``(line_number, object)`` for each non-blank line of a JSONL
     input; a line that is not a UTF-8 JSON object is a :class:`ConfigError`."""
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line.decode("utf-8").strip())
-            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
-                raise ConfigError(f"{path} line {line_no}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ConfigError(f"{path} line {line_no}: expected a JSON object")
-            yield line_no, obj
+    for line_no, line in read_lines(path):
+        try:
+            obj = json.loads(line.decode("utf-8").strip())
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+            raise ConfigError(f"{path} line {line_no}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path} line {line_no}: expected a JSON object")
+        yield line_no, obj
 
 
 def _read_pairs(path):

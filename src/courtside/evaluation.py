@@ -20,7 +20,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .event_stream import RallyRecord
-from .match_model import AD, is_terminal
+from .match_model import AD, PLAYER_IDS, is_terminal
 from .prompt_engine import GenerationRequest, GenerationResponse, PromptBundle
 
 CRITERIA = ("accuracy", "coherence", "excitement", "professionalism", "pacing")
@@ -314,6 +314,7 @@ class SanityViolation:
 _SCORE_PAIR_RE = re.compile(r"\b(0|15|30|40|ad|\d{1,2})\s*[-:]\s*(0|15|30|40|ad|\d{1,2})\b",
                             re.IGNORECASE)
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
+_WORD_RE = re.compile(r"[\w'-]+")
 
 # reason term -> who must be the actor when a sentence names exactly one player
 _ATTRIBUTION_TERMS = {
@@ -322,19 +323,16 @@ _ATTRIBUTION_TERMS = {
     "unforced error": "loser",
     "winner": "winner",
 }
+_ATTRIBUTION_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, _ATTRIBUTION_TERMS)) + r")\b")
+_TAXONOMY_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, DEFAULT_SHOT_TAXONOMY)) + r")\b")
 
 
-def _score_pairs_of(score) -> set[tuple[str, str]]:
+def _score_pairs_of(states) -> set[tuple[str, str]]:
     pairs = set()
-    sets_won = score.sets_won()
-    candidates = [
-        (str(score.points[0]), str(score.points[1])),
-        (str(score.games[0]), str(score.games[1])),
-        (str(sets_won[0]), str(sets_won[1])),
-    ]
-    for a, b in candidates:
-        pairs.add((a.lower(), b.lower()))
-        pairs.add((b.lower(), a.lower()))
+    for score in states:
+        for a, b in (score.points, score.games, score.sets_won()):
+            pairs.add((str(a).lower(), str(b).lower()))
+            pairs.add((str(b).lower(), str(a).lower()))
     return pairs
 
 
@@ -345,29 +343,29 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
     naming the wrong player as the actor of a rally-ending act; (b) score
     mention inconsistent with the rally's initial or post-point score (the
     record's cached ``final_score``, read only while the match is live); (c)
-    taxonomy shot term absent from the rally. Unparsable text is ignored; an
-    empty tuple means it passed.
+    taxonomy shot term absent from the rally. The terms of (a) and (c) come
+    only from ``_ATTRIBUTION_TERMS`` and ``DEFAULT_SHOT_TAXONOMY``, and
+    violations follow their table order. Unparsable text is ignored; an empty
+    tuple means it passed.
     """
     violations: list[SanityViolation] = []
     info = rally.match_info
     folded_text = _fold(commentary)
-    text_tokens = set(re.findall(r"[\w'-]+", folded_text))
-
-    surname = {
-        "player_1": _fold(info.player_1.surname),
-        "player_2": _fold(info.player_2.surname),
-    }
+    surname = {pid: _fold(info.player(pid).surname) for pid in PLAYER_IDS}
 
     winner_id = rally.outcome.point_winner
     loser_id = rally.outcome.point_loser
     for sentence in _SENTENCE_SPLIT_RE.split(commentary):
         folded = _fold(sentence)
-        tokens = set(re.findall(r"[\w'-]+", folded))
+        terms = set(_ATTRIBUTION_RE.findall(folded))
+        if not terms:
+            continue
+        tokens = set(_WORD_RE.findall(folded))
         named = [pid for pid, s in surname.items() if s in tokens]
         if len(named) != 1:
             continue
         for term, actor in _ATTRIBUTION_TERMS.items():
-            if term in folded and re.search(rf"\b{term}\b", folded):
+            if term in terms:
                 expected = winner_id if actor == "winner" else loser_id
                 if named[0] != expected:
                     violations.append(SanityViolation(
@@ -376,39 +374,31 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
                         f"{term!r}, expected {info.name_of(expected)!r}"))
 
     initial = rally.initial_score
-    valid_pairs = _score_pairs_of(initial)
-    post = None
-    if is_terminal(initial) is None:
-        post = rally.final_score
-        valid_pairs |= _score_pairs_of(post)
+    states = [initial] if is_terminal(initial) else [initial, rally.final_score]
+    valid_pairs = _score_pairs_of(states)
     for a, b in _SCORE_PAIR_RE.findall(commentary):
         if (a.lower(), b.lower()) not in valid_pairs:
             violations.append(SanityViolation(
                 "score_mention", f"score {a}-{b} matches neither the initial "
                                  f"nor the post-point state"))
 
-    states = [initial] + ([post] if post is not None else [])
-    if "deuce" in text_tokens:
-        if not any(s.points == ("40", "40") for s in states):
-            violations.append(SanityViolation(
-                "score_mention", "mentions deuce but the game is not at 40-40"))
-    if "advantage" in text_tokens:
-        if not any(AD in s.points for s in states):
-            violations.append(SanityViolation(
-                "score_mention", "mentions advantage but nobody holds AD"))
+    text_tokens = set(_WORD_RE.findall(folded_text))
+    if "deuce" in text_tokens and not any(s.points == ("40", "40") for s in states):
+        violations.append(SanityViolation(
+            "score_mention", "mentions deuce but the game is not at 40-40"))
+    if "advantage" in text_tokens and not any(AD in s.points for s in states):
+        violations.append(SanityViolation(
+            "score_mention", "mentions advantage but nobody holds AD"))
 
-    seen_terms = set()
+    mentioned = set(_TAXONOMY_RE.findall(folded_text))
     for shot in rally.shots:
-        seen_terms.add(shot.stroke)
-        seen_terms.add(shot.technique)
+        mentioned.discard(shot.stroke)
+        mentioned.discard(shot.technique)
     for term in DEFAULT_SHOT_TAXONOMY:
-        folded_term = _fold(term)
-        if (folded_term in folded_text
-                and re.search(rf"\b{re.escape(folded_term)}\b", folded_text)):
-            if term not in seen_terms:
-                violations.append(SanityViolation(
-                    "shot_term", f"mentions {term!r} which never occurs in "
-                                 f"the rally"))
+        if term in mentioned:
+            violations.append(SanityViolation(
+                "shot_term", f"mentions {term!r} which never occurs in "
+                             f"the rally"))
 
     return tuple(violations)
 
@@ -501,11 +491,13 @@ def build_judge_prompt(metadata: str, reference: str,
                         reference=reference, prediction=prediction)
 
 
+_FENCE_RE = re.compile(r"^```(?:json|python)?|```$", re.MULTILINE)
+
+
 def _candidate_payloads(text: str):
     yield text
     # judge models occasionally wrap the dictionary in prose or fences
-    fenced = re.sub(r"^```(?:json|python)?|```$", "", text.strip(),
-                    flags=re.MULTILINE).strip()
+    fenced = _FENCE_RE.sub("", text.strip()).strip()
     if fenced != text:
         yield fenced
     start = text.find("{")
@@ -583,9 +575,8 @@ class MockJudgeClient:
         accuracy = round(overlap * CRITERION_MAX)
         coherence = min(CRITERION_MAX, 10 + len(tokenize(prediction)) // 8)
         excitement = 12 if any(c in prediction for c in "!—") else 10
-        professionalism = min(CRITERION_MAX,
-                              6 + 2 * sum(1 for t in DEFAULT_SHOT_TAXONOMY
-                                          if re.search(rf"\b{t}\b", prediction.lower())))
+        terms = set(_TAXONOMY_RE.findall(prediction.lower()))
+        professionalism = min(CRITERION_MAX, 6 + 2 * len(terms))
         word_count = len(prediction.split())
         pacing = CRITERION_MAX - min(CRITERION_MAX, abs(word_count - 25) // 2)
         scores = {

@@ -126,6 +126,19 @@ def _read_record(line: bytes, config: ScoringConfig | None) -> RallyRecord:
     return record
 
 
+def read_lines(path):
+    """Yield ``(line_number, line)`` for each non-blank line of a file, as bytes;
+    a path that cannot be opened, a directory too, is a FileNotFoundError."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FileNotFoundError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield line_no, line
+
+
 def load_dataset(path, config: ScoringConfig | None = None, errors=None):
     """Stream valid rally records from a JSONL file, in file order.
 
@@ -134,21 +147,15 @@ def load_dataset(path, config: ScoringConfig | None = None, errors=None):
     and skipped, so one bad line never sinks the stream; without an
     ``errors`` list it raises :class:`SchemaViolation`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                record = _read_record(line, config)
-            except SchemaViolation as exc:
-                if errors is None:
-                    raise SchemaViolation(f"line {line_no}: {exc}") from None
-                errors.append((line_no, str(exc)))
-                continue
-            yield record
+    for line_no, line in read_lines(path):
+        try:
+            record = _read_record(line, config)
+        except SchemaViolation as exc:
+            if errors is None:
+                raise SchemaViolation(f"line {line_no}: {exc}") from None
+            errors.append((line_no, str(exc)))
+            continue
+        yield record
 
 
 # ---------------------------------------------------------------------------

@@ -451,7 +451,7 @@ class HttpCommentaryClient:
 
     Request body: ``{system, messages, clip_ref}``, where ``clip_ref`` is the
     ``clip_id`` of the bundle's rally and is left out when there is none;
-    expected reply: ``{"text": ..., "usage": {...}}``.  Endpoint and
+    expected reply: a JSON object ``{"text": ..., "usage": {...}}``.  Endpoint and
     credential come from the environment unless given explicitly.
     """
 
@@ -508,6 +508,8 @@ class HttpCommentaryClient:
             payload = http_response.json()
         except ValueError as exc:
             raise MalformedResponse(f"non-JSON reply: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise MalformedResponse("reply is not a JSON object")
         text = payload.get("text")
         if not text or not isinstance(text, str):
             raise MalformedResponse("reply carries no text")

@@ -8,9 +8,19 @@ transitive closure instead of sorted sweeps, plain DP tables, and so on.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from collections import Counter, defaultdict
 
+from courtside.evaluation import (
+    DEFAULT_SHOT_TAXONOMY,
+    SanityViolation,
+    _ATTRIBUTION_TERMS,
+    _SCORE_PAIR_RE,
+    _SENTENCE_SPLIT_RE,
+    _fold,
+)
+from courtside.match_model import AD, is_terminal
 from courtside.prompt_engine import describe_shot
 
 LADDER = ("0", "15", "30", "40")
@@ -494,3 +504,98 @@ def outcome_rule_table(last_stroke: str, last_outcome: str, serve_attempt,
     if last_outcome in ("unforced_error", "net"):
         return ("opponent", "unforced_error")
     raise ValueError(last_outcome)
+
+
+# ---------------------------------------------------------------------------
+# Commentary term checks, one regex per term
+# ---------------------------------------------------------------------------
+
+
+def _score_pairs_of(score) -> set[tuple[str, str]]:
+    pairs = set()
+    sets_won = score.sets_won()
+    candidates = [
+        (str(score.points[0]), str(score.points[1])),
+        (str(score.games[0]), str(score.games[1])),
+        (str(sets_won[0]), str(sets_won[1])),
+    ]
+    for a, b in candidates:
+        pairs.add((a.lower(), b.lower()))
+        pairs.add((b.lower(), a.lower()))
+    return pairs
+
+
+def sanity_check(commentary: str, rally) -> tuple[SanityViolation, ...]:
+    """Reference sanity check: each sentence and the whole text are
+    tokenized, and each term is searched for with its own ``\\b``-bounded
+    regex."""
+    violations: list[SanityViolation] = []
+    info = rally.match_info
+    folded_text = _fold(commentary)
+    text_tokens = set(re.findall(r"[\w'-]+", folded_text))
+
+    surname = {
+        "player_1": _fold(info.player_1.surname),
+        "player_2": _fold(info.player_2.surname),
+    }
+
+    winner_id = rally.outcome.point_winner
+    loser_id = rally.outcome.point_loser
+    for sentence in _SENTENCE_SPLIT_RE.split(commentary):
+        folded = _fold(sentence)
+        tokens = set(re.findall(r"[\w'-]+", folded))
+        named = [pid for pid, s in surname.items() if s in tokens]
+        if len(named) != 1:
+            continue
+        for term, actor in _ATTRIBUTION_TERMS.items():
+            if term in folded and re.search(rf"\b{term}\b", folded):
+                expected = winner_id if actor == "winner" else loser_id
+                if named[0] != expected:
+                    violations.append(SanityViolation(
+                        "player_name",
+                        f"{info.name_of(named[0])!r} named as the actor of "
+                        f"{term!r}, expected {info.name_of(expected)!r}"))
+
+    initial = rally.initial_score
+    valid_pairs = _score_pairs_of(initial)
+    post = None
+    if is_terminal(initial) is None:
+        post = rally.final_score
+        valid_pairs |= _score_pairs_of(post)
+    for a, b in _SCORE_PAIR_RE.findall(commentary):
+        if (a.lower(), b.lower()) not in valid_pairs:
+            violations.append(SanityViolation(
+                "score_mention", f"score {a}-{b} matches neither the initial "
+                                 f"nor the post-point state"))
+
+    states = [initial] + ([post] if post is not None else [])
+    if "deuce" in text_tokens:
+        if not any(s.points == ("40", "40") for s in states):
+            violations.append(SanityViolation(
+                "score_mention", "mentions deuce but the game is not at 40-40"))
+    if "advantage" in text_tokens:
+        if not any(AD in s.points for s in states):
+            violations.append(SanityViolation(
+                "score_mention", "mentions advantage but nobody holds AD"))
+
+    seen_terms = set()
+    for shot in rally.shots:
+        seen_terms.add(shot.stroke)
+        seen_terms.add(shot.technique)
+    for term in DEFAULT_SHOT_TAXONOMY:
+        folded_term = _fold(term)
+        if (folded_term in folded_text
+                and re.search(rf"\b{re.escape(folded_term)}\b", folded_text)):
+            if term not in seen_terms:
+                violations.append(SanityViolation(
+                    "shot_term", f"mentions {term!r} which never occurs in "
+                                 f"the rally"))
+
+    return tuple(violations)
+
+
+def judge_term_count(prediction: str) -> int:
+    """Taxonomy terms the mock judge credits: each term whose own regex finds
+    it as a whole word of the lower-cased prediction, counted once."""
+    return sum(1 for t in DEFAULT_SHOT_TAXONOMY
+               if re.search(rf"\b{t}\b", prediction.lower()))

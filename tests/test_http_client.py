@@ -21,13 +21,10 @@ from courtside.simulate import simulate_match
 class FakeResponse:
     def __init__(self, status_code=200, payload=None, text=None):
         self.status_code = status_code
-        self._payload = payload
         self.text = text if text is not None else json.dumps(payload or {})
 
     def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+        return json.loads(self.text)
 
 
 class FakeSession:
@@ -184,6 +181,28 @@ class TestFailureModes:
                                       session=session)
         with pytest.raises(MalformedResponse):
             client.complete(request_with_prior())
+
+    @pytest.mark.parametrize("body", ["[1]", '"hi"', "null"])
+    def test_non_object_reply_is_malformed_not_retried(self, body):
+        session = FakeSession([FakeResponse(text=body)])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session)
+        with pytest.raises(MalformedResponse, match="not a JSON object"):
+            generate(client, request_with_prior(), sleep=lambda s: None)
+        assert len(session.calls) == 1
+
+    def test_replay_marks_non_object_replies_failed(self):
+        records = simulate_match(seed=2024)[:3]
+        session = FakeSession([FakeResponse(text=body)
+                               for body in ("[1]", '"hi"', "null")])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session)
+        report = replay_match(records, client=client)
+        assert report.failures == 3
+        assert [r.failure for r in report.rallies] == [
+            "MalformedResponse: reply is not a JSON object"] * 3
+        assert [r.commentary for r in report.rallies] == [None] * 3
+        assert report.final_stats == replay_match(records).final_stats
 
     def test_generate_retries_transient_server_errors(self):
         session = FakeSession([

@@ -624,6 +624,31 @@ class TestCli:
         assert report["rally_count"] == 3
         assert report["schema_violations"][0]["line"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        "validate --input DIR", "replay --input DIR", "stats --input DIR",
+        "evaluate --input DIR", "evaluate --input PAIRS --dataset DIR --judge mock",
+        "segment --input DIR", "segment --input IMPACTS --flags DIR",
+        "simulate --output DIR", "validate --input MATCH --output DIR",
+        "replay --input MATCH --output DIR", "stats --input MATCH --output DIR",
+        "evaluate --input PAIRS --output DIR", "evaluate --input PAIRS --per-clip DIR",
+        "segment --input IMPACTS --output DIR",
+    ])
+    def test_directory_for_a_file_exits_two(self, tmp_path, dataset_file, capsys,
+                                            argv):
+        pairs, impacts = tmp_path / "pairs.jsonl", tmp_path / "impacts.jsonl"
+        pairs.write_text('{"clip_id": "a", "prediction": "p", "reference": "r"}\n',
+                         encoding="utf-8")
+        impacts.write_text('{"t": 1.0, "conf": 0.9}\n{"t": 1.5, "conf": 0.9}\n',
+                           encoding="utf-8")
+        paths = {"DIR": tmp_path, "MATCH": dataset_file, "PAIRS": pairs,
+                 "IMPACTS": impacts}
+        code = main([str(paths.get(arg, arg)) for arg in argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert str(tmp_path) in captured.err
+
     def test_simulate_deterministic_output_file(self, tmp_path):
         a_path = tmp_path / "a.jsonl"
         b_path = tmp_path / "b.jsonl"

@@ -13,11 +13,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from courtside.evaluation import (
+    CRITERION_MAX,
+    DEFAULT_SHOT_TAXONOMY,
+    MockJudgeClient,
     PairScore,
     SanityViolation,
     _fold,
     _lcs,
     bleu4,
+    build_judge_prompt,
     cider_scores,
     corpus_metrics,
     rouge_l,
@@ -30,23 +34,44 @@ from courtside.event_stream import (BounceEvent, classify_point, rally_from_json
 from courtside.match_model import PLAYER_IDS, ScoringConfig, advance_point
 from courtside.memory import COUNT_FIELDS, MatchMemory, MemoryEntry
 from courtside.pipeline import load_dataset
-from courtside.prompt_engine import parse_metadata, serialize_memory, serialize_metadata
+from courtside.prompt_engine import (GenerationRequest, parse_metadata, serialize_memory,
+                                     serialize_metadata)
 from courtside.simulate import simulate_match
 
 import oracles
 
+# Best-of-3, best-of-5 and no-ad matches; each holds tiebreak and AD boards.
+MATCHES = tuple(simulate_match(seed=seed, config=config) for seed, config in (
+    (1, ScoringConfig()), (1, ScoringConfig(best_of=5)),
+    (2, ScoringConfig(ad_scoring=False))))
+
+
+def _board_pool():
+    """Tiebreak, AD and ordinary boards from best-of-3, best-of-5 and no-ad."""
+    pool = []
+    for match in MATCHES:
+        pool += [r for r in match if r.initial_score.in_tiebreak][:8]
+        pool += [r for r in match if "AD" in r.initial_score.points][:8]
+        pool += match[::25]
+    return pool
+
+
+BOARDS = _board_pool()
+
 RECORDS = simulate_match(seed=404)[:40]
-SURNAMES = sorted({r.match_info.player(pid).surname
-                   for r in RECORDS for pid in ("player_1", "player_2")})
+SURNAMES = sorted({r.match_info.player(pid).surname for r in RECORDS + BOARDS
+                   for pid in ("player_1", "player_2")})
 
 # Fragments the detectors react to: surnames (plain, accented, upper-cased),
-# attribution and score terms, shot terms and score pairs.
+# attribution and score terms, every shot term, score pairs, and characters
+# whose fold changes the text's punctuation or length.
 FRAGMENTS = st.sampled_from(
     SURNAMES + [s.upper() for s in SURNAMES] + [s[0] + "́" + s[1:] for s in SURNAMES]
-    + ["ace", "double fault", "unforced error", "winner", "deuce",
-       "advantage", "forehand", "backhand", "smash", "volley", "lob",
-       "15-0", "40:40", "AD-40", "6-6", "2-1", ". ", "! ", "? ", "...",
-       "Ivanov", "é", "ﬁ", "Ω"])
+    + ["ace", "aces", "surface", "double fault", "unforced error", "winner",
+       "winners", "deuce", "advantage", "forehand", "backhand", "serve", "smash",
+       "volley", "slice", "lob", "topspin", "15-0", "40:40", "AD-40", "6-6",
+       "2-1", ". ", "! ", "? ", "...", "…", "！", "ß", "İ", "Ivanov", "é", "ﬁ",
+       "Ω"])
 
 TEXT = st.lists(st.one_of(st.text(max_size=12), FRAGMENTS), max_size=14).map(
     " ".join)
@@ -58,12 +83,41 @@ def test_fold_equals_reference_fold(text):
     assert _fold(text) == oracles.fold_text(text)
 
 
-@settings(deadline=None)
-@given(TEXT, st.sampled_from(RECORDS))
+LOST_BY_KOVAR = next(r for r in RECORDS
+                     if r.match_info.player(r.outcome.point_loser).surname == "Kovar")
+
+
+@settings(deadline=None, max_examples=300)
+@given(TEXT, st.sampled_from(RECORDS) | st.sampled_from(BOARDS))
+# attribution terms inside longer words name no actor
+@example("Kovar: aces, winners and a surface to grace.", LOST_BY_KOVAR)
 def test_sanity_check_never_raises(text, rally):
     report = sanity_check(text, rally)
     assert isinstance(report, tuple)
     assert all(isinstance(v, SanityViolation) for v in report)
+    assert report == oracles.sanity_check(text, rally)
+
+
+# Shot terms in case variants, with an accent, inside "serve-and-volley" and
+# next to punctuation, among arbitrary text.
+JUDGE_TERMS = [t for term in DEFAULT_SHOT_TAXONOMY for t in (
+    term, term.upper(), term.title(), term[0] + "́" + term[1:])]
+PREDICTIONS = st.lists(st.one_of(
+    st.text(max_size=8), st.sampled_from(JUDGE_TERMS + [
+        "serve-and-volley", "Serve-And-Volley", "forehands", "lobbed", ",", "!",
+        "—", "'", "ß", "İ", "ﬁ", "é"])),
+    min_size=1, max_size=12).map("".join).filter(bool)
+
+
+@settings(deadline=None, max_examples=300)
+@given(PREDICTIONS)
+@example("Serve-and-volley, then a FOREHAND slíce")
+def test_mock_judge_counts_each_taxonomy_term_once(prediction):
+    bundle = build_judge_prompt("metadata", "a reference", prediction)
+    scores = json.loads(MockJudgeClient().complete(
+        GenerationRequest(bundle=bundle)).text)["scores"]
+    assert scores["professionalism"] == min(
+        CRITERION_MAX, 6 + 2 * oracles.judge_term_count(prediction))
 
 
 FORMATS = (ScoringConfig(), ScoringConfig(best_of=5),
@@ -124,24 +178,6 @@ def test_classify_point_emits_only_count_fields(seed, config):
             assert set(increments) <= set(COUNT_FIELDS)
             assert all(type(n) is int and n > 0 for n in increments.values())
 
-
-# Best-of-3, best-of-5 and no-ad matches; each holds tiebreak and AD boards.
-MATCHES = tuple(simulate_match(seed=seed, config=config) for seed, config in (
-    (1, ScoringConfig()), (1, ScoringConfig(best_of=5)),
-    (2, ScoringConfig(ad_scoring=False))))
-
-
-def _board_pool():
-    """Tiebreak, AD and ordinary boards from best-of-3, best-of-5 and no-ad."""
-    pool = []
-    for match in MATCHES:
-        pool += [r for r in match if r.initial_score.in_tiebreak][:8]
-        pool += [r for r in match if "AD" in r.initial_score.points][:8]
-        pool += match[::25]
-    return pool
-
-
-BOARDS = _board_pool()
 
 # Strings json must escape or pass through: quotes, backslashes, control
 # characters, line separators, non-BMP characters and lone surrogates.
