@@ -26,7 +26,8 @@ from .match_model import ScoringConfig
 from .memory import LongTermMemory, MemoryEntry, consolidate
 from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
                        read_lines, replay_match)
-from .prompt_engine import GenerationRequest, generate, serialize_metadata
+from .prompt_engine import (GenerationRequest, check_file_target, generate,
+                            serialize_metadata)
 from .segmentation import (FlagCountMismatch, ImpactEvent, SegmentationParams,
                            cluster_impacts, filter_intervals)
 from .simulate import simulate_match
@@ -47,6 +48,15 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {output}: {exc}") from None
+
+
+def _check_output(output: str | None) -> None:
+    """Reject an ``--output`` that cannot be written before any work is done."""
+    if output:
+        try:
+            check_file_target(output)
+        except ValueError as exc:
+            raise ConfigError(f"cannot write {output}: {exc}") from None
 
 
 def _write_output(payload, output: str | None) -> None:
@@ -101,6 +111,7 @@ def cmd_validate(args) -> int:
 
 def cmd_replay(args) -> int:
     config = _build_config(args)
+    _check_output(args.output)
     errors: list[tuple[int, str]] = []
     records = load_dataset(args.input, config.scoring, errors=errors)
     report = replay_match(records, config)
@@ -117,6 +128,7 @@ def cmd_replay(args) -> int:
 
 def cmd_stats(args) -> int:
     config = _build_config(args)
+    _check_output(args.output)
     errors: list[tuple[int, str]] = []
     long_term = LongTermMemory()
     records = load_dataset(args.input, config.scoring, errors=errors)

@@ -27,6 +27,7 @@ from .match_model import (
     other_player,
     parse_scoreboard,
     render_scoreboard,
+    synthesize_completed_sets,
 )
 
 STROKES = ("serve", "forehand", "backhand")
@@ -505,12 +506,55 @@ def _board_row(row, name: str) -> tuple[str, str, str]:
     return tuple(str(cell) for cell in row)
 
 
-def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyRecord:
+def _chained_score(previous: RallyRecord, board,
+                   config: ScoringConfig) -> MatchScore | None:
+    """``previous.final_score`` when ``board`` shows exactly that score and a
+    parse of it would build the same value, else None.
+
+    A parse keeps finished sets only as sets won, so the previous score must
+    hold the synthesized history.  Cells are compared type-exactly: the full
+    decoder rejects ``true`` and ``15.0``, although they equal ``1`` and ``15``.
+    """
+    score = previous.final_score
+    if (score.config is not config and score.config != config
+            or type(board) is not dict):
+        return None
+    sets = score.sets_won()
+    if score.completed_sets != synthesize_completed_sets(
+            *sets, config.set_trigger_games):
+        return None
+    info = previous.match_info
+    if board.get("server") != info.name_of(score.server):
+        return None
+    for name, won, games, points in zip(
+            (info.player_1.name, info.player_2.name), sets, score.games,
+            score.points):
+        row, point = board.get(name), score_cell(points)
+        if not (type(row) is list and row == [won, games, point]
+                and type(row[0]) is int and type(row[1]) is int
+                and type(row[2]) is type(point)):
+            return None
+    return score
+
+
+def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
+                    previous: RallyRecord | None = None) -> RallyRecord:
     """Parse one dataset JSON object; raises only SchemaViolation.
 
     The scoreboard block is read as a Wimbledon board by
     :func:`parse_scoreboard`.  A missing field or malformed value is reported
     with the record part it sits in, e.g. ``"<clip_id> shot 3: ..."``.
+
+    ``previous`` is the valid record decoded from the line before, as
+    :func:`courtside.pipeline.load_dataset` passes it.  When the line's
+    ``match_info`` object equals the previous record's, its ``MatchInfo`` is
+    reused.  When, in addition, the config is the same and the board shows
+    exactly the previous record's ``final_score`` (rows of ``[sets won,
+    games, points]`` with the same JSON types, and the server's name), that
+    score becomes the new ``initial_score`` without a parse.  This is taken
+    only if the score's finished sets are the ``trigger-0`` results a parse
+    synthesizes, so the value equals the one the parse would give.  Any
+    other line is decoded in full, so its errors are the same.
     """
     config = config or ScoringConfig()
     where = "record"
@@ -522,15 +566,19 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
 
         where = f"{clip_id} match_info"
         info_obj = obj["match_info"]
-        p1, p2 = (PlayerRef(name=_text(info_obj[pid]["name"], "name"),
-                            handedness=info_obj[pid].get("handedness", "right"))
-                  for pid in PLAYER_IDS)
-        info = MatchInfo(
-            tournament=_text(info_obj.get("tournament", ""), "tournament"),
-            round=_text(info_obj.get("round", ""), "round"),
-            surface=_text(info_obj.get("surface", ""), "surface"),
-            player_1=p1, player_2=p2,
-        )
+        if previous is not None and info_obj == match_info_json(previous.match_info):
+            info = previous.match_info
+        else:
+            previous = None  # a new header: the board is parsed in full
+            p1, p2 = (PlayerRef(name=_text(info_obj[pid]["name"], "name"),
+                                handedness=info_obj[pid].get("handedness", "right"))
+                      for pid in PLAYER_IDS)
+            info = MatchInfo(
+                tournament=_text(info_obj.get("tournament", ""), "tournament"),
+                round=_text(info_obj.get("round", ""), "round"),
+                surface=_text(info_obj.get("surface", ""), "surface"),
+                player_1=p1, player_2=p2,
+            )
 
         # Fields checked against a fixed vocabulary below (hitter, stroke,
         # direction, outcome, court_half, serve_attempt, the outcome block
@@ -538,13 +586,15 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None) -> RallyReco
         # equals one of their strings.
         where = f"{clip_id} scoreboard"
         board = obj["scoreboard"]
-        names = (p1.name, p2.name)
-        rows = tuple(_board_row(board[name], name) for name in names)
-        server = info.id_of_name(board["server"])
-        if server is None:
-            raise ValueError(f"server {board['server']!r} is not a match player")
-        score = parse_scoreboard(RawScoreboard(
-            LAYOUT_WIMBLEDON, rows, PLAYER_IDS.index(server)), config)
+        score = None if previous is None else _chained_score(previous, board, config)
+        if score is None:
+            names = (info.player_1.name, info.player_2.name)
+            rows = tuple(_board_row(board[name], name) for name in names)
+            server = info.id_of_name(board["server"])
+            if server is None:
+                raise ValueError(f"server {board['server']!r} is not a match player")
+            score = parse_scoreboard(RawScoreboard(
+                LAYOUT_WIMBLEDON, rows, PLAYER_IDS.index(server)), config)
 
         where = clip_id
         raw_shots = obj["shot_sequence"]

@@ -113,14 +113,19 @@ def make_client(config: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-def _read_record(line: bytes, config: ScoringConfig | None) -> RallyRecord:
-    """One dataset line as a validated record; SchemaViolation otherwise."""
+def _read_record(line: bytes, config: ScoringConfig | None,
+                 previous: RallyRecord | None) -> RallyRecord:
+    """One dataset line as a validated record; SchemaViolation otherwise.
+    A score taken from ``previous`` was validated with it, so it is not
+    checked again."""
     try:
         obj = json.loads(line.decode("utf-8").strip())
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise SchemaViolation(f"invalid JSON: {exc}") from None
-    record = rally_from_json(obj, config)
-    problems = validate_rally(record) + validate_scoreboard(record.initial_score)
+    record = rally_from_json(obj, config, previous=previous)
+    problems = validate_rally(record)
+    if previous is None or record.initial_score is not previous.final_score:
+        problems += validate_scoreboard(record.initial_score)
     if problems:
         raise SchemaViolation(f"{record.clip_id}: " + "; ".join(problems))
     return record
@@ -146,15 +151,26 @@ def load_dataset(path, config: ScoringConfig | None = None, errors=None):
     malformed line is appended to ``errors`` as ``(line_number, message)``
     and skipped, so one bad line never sinks the stream; without an
     ``errors`` list it raises :class:`SchemaViolation`.
+
+    Each line is decoded against the last record yielded (see
+    :func:`rally_from_json`).  A line that shows that record's match header
+    and post-point board takes its ``final_score`` as its own
+    ``initial_score`` instead of parsing the board: the parse would build an
+    equal value, and it needs no second reachability check, because
+    ``advance_point`` moves a valid non-final score only to valid scores.
+    Every other line is parsed and validated in full, so the records and
+    ``errors`` equal those of decoding each line on its own.
     """
+    previous = None
     for line_no, line in read_lines(path):
         try:
-            record = _read_record(line, config)
+            record = _read_record(line, config, previous)
         except SchemaViolation as exc:
             if errors is None:
                 raise SchemaViolation(f"line {line_no}: {exc}") from None
             errors.append((line_no, str(exc)))
             continue
+        previous = record
         yield record
 
 

@@ -17,6 +17,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .event_stream import RallyRecord, SchemaViolation, ShotEvent, rally_from_json
 from .match_model import (
@@ -446,13 +447,26 @@ class MockCommentaryClient:
         return sentence
 
 
+def check_file_target(path) -> None:
+    """Raise ValueError unless ``path`` can name a file written later: it is
+    not a directory and its parent directory exists.  Nothing is opened, so
+    an existing file is neither created nor truncated."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError("it is a directory")
+    if not target.parent.is_dir():
+        raise ValueError("its directory does not exist")
+
+
 class HttpCommentaryClient:
     """Thin chat-completion client over the minimal JSON wire shape.
 
     Request body: ``{system, messages, clip_ref}``, where ``clip_ref`` is the
     ``clip_id`` of the bundle's rally and is left out when there is none;
     expected reply: a JSON object ``{"text": ..., "usage": {...}}``.  Endpoint and
-    credential come from the environment unless given explicitly.
+    credential come from the environment unless given explicitly.  Each reply
+    is appended to ``log_path`` when one is given; a directory there, or a
+    missing parent directory, is a ValueError here, before any request.
     """
 
     ENDPOINT_ENV = "COMMENTARY_API_URL"
@@ -465,6 +479,11 @@ class HttpCommentaryClient:
         if not self.endpoint:
             raise ValueError(
                 f"no endpoint configured; set {self.ENDPOINT_ENV} or pass one")
+        if log_path:
+            try:
+                check_file_target(log_path)
+            except ValueError as exc:
+                raise ValueError(f"cannot write request log {log_path}: {exc}") from None
         import requests  # only the HTTP client needs it; keeps replay start-up light
         self.session = session or requests.Session()
         self.log_path = log_path

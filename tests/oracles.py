@@ -7,6 +7,7 @@ transitive closure instead of sorted sweeps, plain DP tables, and so on.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import unicodedata
@@ -20,7 +21,9 @@ from courtside.evaluation import (
     _SENTENCE_SPLIT_RE,
     _fold,
 )
-from courtside.match_model import AD, is_terminal
+from courtside.event_stream import SchemaViolation, rally_from_json, validate_rally
+from courtside.match_model import AD, is_terminal, validate_scoreboard
+from courtside.pipeline import read_lines
 from courtside.prompt_engine import describe_shot
 
 LADDER = ("0", "15", "30", "40")
@@ -599,3 +602,36 @@ def judge_term_count(prediction: str) -> int:
     it as a whole word of the lower-cased prediction, counted once."""
     return sum(1 for t in DEFAULT_SHOT_TAXONOMY
                if re.search(rf"\b{t}\b", prediction.lower()))
+
+
+# ---------------------------------------------------------------------------
+# Dataset ingestion, one line at a time
+# ---------------------------------------------------------------------------
+
+
+def read_record(line: bytes, config) -> object:
+    """One dataset line decoded and validated on its own, with no previous
+    record: a fresh header, a parsed board and a full reachability check."""
+    try:
+        obj = json.loads(line.decode("utf-8").strip())
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+        raise SchemaViolation(f"invalid JSON: {exc}") from None
+    record = rally_from_json(obj, config)
+    problems = validate_rally(record) + validate_scoreboard(record.initial_score)
+    if problems:
+        raise SchemaViolation(f"{record.clip_id}: " + "; ".join(problems))
+    return record
+
+
+def load_dataset_per_line(path, config=None, errors=None):
+    """``pipeline.load_dataset`` without chained decoding: the same records
+    and the same ``errors``, each line paying for its own decode."""
+    for line_no, line in read_lines(path):
+        try:
+            record = read_record(line, config)
+        except SchemaViolation as exc:
+            if errors is None:
+                raise SchemaViolation(f"line {line_no}: {exc}") from None
+            errors.append((line_no, str(exc)))
+            continue
+        yield record

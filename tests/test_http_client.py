@@ -6,6 +6,7 @@ import pytest
 import requests
 
 from courtside.evaluation import build_judge_prompt
+from courtside.event_stream import rally_to_json
 from courtside.prompt_engine import (
     GenerationRequest,
     HttpCommentaryClient,
@@ -14,7 +15,8 @@ from courtside.prompt_engine import (
     TransportFailure,
     generate,
 )
-from courtside.pipeline import replay_match
+from courtside.cli import main
+from courtside.pipeline import ConfigError, PipelineConfig, make_client, replay_match
 from courtside.simulate import simulate_match
 
 
@@ -246,3 +248,33 @@ class TestRequestLogging:
         assert entry["credential"] == "redacted"
         assert entry["status"] == 200
         assert entry["request"]["system"] == "persona"
+
+    @pytest.mark.parametrize("target", ["DIR", "DIR/missing/requests.jsonl"])
+    def test_unwritable_log_path_fails_before_any_request(self, tmp_path, target):
+        log_path = target.replace("DIR", str(tmp_path))
+        session = FakeSession([FakeResponse(payload={"text": "ok"})])
+        with pytest.raises(ValueError, match="request log"):
+            HttpCommentaryClient(endpoint="https://api.example/c",
+                                 session=session, log_path=log_path)
+        assert session.calls == []
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_log_path_is_a_config_error(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv(HttpCommentaryClient.ENDPOINT_ENV, "https://api.example/c")
+        with pytest.raises(ConfigError):
+            make_client(PipelineConfig(client="http", log_requests=str(tmp_path)))
+        sessions = []
+        monkeypatch.setattr(requests, "Session",
+                            lambda: sessions.append(FakeSession([])) or sessions[-1])
+        match = tmp_path / "match.jsonl"
+        match.write_text("".join(json.dumps(rally_to_json(r)) + "\n"
+                                 for r in simulate_match(seed=2024)[:3]),
+                         encoding="utf-8")
+        code = main(["replay", "--input", str(match), "--client", "http",
+                     "--log-requests", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert all(session.calls == [] for session in sessions)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from courtside import cli, event_stream
 from courtside.cli import main
 from courtside.event_stream import rally_to_json
 from courtside.match_model import ScoringConfig, is_terminal, advance_point
@@ -73,6 +74,23 @@ class TestLoadDataset:
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
             list(load_dataset("/nonexistent/match.jsonl"))
+
+    def test_board_parsed_once_per_set(self, dataset_file, records, monkeypatch):
+        """On a best-of-3 file, a line that shows the previous record's post-point board takes it
+        unparsed; the first line, and the first after each set, are parsed."""
+        parses = []
+
+        def counting_parse(*args, **kwargs):
+            parses.append(args)
+            return original(*args, **kwargs)
+
+        original = event_stream.parse_scoreboard
+        monkeypatch.setattr(event_stream, "parse_scoreboard", counting_parse)
+        errors = []
+        loaded = list(load_dataset(dataset_file, errors=errors))
+        assert errors == [] and len(loaded) == len(records)
+        sets_played = len(records[-1].final_score.completed_sets)
+        assert 1 <= len(parses) <= 1 + sets_played
 
     def test_order_preserved_on_large_file(self, tmp_path):
         records = simulate_match(seed=9, min_points=1000)
@@ -648,6 +666,25 @@ class TestCli:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert str(tmp_path) in captured.err
+
+    @pytest.mark.parametrize("command", ["replay", "stats"])
+    @pytest.mark.parametrize("output", ["DIR", "DIR/missing/out.json"])
+    def test_unwritable_output_exits_before_reading_input(
+            self, tmp_path, dataset_file, monkeypatch, capsys, command, output):
+        calls = []
+        monkeypatch.setattr(cli, "replay_match",
+                            lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda *args, **kwargs: calls.append(args) or iter(()))
+        output = output.replace("DIR", str(tmp_path))
+        code = main([command, "--input", str(dataset_file), "--output", output])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert calls == []
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert output in captured.err
+        assert not (tmp_path / "missing").exists()
 
     def test_simulate_deterministic_output_file(self, tmp_path):
         a_path = tmp_path / "a.jsonl"

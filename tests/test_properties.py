@@ -29,8 +29,8 @@ from courtside.evaluation import (
     score_pairs,
     tokenize,
 )
-from courtside.event_stream import (BounceEvent, classify_point, rally_from_json,
-                                    rally_to_json)
+from courtside.event_stream import (BounceEvent, SchemaViolation, classify_point,
+                                    rally_from_json, rally_to_json)
 from courtside.match_model import PLAYER_IDS, ScoringConfig, advance_point
 from courtside.memory import COUNT_FIELDS, MatchMemory, MemoryEntry
 from courtside.pipeline import load_dataset
@@ -318,6 +318,108 @@ def test_load_dataset_yields_or_lists_any_line(line_file, line_and_path, value,
     loaded = list(load_dataset(line_file, config, errors=errors))
     assert len(loaded) + len(errors) == 1
     assert all(line == 1 and isinstance(message, str) for line, message in errors)
+
+
+CONFIGS = st.builds(ScoringConfig, best_of=st.sampled_from((3, 5)),
+                    set_trigger_games=st.integers(4, 8),
+                    tiebreak_points=st.sampled_from((7, 10)),
+                    final_set_tiebreak_points=st.sampled_from((7, 10)),
+                    ad_scoring=st.booleans())
+# Lines of two other matches, spliced in by the "splice" edit.
+SPLICE_LINES = [rally_to_json(r) for seed in (12, 13)
+                for r in simulate_match(seed=seed)[40:60]]
+WINDOW = 80
+POSITION_DRAW = st.integers(0, 10**6)  # taken modulo the number of lines
+LINE_EDITS = st.one_of(
+    st.tuples(st.sampled_from(("delete", "duplicate", "server")), POSITION_DRAW),
+    st.tuples(st.just("swap"), POSITION_DRAW, POSITION_DRAW),
+    st.tuples(st.just("splice"), POSITION_DRAW, POSITION_DRAW),
+    st.tuples(st.just("cell"), POSITION_DRAW, st.integers(0, 1), st.integers(0, 2),
+              st.sampled_from((True, 1.0, "15", "AD", -1))),
+    st.tuples(st.just("header"), POSITION_DRAW,
+              st.sampled_from(("handedness", "tournament", "extra"))))
+
+
+def _edit_lines(lines, edit):
+    """Apply one drawn edit to a list of dataset objects, in place."""
+    kind, at = edit[0], edit[1] % len(lines)
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, copy.deepcopy(lines[at]))
+    elif kind == "swap":
+        other = edit[2] % len(lines)
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == "splice":
+        start = edit[2] % len(SPLICE_LINES)
+        lines[at:at] = copy.deepcopy(SPLICE_LINES[start:start + 3])
+    else:
+        obj = lines[at] = copy.deepcopy(lines[at])
+        info, board = obj["match_info"], obj["scoreboard"]
+        names = [info[pid]["name"] for pid in PLAYER_IDS]
+        if kind == "cell":
+            _, _, row, cell, value = edit
+            board[names[row]][cell] = value
+        elif kind == "server":
+            board["server"] = names[1 - names.index(board["server"])]
+        elif edit[2] == "handedness":
+            player = info["player_1"]
+            player["handedness"] = ("left" if player["handedness"] == "right"
+                                    else "right")
+        elif edit[2] == "tournament":
+            info["tournament"] += " Qualifying"
+        else:
+            info["sponsor"] = "none"
+
+
+def _decoded(obj, config, previous=None):
+    try:
+        return rally_from_json(obj, config, previous=previous)
+    except SchemaViolation as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def chain_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("chain") / "match.jsonl"
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 100_000), CONFIGS, CONFIGS, POSITION_DRAW,
+       st.lists(LINE_EDITS, max_size=3))
+# the end of a match with a deciding-set tiebreak (seed 0, 4-game sets), with
+# sets-won cells of 1 written as true and 1.0
+@example(0, ScoringConfig(set_trigger_games=4), ScoringConfig(), -1,
+         [("cell", 40, 0, 0, True), ("cell", 60, 1, 0, 1.0)])
+# a first set, read again under a config that differs in ad scoring only
+@example(1, ScoringConfig(), ScoringConfig(ad_scoring=False), 0, [])
+def test_chained_decode_equals_per_line_decode(chain_file, seed, config, other,
+                                               start, edits):
+    """Decoding each line against the last valid record yields the records
+    and lists the errors that decoding every line on its own does; so does
+    ``rally_from_json`` with a previous record decoded under another config."""
+    match = simulate_match(seed=seed, config=config)
+    start %= max(1, len(match) - WINDOW + 1)
+    lines = [rally_to_json(r) for r in match[start:start + WINDOW]]
+    for edit in edits:
+        _edit_lines(lines, edit)
+    chain_file.write_text("".join(json.dumps(obj) + "\n" for obj in lines),
+                          encoding="utf-8")
+
+    errors, expected_errors = [], []
+    loaded = list(load_dataset(chain_file, config, errors=errors))
+    expected = list(oracles.load_dataset_per_line(chain_file, config,
+                                                  errors=expected_errors))
+    assert loaded == expected
+    assert errors == expected_errors
+
+    listed = {line for line, _ in errors}
+    valid = [n for n in range(len(lines)) if n + 1 not in listed]
+    objs = [json.loads(json.dumps(obj)) for obj in lines]
+    for n, previous in zip(valid, loaded):
+        if n + 1 < len(objs):
+            assert (_decoded(objs[n + 1], other, previous)
+                    == _decoded(objs[n + 1], other))
 
 
 # Token lists over a small alphabet, so tokens repeat heavily, either short or
