@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports at the package root
 _EXPORTS = {
     "match_model": (
-        "MatchScore", "PlayerRef", "RawScoreboard", "ScoringConfig",
-        "advance_point", "is_break_point", "is_terminal", "parse_scoreboard",
-        "parse_summary", "render_scoreboard", "score_summary",
-        "validate_scoreboard",
+        "MatchScore", "PlayerRef", "ScoringConfig", "advance_point",
+        "is_break_point", "is_terminal", "parse_scoreboard",
+        "render_scoreboard", "score_summary", "validate_scoreboard",
     ),
     "event_stream": (
         "BounceEvent", "MatchInfo", "RallyOutcome", "RallyRecord", "ShotEvent",

@@ -51,7 +51,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _check_output(output: str | None) -> None:
-    """Reject an ``--output`` that cannot be written before any work is done."""
+    """Reject an output path that cannot be written, before any work is done."""
     if output:
         try:
             check_file_target(output)
@@ -111,7 +111,6 @@ def cmd_validate(args) -> int:
 
 def cmd_replay(args) -> int:
     config = _build_config(args)
-    _check_output(args.output)
     errors: list[tuple[int, str]] = []
     records = load_dataset(args.input, config.scoring, errors=errors)
     report = replay_match(records, config)
@@ -128,7 +127,6 @@ def cmd_replay(args) -> int:
 
 def cmd_stats(args) -> int:
     config = _build_config(args)
-    _check_output(args.output)
     errors: list[tuple[int, str]] = []
     long_term = LongTermMemory()
     records = load_dataset(args.input, config.scoring, errors=errors)
@@ -335,6 +333,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args.output)
+        _check_output(getattr(args, "per_clip", None))
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -90,10 +90,6 @@ class Homography:
     def inverse(self) -> "Homography":
         return Homography.from_array(np.linalg.inv(self.as_array()))
 
-    def serialize(self) -> list[float]:
-        """Row-major entries, 9 decimal digits."""
-        return [round(x, 9) for row in self.matrix for x in row]
-
 
 def _normalization(points: np.ndarray) -> np.ndarray:
     """Similarity transform taking the centroid to the origin and the mean

@@ -19,7 +19,6 @@ from .match_model import (
     MatchScore,
     PLAYER_IDS,
     PlayerRef,
-    RawScoreboard,
     ScoringConfig,
     advance_point,
     is_break_point,
@@ -593,8 +592,8 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
             server = info.id_of_name(board["server"])
             if server is None:
                 raise ValueError(f"server {board['server']!r} is not a match player")
-            score = parse_scoreboard(RawScoreboard(
-                LAYOUT_WIMBLEDON, rows, PLAYER_IDS.index(server)), config)
+            score = parse_scoreboard(LAYOUT_WIMBLEDON, rows,
+                                     PLAYER_IDS.index(server), config)
 
         where = clip_id
         raw_shots = obj["shot_sequence"]

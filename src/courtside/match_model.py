@@ -12,7 +12,6 @@ All values are immutable; operations return new instances.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, field, replace
 
 PLAYER_1 = "player_1"
@@ -482,7 +481,7 @@ def validate_scoreboard(score: MatchScore) -> tuple[str, ...]:
 def score_summary(score: MatchScore) -> str:
     """Lossless one-line rendering: sets, games, points, server.
 
-    ``parse_summary`` inverts it exactly (given the same config).
+    No two distinct states under one config share a summary.
     """
     if score.completed_sets:
         sets_part = " ".join(f"{a}-{b}" for a, b in score.completed_sets)
@@ -496,65 +495,9 @@ def score_summary(score: MatchScore) -> str:
     return f"{sets_part}, {games_part}, {points_part}, server {score.server}"
 
 
-_SUMMARY_RE = re.compile(
-    r"^(?P<sets>[\d\- ]+), (?P<games>\d+-\d+), "
-    r"(?P<pa>\w+):(?P<pb>\w+)(?P<tb> TB)?, server (?P<server>player_[12])$"
-)
-
-
-def parse_summary(text: str, config: ScoringConfig | None = None) -> MatchScore:
-    """Inverse of :func:`score_summary`."""
-    m = _SUMMARY_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"unparsable score summary: {text!r}")
-    config = config or ScoringConfig()
-    set_tokens = m.group("sets").split()
-    completed: tuple[tuple[int, int], ...] = ()
-    if set_tokens != ["0-0"]:
-        completed = tuple(
-            (int(a), int(b)) for a, b in (tok.split("-") for tok in set_tokens)
-        )
-    ga, gb = (int(x) for x in m.group("games").split("-"))
-    in_tb = m.group("tb") is not None
-    if in_tb:
-        points: tuple = (int(m.group("pa")), int(m.group("pb")))
-    else:
-        points = (m.group("pa"), m.group("pb"))
-    return MatchScore(
-        completed_sets=completed, games=(ga, gb), points=points,
-        server=m.group("server"), in_tiebreak=in_tb, config=config,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scoreboard ingestion (tournament layouts)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RawScoreboard:
-    """Extracted scoreboard columns for both players, before interpretation.
-
-    ``rows`` are ordered top row first; ``server_row`` is the row carrying the
-    serve indicator (None when the marker was missing or on both rows).
-    """
-
-    layout: str
-    rows: tuple[tuple[str, ...], tuple[str, ...]]
-    server_row: int | None
-
-    @classmethod
-    def from_json(cls, layout: str, obj: dict) -> "RawScoreboard":
-        """Build from ``{"NAME1": [cols], "NAME2": [cols], "server": name}``."""
-        names = [k for k in obj if k != "server"]
-        if len(names) != 2:
-            raise RowLengthMismatch(f"expected exactly two player rows, got {names!r}")
-        rows = tuple(tuple(str(c) for c in obj[n]) for n in names)
-        server_row: int | None = None
-        server_name = obj.get("server")
-        if server_name in names:
-            server_row = names.index(server_name)
-        return cls(layout=layout, rows=rows, server_row=server_row)
 
 
 def _normalize_rows(layout: str, rows) -> tuple[list[str], list[str]]:
@@ -587,8 +530,13 @@ def _parse_int(token: str, what: str) -> int:
     return int(token)
 
 
-def parse_scoreboard(raw: RawScoreboard, config: ScoringConfig | None = None) -> MatchScore:
+def parse_scoreboard(layout: str, rows, server_row: int | None,
+                     config: ScoringConfig | None = None) -> MatchScore:
     """Interpret extracted scoreboard columns as a MatchScore.
+
+    ``rows`` holds the two players' columns, top row first; ``server_row`` is
+    the index of the row carrying the serve indicator, None when the marker
+    is missing or on both rows.
 
     AO/US Open and Roland Garros rows read left-to-right as completed-set
     games, current-set games, then points; Wimbledon rows are the fixed
@@ -596,16 +544,16 @@ def parse_scoreboard(raw: RawScoreboard, config: ScoringConfig | None = None) ->
     ``trigger-0`` set results, since the board does not show per-set games).
     Integer point columns at trigger-trigger games are read as a tiebreak.
     """
-    if raw.layout not in LAYOUTS:
-        raise UnknownLayout(f"unknown scoreboard layout: {raw.layout!r}")
+    if layout not in LAYOUTS:
+        raise UnknownLayout(f"unknown scoreboard layout: {layout!r}")
     config = config or ScoringConfig()
-    top, bottom = _normalize_rows(raw.layout, raw.rows)
+    top, bottom = _normalize_rows(layout, rows)
 
-    if raw.server_row not in (0, 1):
+    if server_row not in (0, 1):
         raise AmbiguousServer("serve indicator missing or not attributable to one row")
-    server = PLAYER_IDS[raw.server_row]
+    server = PLAYER_IDS[server_row]
 
-    if raw.layout == LAYOUT_WIMBLEDON:
+    if layout == LAYOUT_WIMBLEDON:
         if len(top) != 3:
             raise RowLengthMismatch(
                 f"Wimbledon rows must have 3 columns after normalization, got {len(top)}")

@@ -57,21 +57,6 @@ class PlayerStatLine(NamedTuple):
     games_won: int = 0
     total_shots: int = 0
 
-    def bound_violations(self) -> list[str]:
-        v = []
-        for name in COUNT_FIELDS:
-            if getattr(self, name) < 0:
-                v.append(f"{name} is negative")
-        if self.first_serves_in > self.serve_points:
-            v.append("first_serves_in exceeds serve_points")
-        if self.serve_points_won > self.serve_points:
-            v.append("serve_points_won exceeds serve_points")
-        if self.return_points_won > self.return_points:
-            v.append("return_points_won exceeds return_points")
-        if self.break_points_saved > self.break_points_faced:
-            v.append("break_points_saved exceeds break_points_faced")
-        return v
-
     # Ratios are views; with a zero denominator they are absent, never 0.
     @property
     def first_serve_pct(self) -> float | None:

@@ -147,6 +147,15 @@ def total_games(score, idx: int) -> int:
     return sum(pair[idx] for pair in score.completed_sets) + score.games[idx]
 
 
+def board(layout: str, obj: dict) -> tuple:
+    """``parse_scoreboard``'s leading arguments for a board written as
+    ``{"NAME1": [cols], "NAME2": [cols], "server": name}``."""
+    names = [key for key in obj if key != "server"]
+    rows = tuple(tuple(obj[name]) for name in names)
+    server = obj.get("server")
+    return layout, rows, names.index(server) if server in names else None
+
+
 # ---------------------------------------------------------------------------
 # Text folding
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from courtside.court_geometry import (
 from courtside.event_stream import edit_score, rally_from_json, rally_to_json, validate_rally
 from courtside.match_model import (
     MatchScore,
-    RawScoreboard,
     ScoringConfig,
     advance_point,
     is_terminal,
@@ -63,7 +62,7 @@ def _finish(number: int, elapsed: float, budget: float, description: str):
 def test_criterion_01_scoreboard_layout_fidelity():
     started = time.perf_counter()
 
-    ao = parse_scoreboard(RawScoreboard.from_json("AO_USO", {
+    ao = parse_scoreboard(*oracles.board("AO_USO", {
         "Alice": ["6", "1", "1", ""], "Bob": ["4", "6", "2", "AD"],
         "server": "Bob"}))
     assert ao.completed_sets == ((6, 4), (1, 6))
@@ -74,21 +73,21 @@ def test_criterion_01_scoreboard_layout_fidelity():
         "Alice": ["6", "1", "1", "40"], "Bob": ["4", "6", "2", "AD"],
         "server": "Bob"}
 
-    rg = parse_scoreboard(RawScoreboard.from_json("RG", {
+    rg = parse_scoreboard(*oracles.board("RG", {
         "Alice": ["6", "1", "40"], "Bob": ["4", "6", "AD"], "server": "Alice"}))
     assert rg.server == "player_1"
     assert rg.points == ("40", "AD")
     assert render_scoreboard(rg, "RG", ("Alice", "Bob")) == {
         "Alice": ["6", "1", "40"], "Bob": ["4", "6", "AD"], "server": "Alice"}
 
-    wimbledon_visible = parse_scoreboard(RawScoreboard.from_json("WIMBLEDON", {
+    wimbledon_visible = parse_scoreboard(*oracles.board("WIMBLEDON", {
         "Alice": ["1", "2", "15"], "Bob": ["1", "2", "30"], "server": "Alice"}))
     assert wimbledon_visible.sets_won() == (1, 1)
     assert wimbledon_visible.points == ("15", "30")
     assert render_scoreboard(wimbledon_visible, "WIMBLEDON", ("Alice", "Bob")) == {
         "Alice": ["1", "2", "15"], "Bob": ["1", "2", "30"], "server": "Alice"}
 
-    wimbledon_hidden = parse_scoreboard(RawScoreboard.from_json("WIMBLEDON", {
+    wimbledon_hidden = parse_scoreboard(*oracles.board("WIMBLEDON", {
         "Alice": ["0", "2"], "Bob": ["1", "2"], "server": "Alice"}))
     assert wimbledon_hidden.points == ("0", "0")
     assert wimbledon_hidden.server == "player_1"

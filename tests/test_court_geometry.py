@@ -151,15 +151,6 @@ class TestReprojectionError:
         assert abs(reprojection_error(h, pairs) - d / np.sqrt(n)) < 1e-9
 
 
-class TestSerialization:
-    def test_row_major_nine_digits(self):
-        h = Homography.from_array(np.eye(3))
-        flat = h.serialize()
-        assert len(flat) == 9
-        assert flat[0] == round(1.0 / np.sqrt(3.0), 9)
-        assert flat[1] == 0.0
-
-
 KEYPOINT_REGIONS = {
     "near_left_doubles": {"doubles"},
     "near_right_doubles": {"doubles"},

@@ -106,7 +106,11 @@ class TestConsolidate:
         for entry in entries_for(match_records):
             long = consolidate(long, entry)
             for line in long.stat_lines:
-                assert line.bound_violations() == []
+                assert all(value >= 0 for value in line)
+                assert line.first_serves_in <= line.serve_points
+                assert line.serve_points_won <= line.serve_points
+                assert line.return_points_won <= line.return_points
+                assert line.break_points_saved <= line.break_points_faced
 
     def test_games_won_matches_score_walk(self, match_records):
         long = LongTermMemory()

@@ -18,10 +18,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Every name the package root exports, by the submodule that defines it.
 EXPORTS = {
     "match_model": [
-        "MatchScore", "PlayerRef", "RawScoreboard", "ScoringConfig",
-        "advance_point", "is_break_point", "is_terminal", "parse_scoreboard",
-        "parse_summary", "render_scoreboard", "score_summary",
-        "validate_scoreboard",
+        "MatchScore", "PlayerRef", "ScoringConfig", "advance_point",
+        "is_break_point", "is_terminal", "parse_scoreboard",
+        "render_scoreboard", "score_summary", "validate_scoreboard",
     ],
     "event_stream": [
         "BounceEvent", "MatchInfo", "RallyOutcome", "RallyRecord", "ShotEvent",
@@ -59,7 +58,7 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 class TestNamespace:
     def test_all_is_exactly_the_exported_names(self):
-        assert len(NAMES) == 68
+        assert len(NAMES) == 66
         assert sorted(courtside.__all__) == sorted(NAMES)
 
     @pytest.mark.parametrize("module, name", [

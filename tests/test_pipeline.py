@@ -686,6 +686,34 @@ class TestCli:
         assert output in captured.err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("argv, work", [
+        ("validate --input MATCH --output OUT", "load_dataset"),
+        ("evaluate --input PAIRS --output OUT", "score_pairs"),
+        ("evaluate --input PAIRS --per-clip OUT", "score_pairs"),
+        ("segment --input IMPACTS --output OUT", "cluster_impacts"),
+        ("simulate --output OUT", "simulate_match"),
+    ])
+    def test_unwritable_output_exits_before_any_work(
+            self, tmp_path, dataset_file, monkeypatch, capsys, argv, work):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{work} called before the output check")
+
+        monkeypatch.setattr(cli, work, fail)
+        pairs, impacts = tmp_path / "pairs.jsonl", tmp_path / "impacts.jsonl"
+        pairs.write_text('{"clip_id": "a", "prediction": "p", "reference": "r"}\n',
+                         encoding="utf-8")
+        impacts.write_text('{"t": 1.0, "conf": 0.9}\n', encoding="utf-8")
+        output = tmp_path / "missing" / "out.json"
+        paths = {"MATCH": dataset_file, "PAIRS": pairs, "IMPACTS": impacts,
+                 "OUT": output}
+        code = main([str(paths.get(arg, arg)) for arg in argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert str(output) in captured.err
+        assert not output.parent.exists()
+
     def test_simulate_deterministic_output_file(self, tmp_path):
         a_path = tmp_path / "a.jsonl"
         b_path = tmp_path / "b.jsonl"

@@ -1,6 +1,7 @@
 """Property-based tests: the commentary sanity check on arbitrary text, the
-rally codec on simulated matches of every supported format, dataset
-ingestion on arbitrary values, and the text metrics on arbitrary corpora."""
+rally codec on simulated matches of every supported format, the scoreboard
+layouts over whole matches of arbitrary formats, dataset ingestion on
+arbitrary values, and the text metrics on arbitrary corpora."""
 
 import copy
 import json
@@ -31,7 +32,10 @@ from courtside.evaluation import (
 )
 from courtside.event_stream import (BounceEvent, SchemaViolation, classify_point,
                                     rally_from_json, rally_to_json)
-from courtside.match_model import PLAYER_IDS, ScoringConfig, advance_point
+from courtside.match_model import (LAYOUT_WIMBLEDON, LAYOUTS, PLAYER_IDS,
+                                   MatchScore, ScoringConfig, advance_point,
+                                   is_terminal, parse_scoreboard,
+                                   render_scoreboard, synthesize_completed_sets)
 from courtside.memory import COUNT_FIELDS, MatchMemory, MemoryEntry
 from courtside.pipeline import load_dataset
 from courtside.prompt_engine import (GenerationRequest, parse_metadata, serialize_memory,
@@ -177,6 +181,31 @@ def test_classify_point_emits_only_count_fields(seed, config):
         for increments in contribution.values():
             assert set(increments) <= set(COUNT_FIELDS)
             assert all(type(n) is int and n > 0 for n in increments.values())
+
+
+SCORING = st.builds(
+    ScoringConfig, best_of=st.sampled_from((3, 5)), ad_scoring=st.booleans(),
+    set_trigger_games=st.integers(4, 8), tiebreak_points=st.integers(3, 10),
+    final_set_tiebreak_points=st.integers(3, 10))
+
+
+@settings(deadline=None, max_examples=60)
+@given(SCORING, st.randoms(use_true_random=False))
+def test_scoreboard_parses_its_own_rendering(config, rng):
+    score = MatchScore(config=config)
+    while True:
+        for layout in LAYOUTS:
+            parsed = parse_scoreboard(*oracles.board(
+                layout, render_scoreboard(score, layout, ("A", "B"))), config)
+            expected = score
+            if layout == LAYOUT_WIMBLEDON:
+                # the board shows sets won, not the games of each set
+                expected = replace(score, completed_sets=synthesize_completed_sets(
+                    *score.sets_won(), config.set_trigger_games))
+            assert parsed == expected
+        if is_terminal(score):
+            break
+        score = advance_point(score, rng.choice(PLAYER_IDS))
 
 
 # Strings json must escape or pass through: quotes, backslashes, control
