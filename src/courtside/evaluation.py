@@ -10,6 +10,7 @@ fixed evaluator prompt, parses the returned scorecard and enforces the
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import re
@@ -311,8 +312,8 @@ class SanityViolation:
     detail: str
 
 
-_SCORE_PAIR_RE = re.compile(r"\b(0|15|30|40|ad|\d{1,2})\s*[-:]\s*(0|15|30|40|ad|\d{1,2})\b",
-                            re.IGNORECASE)
+# \d{1,2} also matches the point literals 0, 15, 30 and 40
+_SCORE_PAIR_RE = re.compile(r"\b(ad|\d{1,2})\s*[-:]\s*(ad|\d{1,2})\b", re.IGNORECASE)
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 _WORD_RE = re.compile(r"[\w'-]+")
 
@@ -326,14 +327,18 @@ _ATTRIBUTION_TERMS = {
 _ATTRIBUTION_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, _ATTRIBUTION_TERMS)) + r")\b")
 _TAXONOMY_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, DEFAULT_SHOT_TAXONOMY)) + r")\b")
 
+_fold_surname = functools.lru_cache(maxsize=256)(_fold)  # names recur on every rally
 
-def _score_pairs_of(states) -> set[tuple[str, str]]:
-    pairs = set()
+
+def _shows_pair(a: str, b: str, states) -> bool:
+    """Whether lower-cased ``a``-``b`` is, in either order, the points, the
+    games or the sets won of one of the states."""
     for score in states:
-        for a, b in (score.points, score.games, score.sets_won()):
-            pairs.add((str(a).lower(), str(b).lower()))
-            pairs.add((str(b).lower(), str(a).lower()))
-    return pairs
+        for x, y in (score.points, score.games, score.sets_won()):
+            x, y = str(x).lower(), str(y).lower()
+            if a == x and b == y or a == y and b == x:
+                return True
+    return False
 
 
 def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, ...]:
@@ -346,22 +351,28 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
     taxonomy shot term absent from the rally. The terms of (a) and (c) come
     only from ``_ATTRIBUTION_TERMS`` and ``DEFAULT_SHOT_TAXONOMY``, and
     violations follow their table order. Unparsable text is ignored; an empty
-    tuple means it passed.
+    tuple means it passed.  Each scan is skipped only where its own match
+    could not occur, so the guards are exact: a term, surname token or word
+    token of a sentence or of the text is a substring of it, and a sentence
+    folds to a substring of the folded text (it ends at whitespace).
     """
     violations: list[SanityViolation] = []
     info = rally.match_info
     folded_text = _fold(commentary)
-    surname = {pid: _fold(info.player(pid).surname) for pid in PLAYER_IDS}
+    surname = {pid: _fold_surname(info.player(pid).surname) for pid in PLAYER_IDS}
 
     winner_id = rally.outcome.point_winner
     loser_id = rally.outcome.point_loser
-    for sentence in _SENTENCE_SPLIT_RE.split(commentary):
+    sentences = (_SENTENCE_SPLIT_RE.split(commentary)
+                 if _ATTRIBUTION_RE.search(folded_text) else ())
+    for sentence in sentences:
         folded = _fold(sentence)
-        terms = set(_ATTRIBUTION_RE.findall(folded))
+        present = [(pid, s) for pid, s in surname.items() if s in folded]
+        terms = present and set(_ATTRIBUTION_RE.findall(folded))
         if not terms:
             continue
         tokens = set(_WORD_RE.findall(folded))
-        named = [pid for pid, s in surname.items() if s in tokens]
+        named = [pid for pid, s in present if s in tokens]
         if len(named) != 1:
             continue
         for term, actor in _ATTRIBUTION_TERMS.items():
@@ -374,31 +385,32 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
                         f"{term!r}, expected {info.name_of(expected)!r}"))
 
     initial = rally.initial_score
-    states = [initial] if is_terminal(initial) else [initial, rally.final_score]
-    valid_pairs = _score_pairs_of(states)
+    states = (initial,) if is_terminal(initial) else (initial, rally.final_score)
     for a, b in _SCORE_PAIR_RE.findall(commentary):
-        if (a.lower(), b.lower()) not in valid_pairs:
+        if not _shows_pair(a.lower(), b.lower(), states):
             violations.append(SanityViolation(
                 "score_mention", f"score {a}-{b} matches neither the initial "
                                  f"nor the post-point state"))
 
-    text_tokens = set(_WORD_RE.findall(folded_text))
-    if "deuce" in text_tokens and not any(s.points == ("40", "40") for s in states):
-        violations.append(SanityViolation(
-            "score_mention", "mentions deuce but the game is not at 40-40"))
-    if "advantage" in text_tokens and not any(AD in s.points for s in states):
-        violations.append(SanityViolation(
-            "score_mention", "mentions advantage but nobody holds AD"))
-
-    mentioned = set(_TAXONOMY_RE.findall(folded_text))
-    for shot in rally.shots:
-        mentioned.discard(shot.stroke)
-        mentioned.discard(shot.technique)
-    for term in DEFAULT_SHOT_TAXONOMY:
-        if term in mentioned:
+    if "deuce" in folded_text or "advantage" in folded_text:
+        text_tokens = set(_WORD_RE.findall(folded_text))
+        if "deuce" in text_tokens and not any(s.points == ("40", "40") for s in states):
             violations.append(SanityViolation(
-                "shot_term", f"mentions {term!r} which never occurs in "
-                             f"the rally"))
+                "score_mention", "mentions deuce but the game is not at 40-40"))
+        if "advantage" in text_tokens and not any(AD in s.points for s in states):
+            violations.append(SanityViolation(
+                "score_mention", "mentions advantage but nobody holds AD"))
+
+    if any(term in folded_text for term in DEFAULT_SHOT_TAXONOMY):
+        mentioned = set(_TAXONOMY_RE.findall(folded_text))
+        for shot in rally.shots:
+            mentioned.discard(shot.stroke)
+            mentioned.discard(shot.technique)
+        for term in DEFAULT_SHOT_TAXONOMY:
+            if term in mentioned:
+                violations.append(SanityViolation(
+                    "shot_term", f"mentions {term!r} which never occurs in "
+                                 f"the rally"))
 
     return tuple(violations)
 

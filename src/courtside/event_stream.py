@@ -406,18 +406,6 @@ def score_cell(value):
     return value if value == AD else int(value)
 
 
-def match_info_json(info: MatchInfo) -> dict:
-    return {
-        "tournament": info.tournament,
-        "round": info.round,
-        "surface": info.surface,
-        "player_1": {"name": info.player_1.name,
-                     "handedness": info.player_1.handedness},
-        "player_2": {"name": info.player_2.name,
-                     "handedness": info.player_2.handedness},
-    }
-
-
 def bounces_json(bounces) -> list[dict]:
     return [
         {"timestamp": b.timestamp, "court_half": b.court_half,
@@ -458,7 +446,15 @@ def rally_to_json(rally: RallyRecord) -> dict:
 
     obj = {
         "clip_id": rally.clip_id,
-        "match_info": match_info_json(info),
+        "match_info": {
+            "tournament": info.tournament,
+            "round": info.round,
+            "surface": info.surface,
+            "player_1": {"name": info.player_1.name,
+                         "handedness": info.player_1.handedness},
+            "player_2": {"name": info.player_2.name,
+                         "handedness": info.player_2.handedness},
+        },
         "scoreboard": scoreboard,
         "audio_transcript": rally.transcript,
         "shot_sequence": shot_sequence,
@@ -544,9 +540,9 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     :func:`parse_scoreboard`.  A missing field or malformed value is reported
     with the record part it sits in, e.g. ``"<clip_id> shot 3: ..."``.
 
-    ``previous`` is the valid record decoded from the line before, as
-    :func:`courtside.pipeline.load_dataset` passes it.  When the line's
-    ``match_info`` object equals the previous record's, its ``MatchInfo`` is
+    ``previous`` is a valid record decoded from a line whose ``match_info``
+    object equals this line's, as :func:`courtside.pipeline.load_dataset`
+    passes it; equal objects decode to equal values, so its ``MatchInfo`` is
     reused.  When, in addition, the config is the same and the board shows
     exactly the previous record's ``final_score`` (rows of ``[sets won,
     games, points]`` with the same JSON types, and the server's name), that
@@ -556,34 +552,32 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     other line is decoded in full, so its errors are the same.
     """
     config = config or ScoringConfig()
-    where = "record"
+    where = "record"  # a template, filled with clip_id and i only on failure
+    clip_id = i = None
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"must be a JSON object, got {type(obj).__name__}")
         clip_id = _text(obj["clip_id"], "clip_id")
         parse_clip_id(clip_id)
 
-        where = f"{clip_id} match_info"
-        info_obj = obj["match_info"]
-        if previous is not None and info_obj == match_info_json(previous.match_info):
+        where = "{} match_info"
+        if previous is not None:
             info = previous.match_info
         else:
-            previous = None  # a new header: the board is parsed in full
-            p1, p2 = (PlayerRef(name=_text(info_obj[pid]["name"], "name"),
-                                handedness=info_obj[pid].get("handedness", "right"))
+            info_obj = obj["match_info"]
+            p1, p2 = (PlayerRef(_text(info_obj[pid]["name"], "name"),
+                                info_obj[pid].get("handedness", "right"))
                       for pid in PLAYER_IDS)
-            info = MatchInfo(
-                tournament=_text(info_obj.get("tournament", ""), "tournament"),
-                round=_text(info_obj.get("round", ""), "round"),
-                surface=_text(info_obj.get("surface", ""), "surface"),
-                player_1=p1, player_2=p2,
-            )
+            info = MatchInfo(_text(info_obj.get("tournament", ""), "tournament"),
+                             _text(info_obj.get("round", ""), "round"),
+                             _text(info_obj.get("surface", ""), "surface"),
+                             p1, p2)
 
         # Fields checked against a fixed vocabulary below (hitter, stroke,
         # direction, outcome, court_half, serve_attempt, the outcome block
         # and the server's name) are taken as given: no other JSON value
         # equals one of their strings.
-        where = f"{clip_id} scoreboard"
+        where = "{} scoreboard"
         board = obj["scoreboard"]
         score = None if previous is None else _chained_score(previous, board, config)
         if score is None:
@@ -595,64 +589,49 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
             score = parse_scoreboard(LAYOUT_WIMBLEDON, rows,
                                      PLAYER_IDS.index(server), config)
 
-        where = clip_id
+        where = "{}"
         raw_shots = obj["shot_sequence"]
         if not isinstance(raw_shots, list) or not raw_shots:
             raise ValueError("shot_sequence must be a non-empty list")
         shots = []
+        where = "{} shot {}"
         for i, s in enumerate(raw_shots):
-            where = f"{clip_id} shot {i}"
             index = s["shot_index"]
             if type(index) is not int:
                 raise TypeError(f"shot_index must be an integer, got {index!r}")
             shots.append(ShotEvent(
-                index=index,
-                hitter=s["hitter"],
-                stroke=s["stroke"],
-                technique=_text(s["technique"], "technique"),
-                direction=s["direction"],
-                outcome=s["outcome"],
-                timestamp=_finite(s["timestamp"]),
-                serve_attempt=s.get("serve_attempt"),
-                hitter_position=_pair(s["hitter_position"])
-                if "hitter_position" in s else None,
-                ball_position=_pair(s["ball_position"])
-                if "ball_position" in s else None,
-            ))
+                index, s["hitter"], s["stroke"], _text(s["technique"], "technique"),
+                s["direction"], s["outcome"], _finite(s["timestamp"]),
+                s.get("serve_attempt"),
+                _pair(s["hitter_position"]) if "hitter_position" in s else None,
+                _pair(s["ball_position"]) if "ball_position" in s else None))
 
-        where = clip_id
+        where = "{}"
         raw_bounces = obj.get("bounces", [])
         if not isinstance(raw_bounces, list):
             raise TypeError(f"bounces must be a list, got {raw_bounces!r}")
         bounces = []
+        where = "{} bounce {}"
         for i, b in enumerate(raw_bounces):
-            where = f"{clip_id} bounce {i}"
             bounces.append(BounceEvent(
-                timestamp=_finite(b["timestamp"]),
-                court_half=b["court_half"],
-                position=_pair(b["position"]) if "position" in b else None,
-            ))
+                _finite(b["timestamp"]), b["court_half"],
+                _pair(b["position"]) if "position" in b else None))
 
-        where = f"{clip_id} outcome"
+        where = "{} outcome"
         outcome_obj = obj["outcome"]
-        outcome = RallyOutcome(
-            point_winner=outcome_obj["point_winner"],
-            point_loser=outcome_obj["point_loser"],
-            reason=outcome_obj["reason"],
-        )
+        outcome = RallyOutcome(outcome_obj["point_winner"],
+                               outcome_obj["point_loser"], outcome_obj["reason"])
 
-        where = clip_id
+        where = "{}"
         transcript = _text(obj.get("audio_transcript", ""), "audio_transcript")
         commentary = obj.get("commentary")
         if commentary is not None:
             _text(commentary, "commentary")
     except KeyError as exc:
-        raise SchemaViolation(f"{where}: missing field {exc.args[0]!r}") from None
+        raise SchemaViolation(f"{where.format(clip_id, i)}: "
+                              f"missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaViolation(f"{where}: {exc}") from None
+        raise SchemaViolation(f"{where.format(clip_id, i)}: {exc}") from None
 
-    return RallyRecord(
-        clip_id=clip_id, match_info=info, initial_score=score,
-        shots=tuple(shots), outcome=outcome, transcript=transcript,
-        bounces=tuple(bounces), commentary=commentary,
-    )
+    return RallyRecord(clip_id, info, score, tuple(shots), outcome, transcript,
+                       tuple(bounces), commentary)

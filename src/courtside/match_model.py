@@ -12,7 +12,7 @@ All values are immutable; operations return new instances.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 PLAYER_1 = "player_1"
 PLAYER_2 = "player_2"
@@ -78,7 +78,7 @@ class PlayerRef:
         if self.handedness not in ("left", "right"):
             raise ValueError(f"handedness must be left or right, got {self.handedness!r}")
 
-    @property
+    @functools.cached_property
     def surname(self) -> str:
         return self.name.split()[-1]
 
@@ -136,14 +136,22 @@ class MatchScore:
     in_tiebreak: bool = False
     config: ScoringConfig = field(default_factory=ScoringConfig)
 
-    def sets_won(self) -> tuple[int, int]:
+    def __post_init__(self):
+        # Derived once per score, which is read as one rally's final score
+        # and as the next rally's initial score.
         p1 = sum(1 for a, b in self.completed_sets if a > b)
         p2 = sum(1 for a, b in self.completed_sets if b > a)
-        return p1, p2
+        need = self.config.sets_to_win
+        object.__setattr__(self, "_sets_won", (p1, p2))
+        object.__setattr__(self, "_winner", PLAYER_1 if p1 >= need
+                           else PLAYER_2 if p2 >= need else None)
+
+    def sets_won(self) -> tuple[int, int]:
+        return self._sets_won
 
     def in_final_set(self) -> bool:
         need = self.config.best_of // 2
-        return self.sets_won() == (need, need)
+        return self._sets_won == (need, need)
 
     def tiebreak_target(self) -> int:
         if self.in_final_set():
@@ -243,12 +251,7 @@ def _tiebreak_server_at(first_server: str, k: int) -> str:
 
 def is_terminal(score: MatchScore) -> str | None:
     """Return the match winner's player id, or None while the match is live."""
-    p1, p2 = score.sets_won()
-    if p1 >= score.config.sets_to_win:
-        return PLAYER_1
-    if p2 >= score.config.sets_to_win:
-        return PLAYER_2
-    return None
+    return score._winner
 
 
 def advance_point(score: MatchScore, winner: str) -> MatchScore:
@@ -276,29 +279,23 @@ def advance_point(score: MatchScore, winner: str) -> MatchScore:
             next_server = other_player(first)
         else:
             next_server = other_player(score.server)
-        return replace(
-            score,
-            completed_sets=score.completed_sets + (set_result,),
-            games=(0, 0),
-            points=("0", "0"),
-            in_tiebreak=False,
-            server=next_server,
-        )
+        return MatchScore(score.completed_sets + (set_result,), (0, 0), ("0", "0"),
+                          next_server, False, score.config)
 
     if game_ended:
         # Covers both a normal game and entry into a tiebreak: the next
         # game's server (the tiebreak's first server) alternates as usual.
-        return replace(
-            score, games=games, points=points, in_tiebreak=in_tb,
-            server=other_player(score.server),
-        )
+        return MatchScore(score.completed_sets, games, points,
+                          other_player(score.server), in_tb, score.config)
 
     if score.in_tiebreak:
         first = _tiebreak_server_at(score.server, points_before)
         server = _tiebreak_server_at(first, points_before + 1)
-        return replace(score, points=points, server=server)
+        return MatchScore(score.completed_sets, score.games, points, server,
+                          True, score.config)
 
-    return replace(score, points=points)
+    return MatchScore(score.completed_sets, score.games, points, score.server,
+                      False, score.config)
 
 
 def is_break_point(score: MatchScore) -> bool:

@@ -12,19 +12,20 @@ import math
 import re
 import unicodedata
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 from courtside.evaluation import (
     DEFAULT_SHOT_TAXONOMY,
     SanityViolation,
     _ATTRIBUTION_TERMS,
-    _SCORE_PAIR_RE,
     _SENTENCE_SPLIT_RE,
-    _fold,
 )
 from courtside.event_stream import SchemaViolation, rally_from_json, validate_rally
-from courtside.match_model import AD, is_terminal, validate_scoreboard
+from courtside.match_model import AD, PLAYER_IDS, advance_point, other_player, validate_scoreboard
+from courtside.memory import ContextView
 from courtside.pipeline import read_lines
-from courtside.prompt_engine import describe_shot
+from courtside.prompt_engine import (USER_INSTRUCTION_TEMPLATE, GenerationRequest,
+                                     MockCommentaryClient, PromptBundle, describe_shot)
 
 LADDER = ("0", "15", "30", "40")
 
@@ -299,6 +300,37 @@ def ref_cider(pairs_tokens) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# Facts derived from a score or a player, recomputed on every call
+# ---------------------------------------------------------------------------
+
+
+def sets_won(score) -> tuple[int, int]:
+    return (sum(a > b for a, b in score.completed_sets),
+            sum(b > a for a, b in score.completed_sets))
+
+
+def match_decided(score) -> bool:
+    return max(sets_won(score)) > score.config.best_of // 2
+
+
+def surname(player) -> str:
+    return player.name.split()[-1]
+
+
+def post_point(rally):
+    """The score after the rally's point, applied afresh."""
+    return advance_point(rally.initial_score, rally.outcome.point_winner)
+
+
+def score_text(score) -> str:
+    """``match_model.score_summary``'s one-line rendering."""
+    sets = " ".join(f"{a}-{b}" for a, b in score.completed_sets) or "0-0"
+    tiebreak = " TB" if score.in_tiebreak else ""
+    return (f"{sets}, {score.games[0]}-{score.games[1]}, "
+            f"{score.points[0]}:{score.points[1]}{tiebreak}, server {score.server}")
+
+
+# ---------------------------------------------------------------------------
 # Prompt metadata block, as a dict for json.dumps(indent=2)
 # ---------------------------------------------------------------------------
 
@@ -313,8 +345,7 @@ def metadata_object(rally) -> dict:
     score = rally.initial_score
     players = {"player_1": info.player_1, "player_2": info.player_2}
     p1, p2 = info.player_1, info.player_2
-    sets_won = (sum(a > b for a, b in score.completed_sets),
-                sum(b > a for a, b in score.completed_sets))
+    won = sets_won(score)
 
     def cell(value):
         return value if value == "AD" else int(value)
@@ -323,7 +354,7 @@ def metadata_object(rally) -> dict:
         "server": players[score.server].name,
         "returner": players["player_2" if score.server == "player_1"
                             else "player_1"].name,
-        "sets": {p1.name: sets_won[0], p2.name: sets_won[1]},
+        "sets": {p1.name: won[0], p2.name: won[1]},
         "games_in_current_set": {p1.name: score.games[0], p2.name: score.games[1]},
         "points_in_current_game": {p1.name: cell(score.points[0]),
                                    p2.name: cell(score.points[1])},
@@ -392,10 +423,10 @@ RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pc
 def digest_line(index: int, rally, commentary) -> str:
     info = rally.match_info
     score = rally.initial_score
-    sets_won = score.sets_won()
-    winner = info.player(rally.outcome.point_winner).surname
-    server = info.player(score.server).surname
-    line = (f"{index}. [sets {sets_won[0]}-{sets_won[1]}, games "
+    won = sets_won(score)
+    winner = surname(info.player(rally.outcome.point_winner))
+    server = surname(info.player(score.server))
+    line = (f"{index}. [sets {won[0]}-{won[1]}, games "
             f"{score.games[0]}-{score.games[1]}, points "
             f"{score.points[0]}:{score.points[1]}, {server} serving] "
             f"{winner} won ({rally.outcome.reason}) -- ")
@@ -523,13 +554,19 @@ def outcome_rule_table(last_stroke: str, last_outcome: str, serve_attempt,
 # ---------------------------------------------------------------------------
 
 
+# The score-pair pattern with an alternative for each point literal;
+# ``evaluation._SCORE_PAIR_RE`` leaves them to \d{1,2}.
+SCORE_PAIR_RE = re.compile(r"\b(0|15|30|40|ad|\d{1,2})\s*[-:]\s*(0|15|30|40|ad|\d{1,2})\b",
+                           re.IGNORECASE)
+
+
 def _score_pairs_of(score) -> set[tuple[str, str]]:
     pairs = set()
-    sets_won = score.sets_won()
+    won = sets_won(score)
     candidates = [
         (str(score.points[0]), str(score.points[1])),
         (str(score.games[0]), str(score.games[1])),
-        (str(sets_won[0]), str(sets_won[1])),
+        (str(won[0]), str(won[1])),
     ]
     for a, b in candidates:
         pairs.add((a.lower(), b.lower()))
@@ -543,20 +580,20 @@ def sanity_check(commentary: str, rally) -> tuple[SanityViolation, ...]:
     regex."""
     violations: list[SanityViolation] = []
     info = rally.match_info
-    folded_text = _fold(commentary)
+    folded_text = fold_text(commentary)
     text_tokens = set(re.findall(r"[\w'-]+", folded_text))
 
-    surname = {
-        "player_1": _fold(info.player_1.surname),
-        "player_2": _fold(info.player_2.surname),
+    surnames = {
+        "player_1": fold_text(surname(info.player_1)),
+        "player_2": fold_text(surname(info.player_2)),
     }
 
     winner_id = rally.outcome.point_winner
     loser_id = rally.outcome.point_loser
     for sentence in _SENTENCE_SPLIT_RE.split(commentary):
-        folded = _fold(sentence)
+        folded = fold_text(sentence)
         tokens = set(re.findall(r"[\w'-]+", folded))
-        named = [pid for pid, s in surname.items() if s in tokens]
+        named = [pid for pid, s in surnames.items() if s in tokens]
         if len(named) != 1:
             continue
         for term, actor in _ATTRIBUTION_TERMS.items():
@@ -571,10 +608,10 @@ def sanity_check(commentary: str, rally) -> tuple[SanityViolation, ...]:
     initial = rally.initial_score
     valid_pairs = _score_pairs_of(initial)
     post = None
-    if is_terminal(initial) is None:
-        post = rally.final_score
+    if not match_decided(initial):
+        post = post_point(rally)
         valid_pairs |= _score_pairs_of(post)
-    for a, b in _SCORE_PAIR_RE.findall(commentary):
+    for a, b in SCORE_PAIR_RE.findall(commentary):
         if (a.lower(), b.lower()) not in valid_pairs:
             violations.append(SanityViolation(
                 "score_mention", f"score {a}-{b} matches neither the initial "
@@ -595,7 +632,7 @@ def sanity_check(commentary: str, rally) -> tuple[SanityViolation, ...]:
         seen_terms.add(shot.stroke)
         seen_terms.add(shot.technique)
     for term in DEFAULT_SHOT_TAXONOMY:
-        folded_term = _fold(term)
+        folded_term = fold_text(term)
         if (folded_term in folded_text
                 and re.search(rf"\b{re.escape(folded_term)}\b", folded_text)):
             if term not in seen_terms:
@@ -644,3 +681,158 @@ def load_dataset_per_line(path, config=None, errors=None):
             errors.append((line_no, str(exc)))
             continue
         yield record
+
+
+# ---------------------------------------------------------------------------
+# Match statistics, recounted from the raw rallies
+# ---------------------------------------------------------------------------
+
+
+def stat_recount(records) -> dict:
+    """Per player id, every statistic count that the rallies raise."""
+    out = {"player_1": {}, "player_2": {}}
+
+    def bump(pid, key, by=1):
+        out[pid][key] = out[pid].get(key, 0) + by
+
+    for r in records:
+        server = r.shots[0].hitter
+        returner = other_player(server)
+        winner, loser = r.outcome.point_winner, r.outcome.point_loser
+        bump(server, "serve_points")
+        bump(returner, "return_points")
+        bump(winner, "points_won")
+        bump(server if winner == server else returner,
+             "serve_points_won" if winner == server else "return_points_won")
+        if any(s.stroke == "serve" and s.serve_attempt == "first"
+               and s.outcome in ("in", "winner") for s in r.shots):
+            bump(server, "first_serves_in")
+        reason = r.outcome.reason
+        if reason == "ace":
+            bump(server, "aces")
+        elif reason == "double_fault":
+            bump(server, "double_faults")
+        elif reason == "winner":
+            bump(winner, "winners")
+        elif reason == "unforced_error":
+            bump(loser, "unforced_errors")
+        elif reason == "forced_error":
+            bump(loser, "forced_errors_conceded")
+        score = r.initial_score
+        if not score.in_tiebreak:
+            rp = score.point_of(score.returner)
+            sp = score.point_of(score.server)
+            if rp == "AD" or (rp == "40" and sp in ("0", "15", "30")):
+                bump(server, "break_points_faced")
+                bump(server if winner == server else returner,
+                     "break_points_saved" if winner == server
+                     else "break_points_converted")
+        for s in r.shots:
+            bump(s.hitter, "total_shots")
+        after = advance_point(score, winner)
+        for idx, pid in enumerate(("player_1", "player_2")):
+            delta = (sum(p[idx] for p in after.completed_sets) + after.games[idx]
+                     - sum(p[idx] for p in score.completed_sets) - score.games[idx])
+            if delta:
+                bump(pid, "games_won", delta)
+    return out
+
+
+def stat_line(counts: dict) -> SimpleNamespace:
+    """One player's statistic line: every count, 0 when never raised, and
+    the three ratios, None over a zero denominator."""
+    line = {name: counts.get(name, 0) for name in COUNT_FIELDS}
+
+    def ratio(part, whole):
+        return None if line[whole] == 0 else line[part] / line[whole]
+
+    return SimpleNamespace(
+        **line,
+        first_serve_pct=ratio("first_serves_in", "serve_points"),
+        serve_points_won_pct=ratio("serve_points_won", "serve_points"),
+        return_points_won_pct=ratio("return_points_won", "return_points"))
+
+
+def _stat_lines(records) -> tuple[SimpleNamespace, SimpleNamespace]:
+    counts = stat_recount(records)
+    return stat_line(counts["player_1"]), stat_line(counts["player_2"])
+
+
+# ---------------------------------------------------------------------------
+# Replay report, rebuilt from the whole history at every rally
+# ---------------------------------------------------------------------------
+
+
+def replay_reference(records, config) -> tuple[dict, list]:
+    """``replay_match(records, config).as_dict(include_timing=False)`` for
+    records without reference commentary, and the ``(system_text,
+    prior_interaction, user_text)`` of each prompt sent to the client.
+    Every rally's window and statistics are recomputed from the whole
+    history: the window holds the last ``memory_window`` rallies, and the
+    statistics recount every rally before it.  Only the commentary comes
+    from the package, because the mock client stands for the model."""
+    persona = config.persona
+    instruction = USER_INSTRUCTION_TEMPLATE.format(
+        min_words=persona.min_words, max_words=persona.max_words)
+    history, rows, sent, prior = [], [], [], None
+    for index, rally in enumerate(records):
+        cut = max(0, len(history) - config.memory_window)
+        lines = _stat_lines([r for r, _ in history[:cut]])
+        info = rally.match_info
+        metadata = json.dumps(metadata_object(rally), indent=2, ensure_ascii=False)
+        memory = memory_text(history[cut:], lines, cut,
+                             (info.player_1.name, info.player_2.name))
+        user_text = (f"{instruction}\n\nMetadata:\n{metadata}"
+                     f"\n\nMatch context:\n{memory}")
+        system = persona.system_text
+        context = "\n".join([system, *(prior or ()), user_text])
+        context_tokens = math.ceil(len(context) / 4)
+        commentary = failure = None
+        if context_tokens > config.token_cap:
+            failure = (f"BudgetExceeded: prompt estimate {context_tokens} tokens "
+                       f"exceeds cap {config.token_cap}")
+        else:
+            view = ContextView(recent=(), stat_lines=lines, rallies_consolidated=cut)
+            bundle = PromptBundle(system, user_text, prior, rally=rally, view=view)
+            sent.append((system, prior, user_text))
+            commentary = MockCommentaryClient().complete(GenerationRequest(bundle)).text
+            prior = (user_text, commentary)
+        rows.append({
+            "rally_index": index,
+            "clip_id": rally.clip_id,
+            "prompt_tokens": math.ceil(len(system + "\n" + user_text) / 4),
+            "context_tokens": context_tokens,
+            "commentary": commentary,
+            "sanity_passed": (None if commentary is None
+                              else not sanity_check(commentary, rally)),
+            "failed": failure is not None,
+            "failure": failure,
+        })
+        history.append((rally, commentary))
+
+    lines = _stat_lines(records)
+    scoring = config.scoring
+    report = {
+        "config": {
+            "scoring": {"best_of": scoring.best_of,
+                        "set_trigger_games": scoring.set_trigger_games,
+                        "tiebreak_points": scoring.tiebreak_points,
+                        "final_set_tiebreak_points": scoring.final_set_tiebreak_points,
+                        "ad_scoring": scoring.ad_scoring},
+            "memory_window": config.memory_window,
+            "token_cap": config.token_cap,
+            "client": config.client,
+        },
+        "rallies": rows,
+        "rally_count": len(rows),
+        "failures": sum(row["failed"] for row in rows),
+        "final_stats": {
+            **{pid: {name: getattr(line, name) for name in COUNT_FIELDS + RATIO_FIELDS}
+               for pid, line in zip(PLAYER_IDS, lines)},
+            "rallies_consolidated": len(records),
+            "last_consolidated_score": (score_text(post_point(records[-1]))
+                                        if records else None),
+        },
+        "evaluation": None,
+    }
+    return report, sent

@@ -204,7 +204,7 @@ def test_criterion_04_memory_oracle_equivalence():
     assert memory.long.rallies_consolidated == len(records)
 
     # field-by-field against the independent recount of the raw log
-    recount = _stat_recount(records)
+    recount = oracles.stat_recount(records)
     for idx, pid in enumerate(("player_1", "player_2")):
         line = memory.long.stat_lines[idx]
         for field_name, value in recount[pid].items():
@@ -212,55 +212,6 @@ def test_criterion_04_memory_oracle_equivalence():
     _finish(4, time.perf_counter() - started, 10.0,
             "10,000 streamed rallies: window bookkeeping exact, final "
             "statistics equal the batch recount on every field")
-
-
-def _stat_recount(records):
-    out = {"player_1": {}, "player_2": {}}
-
-    def bump(pid, key, by=1):
-        out[pid][key] = out[pid].get(key, 0) + by
-
-    for r in records:
-        server = r.shots[0].hitter
-        returner = other_player(server)
-        winner, loser = r.outcome.point_winner, r.outcome.point_loser
-        bump(server, "serve_points")
-        bump(returner, "return_points")
-        bump(winner, "points_won")
-        bump(server if winner == server else returner,
-             "serve_points_won" if winner == server else "return_points_won")
-        if any(s.stroke == "serve" and s.serve_attempt == "first"
-               and s.outcome in ("in", "winner") for s in r.shots):
-            bump(server, "first_serves_in")
-        reason = r.outcome.reason
-        if reason == "ace":
-            bump(server, "aces")
-        elif reason == "double_fault":
-            bump(server, "double_faults")
-        elif reason == "winner":
-            bump(winner, "winners")
-        elif reason == "unforced_error":
-            bump(loser, "unforced_errors")
-        elif reason == "forced_error":
-            bump(loser, "forced_errors_conceded")
-        score = r.initial_score
-        if not score.in_tiebreak:
-            rp = score.point_of(score.returner)
-            sp = score.point_of(score.server)
-            if rp == "AD" or (rp == "40" and sp in ("0", "15", "30")):
-                bump(server, "break_points_faced")
-                bump(server if winner == server else returner,
-                     "break_points_saved" if winner == server
-                     else "break_points_converted")
-        for s in r.shots:
-            bump(s.hitter, "total_shots")
-        after = advance_point(score, winner)
-        for idx, pid in enumerate(("player_1", "player_2")):
-            delta = (sum(p[idx] for p in after.completed_sets) + after.games[idx]
-                     - sum(p[idx] for p in score.completed_sets) - score.games[idx])
-            if delta:
-                bump(pid, "games_won", delta)
-    return out
 
 
 def test_criterion_05_homography_recovery():

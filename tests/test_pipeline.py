@@ -18,6 +18,8 @@ from courtside.pipeline import (
 from courtside.prompt_engine import MockCommentaryClient, TransportFailure
 from courtside.simulate import simulate_match
 
+import oracles
+
 P1, P2 = "player_1", "player_2"
 
 
@@ -91,6 +93,26 @@ class TestLoadDataset:
         assert errors == [] and len(loaded) == len(records)
         sets_played = len(records[-1].final_score.completed_sets)
         assert 1 <= len(parses) <= 1 + sets_played
+
+    def test_header_without_handedness_still_chains(self, tmp_path, records):
+        """Lines that omit both ``handedness`` keys are decoded against the line
+        before, since their headers are compared as written: the file loads as
+        the per-line loader loads it, and inside each set every record starts
+        at its predecessor's cached final score."""
+        path = tmp_path / "no_handedness.jsonl"
+        objs = [rally_to_json(r) for r in records]
+        for obj in objs:
+            for pid in (P1, P2):
+                del obj["match_info"][pid]["handedness"]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs),
+                        encoding="utf-8")
+        loaded = list(load_dataset(path))
+        assert loaded == list(oracles.load_dataset_per_line(path))
+        assert len(loaded) == len(records)
+        for before, after in zip(loaded, loaded[1:]):
+            if (len(after.initial_score.completed_sets)
+                    == len(before.initial_score.completed_sets)):
+                assert after.initial_score is before.final_score
 
     def test_order_preserved_on_large_file(self, tmp_path):
         records = simulate_match(seed=9, min_points=1000)

@@ -1,14 +1,16 @@
 """Property-based tests: the commentary sanity check on arbitrary text, the
 rally codec on simulated matches of every supported format, the scoreboard
 layouts over whole matches of arbitrary formats, dataset ingestion on
-arbitrary values, and the text metrics on arbitrary corpora."""
+arbitrary values, the text metrics on arbitrary corpora, and whole replays
+against a reference replay over drawn configs."""
 
 import copy
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import reduce
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,7 @@ from courtside.evaluation import (
     MockJudgeClient,
     PairScore,
     SanityViolation,
+    _SCORE_PAIR_RE,
     _fold,
     _lcs,
     bleu4,
@@ -37,9 +40,11 @@ from courtside.match_model import (LAYOUT_WIMBLEDON, LAYOUTS, PLAYER_IDS,
                                    is_terminal, parse_scoreboard,
                                    render_scoreboard, synthesize_completed_sets)
 from courtside.memory import COUNT_FIELDS, MatchMemory, MemoryEntry
-from courtside.pipeline import load_dataset
-from courtside.prompt_engine import (GenerationRequest, parse_metadata, serialize_memory,
-                                     serialize_metadata)
+from courtside import pipeline
+from courtside.cli import main
+from courtside.pipeline import PipelineConfig, load_dataset
+from courtside.prompt_engine import (GenerationRequest, MockCommentaryClient, PersonaConfig,
+                                     parse_metadata, serialize_memory, serialize_metadata)
 from courtside.simulate import simulate_match
 
 import oracles
@@ -426,7 +431,8 @@ def test_chained_decode_equals_per_line_decode(chain_file, seed, config, other,
                                                start, edits):
     """Decoding each line against the last valid record yields the records
     and lists the errors that decoding every line on its own does; so does
-    ``rally_from_json`` with a previous record decoded under another config."""
+    ``rally_from_json`` with a previous record of the same header, decoded
+    under another config."""
     match = simulate_match(seed=seed, config=config)
     start %= max(1, len(match) - WINDOW + 1)
     lines = [rally_to_json(r) for r in match[start:start + WINDOW]]
@@ -446,7 +452,7 @@ def test_chained_decode_equals_per_line_decode(chain_file, seed, config, other,
     valid = [n for n in range(len(lines)) if n + 1 not in listed]
     objs = [json.loads(json.dumps(obj)) for obj in lines]
     for n, previous in zip(valid, loaded):
-        if n + 1 < len(objs):
+        if n + 1 < len(objs) and objs[n + 1]["match_info"] == objs[n]["match_info"]:
             assert (_decoded(objs[n + 1], other, previous)
                     == _decoded(objs[n + 1], other))
 
@@ -498,3 +504,80 @@ def test_corpus_metrics_are_means_of_sentence_metrics(pairs):
         assert abs(b - oracles.ref_bleu4(cand, refs)) <= 1e-9
         assert abs(r - oracles.ref_rouge_l(cand, refs[0])) <= 1e-9
         assert abs(c - ref_c) <= 1e-9
+
+
+# Unicode digits as well as ASCII ones, AD in three cases, the two separators
+# and spaces, so drawn texts hold score pairs next to longer digit runs.
+SCORE_TEXT = st.lists(st.sampled_from(
+    ["0", "1", "4", "5", "3", "9", "١", "٥", "１", "５", "ad", "AD", "Ad", "-", ":",
+     " "]), max_size=16).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(SCORE_TEXT)
+@example("15-30 40:AD 150-3 3-05 0-0 Ad - 15 ١٥-٣٠ １５:０")
+def test_score_pair_pattern_equals_pattern_with_literals(text):
+    assert _SCORE_PAIR_RE.findall(text) == oracles.SCORE_PAIR_RE.findall(text)
+
+
+PERSONAS = st.builds(PersonaConfig,
+                     system_text=st.sampled_from((PersonaConfig().system_text,
+                                                  "You are a terse umpire.")),
+                     min_words=st.integers(1, 10), max_words=st.integers(10, 80))
+
+
+@pytest.fixture(scope="module")
+def replay_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("replay")
+
+
+class RecordingMock(MockCommentaryClient):
+    """The mock client, keeping each prompt that it is sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def complete(self, request):
+        bundle = request.bundle
+        self.sent.append((bundle.system_text, bundle.prior_interaction,
+                          bundle.user_text))
+        return super().complete(request)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 100_000), CONFIGS, st.integers(1, 20), PERSONAS,
+       st.sampled_from((16_000, 2_500)), POSITION_DRAW, st.integers(1, 60))
+# a deciding-set tiebreak (seed 0, 4-game sets) to the end of the match
+@example(0, ScoringConfig(set_trigger_games=4), 16, PersonaConfig(), 16_000, -1, 60)
+def test_replay_equals_reference_replay(replay_dir, seed, scoring, window, persona,
+                                        token_cap, start, length):
+    """The ``--no-timing`` report of a simulated match, written to a file
+    and replayed, and every prompt that the client is sent, equal those of
+    the reference replay, which rebuilds each prompt from the whole
+    history."""
+    match = simulate_match(seed=seed, config=scoring)
+    start %= len(match)
+    objs = [rally_to_json(r) for r in match[start:start + length]]
+    for obj in objs:
+        del obj["commentary"]  # no references, so no corpus metrics
+    dataset = replay_dir / "match.jsonl"
+    dataset.write_text("".join(json.dumps(obj) + "\n" for obj in objs),
+                       encoding="utf-8")
+    config = PipelineConfig(scoring=scoring, memory_window=window,
+                            token_cap=token_cap, persona=persona)
+    config_file = replay_dir / "config.json"
+    config_file.write_text(json.dumps({
+        "scoring": asdict(scoring), "memory_window": window, "token_cap": token_cap,
+        "persona": asdict(persona)}), encoding="utf-8")
+    out = replay_dir / "report.json"
+
+    client = RecordingMock()
+    with mock.patch.object(pipeline, "make_client", lambda _: client):
+        code = main(["replay", "--input", str(dataset), "--config", str(config_file),
+                     "--client", "mock", "--no-timing", "--output", str(out)])
+    reference, sent = oracles.replay_reference(list(load_dataset(dataset, scoring)),
+                                               config)
+    assert code == (3 if reference["failures"] else 0)
+    assert client.sent == sent
+    assert out.read_text(encoding="utf-8") == json.dumps(
+        reference, indent=2, ensure_ascii=False) + "\n"
