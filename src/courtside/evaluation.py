@@ -361,8 +361,7 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
     folded_text = _fold(commentary)
     surname = {pid: _fold_surname(info.player(pid).surname) for pid in PLAYER_IDS}
 
-    winner_id = rally.outcome.point_winner
-    loser_id = rally.outcome.point_loser
+    winner_id, loser_id = rally.outcome.point_winner, rally.outcome.point_loser
     sentences = (_SENTENCE_SPLIT_RE.split(commentary)
                  if _ATTRIBUTION_RE.search(folded_text) else ())
     for sentence in sentences:
@@ -402,15 +401,12 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
                 "score_mention", "mentions advantage but nobody holds AD"))
 
     if any(term in folded_text for term in DEFAULT_SHOT_TAXONOMY):
-        mentioned = set(_TAXONOMY_RE.findall(folded_text))
-        for shot in rally.shots:
-            mentioned.discard(shot.stroke)
-            mentioned.discard(shot.technique)
+        mentioned = set(_TAXONOMY_RE.findall(folded_text)).difference(
+            *((shot.stroke, shot.technique) for shot in rally.shots))
         for term in DEFAULT_SHOT_TAXONOMY:
             if term in mentioned:
                 violations.append(SanityViolation(
-                    "shot_term", f"mentions {term!r} which never occurs in "
-                                 f"the rally"))
+                    "shot_term", f"mentions {term!r} which never occurs in the rally"))
 
     return tuple(violations)
 

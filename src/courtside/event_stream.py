@@ -532,6 +532,22 @@ def _chained_score(previous: RallyRecord, board,
     return score
 
 
+def _same_header(info_obj, info: MatchInfo) -> bool:
+    """Whether ``info_obj`` decodes to ``info``, field by field with the
+    decode's defaults; exact, as no other JSON value equals a string."""
+    if type(info_obj) is not dict:
+        return False
+    p1, p2 = info_obj.get("player_1"), info_obj.get("player_2")
+    return (type(p1) is dict and type(p2) is dict
+            and p1.get("name") == info.player_1.name
+            and p2.get("name") == info.player_2.name
+            and p1.get("handedness", "right") == info.player_1.handedness
+            and p2.get("handedness", "right") == info.player_2.handedness
+            and info_obj.get("tournament", "") == info.tournament
+            and info_obj.get("round", "") == info.round
+            and info_obj.get("surface", "") == info.surface)
+
+
 def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
                     previous: RallyRecord | None = None) -> RallyRecord:
     """Parse one dataset JSON object; raises only SchemaViolation.
@@ -540,14 +556,14 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     :func:`parse_scoreboard`.  A missing field or malformed value is reported
     with the record part it sits in, e.g. ``"<clip_id> shot 3: ..."``.
 
-    ``previous`` is a valid record decoded from a line whose ``match_info``
-    object equals this line's, as :func:`courtside.pipeline.load_dataset`
-    passes it; equal objects decode to equal values, so its ``MatchInfo`` is
-    reused.  When, in addition, the config is the same and the board shows
-    exactly the previous record's ``final_score`` (rows of ``[sets won,
-    games, points]`` with the same JSON types, and the server's name), that
-    score becomes the new ``initial_score`` without a parse.  This is taken
-    only if the score's finished sets are the ``trigger-0`` results a parse
+    ``previous`` is the valid record decoded from the line before, as
+    :func:`courtside.pipeline.load_dataset` passes it.  Its ``MatchInfo`` is
+    reused if the line's ``match_info`` decodes to it (:func:`_same_header`).
+    When, in addition, the config is the same and the board shows exactly
+    the previous record's ``final_score`` (rows of ``[sets won, games,
+    points]`` with the same JSON types, and the server's name), that score
+    becomes the new ``initial_score`` without a parse.  This is taken only if
+    the score's finished sets are the ``trigger-0`` results a parse
     synthesizes, so the value equals the one the parse would give.  Any
     other line is decoded in full, so its errors are the same.
     """
@@ -561,10 +577,11 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
         parse_clip_id(clip_id)
 
         where = "{} match_info"
-        if previous is not None:
+        info_obj = obj["match_info"]
+        if previous is not None and _same_header(info_obj, previous.match_info):
             info = previous.match_info
         else:
-            info_obj = obj["match_info"]
+            previous = None  # a new header: the board is parsed in full
             p1, p2 = (PlayerRef(_text(info_obj[pid]["name"], "name"),
                                 info_obj[pid].get("handedness", "right"))
                       for pid in PLAYER_IDS)

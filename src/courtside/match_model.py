@@ -137,8 +137,7 @@ class MatchScore:
     config: ScoringConfig = field(default_factory=ScoringConfig)
 
     def __post_init__(self):
-        # Derived once per score, which is read as one rally's final score
-        # and as the next rally's initial score.
+        # Derived once: a score is one rally's final and the next one's initial.
         p1 = sum(1 for a, b in self.completed_sets if a > b)
         p2 = sum(1 for a, b in self.completed_sets if b > a)
         need = self.config.sets_to_win

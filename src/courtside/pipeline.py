@@ -114,26 +114,21 @@ def make_client(config: PipelineConfig):
 
 
 def _read_record(line: bytes, config: ScoringConfig | None,
-                 previous: RallyRecord | None, header) -> tuple[RallyRecord, dict]:
-    """One dataset line as a validated record and its raw ``match_info``;
-    SchemaViolation otherwise.  The line is decoded against ``previous`` only
-    if its ``match_info`` equals ``header``, that of ``previous``'s line.  A
-    score taken from ``previous`` was validated with it, so it is not checked
-    again."""
+                 previous: RallyRecord | None) -> RallyRecord:
+    """One dataset line as a validated record; SchemaViolation otherwise.
+    A score taken from ``previous`` was validated with it, so it is not
+    checked again."""
     try:
         obj = json.loads(line.decode("utf-8").strip())
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise SchemaViolation(f"invalid JSON: {exc}") from None
-    if previous is not None and (type(obj) is not dict
-                                 or obj.get("match_info") != header):
-        previous = None
     record = rally_from_json(obj, config, previous=previous)
     problems = validate_rally(record)
     if previous is None or record.initial_score is not previous.final_score:
         problems += validate_scoreboard(record.initial_score)
     if problems:
         raise SchemaViolation(f"{record.clip_id}: " + "; ".join(problems))
-    return record, obj["match_info"]
+    return record
 
 
 def read_lines(path):
@@ -157,26 +152,25 @@ def load_dataset(path, config: ScoringConfig | None = None, errors=None):
     and skipped, so one bad line never sinks the stream; without an
     ``errors`` list it raises :class:`SchemaViolation`.
 
-    A line whose ``match_info`` equals, as written, that of the last record
-    yielded is decoded against that record (see :func:`rally_from_json`). If
-    it also shows the record's post-point board, it takes its
-    ``final_score`` as its own ``initial_score`` instead of parsing the
-    board: the parse would build an equal value, and it needs no second
-    reachability check, because ``advance_point`` moves a valid non-final
-    score only to valid scores.
+    Each line is decoded against the last record yielded (see
+    :func:`rally_from_json`).  A line that shows that record's match header
+    and post-point board takes its ``final_score`` as its own
+    ``initial_score`` instead of parsing the board: the parse would build an
+    equal value, and it needs no second reachability check, because
+    ``advance_point`` moves a valid non-final score only to valid scores.
     Every other line is parsed and validated in full, so the records and
     ``errors`` equal those of decoding each line on its own.
     """
-    previous = header = None
+    previous = None
     for line_no, line in read_lines(path):
         try:
-            record, line_header = _read_record(line, config, previous, header)
+            record = _read_record(line, config, previous)
         except SchemaViolation as exc:
             if errors is None:
                 raise SchemaViolation(f"line {line_no}: {exc}") from None
             errors.append((line_no, str(exc)))
             continue
-        previous, header = record, line_header
+        previous = record
         yield record
 
 

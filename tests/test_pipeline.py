@@ -96,9 +96,9 @@ class TestLoadDataset:
 
     def test_header_without_handedness_still_chains(self, tmp_path, records):
         """Lines that omit both ``handedness`` keys are decoded against the line
-        before, since their headers are compared as written: the file loads as
-        the per-line loader loads it, and inside each set every record starts
-        at its predecessor's cached final score."""
+        before, since headers are compared with the decode's defaults: the file
+        loads as the per-line loader loads it, and inside each set every record
+        starts at its predecessor's cached final score."""
         path = tmp_path / "no_handedness.jsonl"
         objs = [rally_to_json(r) for r in records]
         for obj in objs:

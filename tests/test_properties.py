@@ -371,7 +371,9 @@ LINE_EDITS = st.one_of(
     st.tuples(st.just("cell"), POSITION_DRAW, st.integers(0, 1), st.integers(0, 2),
               st.sampled_from((True, 1.0, "15", "AD", -1))),
     st.tuples(st.just("header"), POSITION_DRAW,
-              st.sampled_from(("handedness", "tournament", "extra"))))
+              st.sampled_from(("handedness", "no handedness", "name", "swap",
+                               "tournament", "round", "surface", "extra", "no header")),
+              st.sampled_from(PLAYER_IDS)))
 
 
 def _edit_lines(lines, edit):
@@ -387,7 +389,7 @@ def _edit_lines(lines, edit):
     elif kind == "splice":
         start = edit[2] % len(SPLICE_LINES)
         lines[at:at] = copy.deepcopy(SPLICE_LINES[start:start + 3])
-    else:
+    elif "match_info" in lines[at]:  # not a line whose header was left out
         obj = lines[at] = copy.deepcopy(lines[at])
         info, board = obj["match_info"], obj["scoreboard"]
         names = [info[pid]["name"] for pid in PLAYER_IDS]
@@ -397,11 +399,23 @@ def _edit_lines(lines, edit):
         elif kind == "server":
             board["server"] = names[1 - names.index(board["server"])]
         elif edit[2] == "handedness":
-            player = info["player_1"]
-            player["handedness"] = ("left" if player["handedness"] == "right"
+            player = info[edit[3]]
+            player["handedness"] = ("left" if player.get("handedness") == "right"
                                     else "right")
-        elif edit[2] == "tournament":
-            info["tournament"] += " Qualifying"
+        elif edit[2] == "no handedness":  # equal to the old header if "right"
+            info[edit[3]].pop("handedness", None)
+        elif edit[2] == "name":  # a renamed player, on the board too
+            old = info[edit[3]]["name"]
+            new = info[edit[3]]["name"] = old + " Jr"
+            board[new] = board.pop(old)
+            if board["server"] == old:
+                board["server"] = new
+        elif edit[2] == "swap":
+            info["player_1"], info["player_2"] = info["player_2"], info["player_1"]
+        elif edit[2] in ("tournament", "round", "surface"):
+            info[edit[2]] = info.get(edit[2], "") + " Qualifying"
+        elif edit[2] == "no header":
+            del obj["match_info"]
         else:
             info["sponsor"] = "none"
 
@@ -427,12 +441,18 @@ def chain_file(tmp_path_factory):
          [("cell", 40, 0, 0, True), ("cell", 60, 1, 0, 1.0)])
 # a first set, read again under a config that differs in ad scoring only
 @example(1, ScoringConfig(), ScoringConfig(ad_scoring=False), 0, [])
+# each header field changed once, the players swapped, the header left out
+@example(1, ScoringConfig(), ScoringConfig(), 0,
+         [("header", 8 * n, kind, pid) for n, (kind, pid) in enumerate(
+             [("handedness", "player_1"), ("handedness", "player_2"),
+              ("name", "player_1"), ("name", "player_2"), ("swap", None),
+              ("tournament", None), ("round", None),
+              ("surface", None), ("no header", None)], start=1)])
 def test_chained_decode_equals_per_line_decode(chain_file, seed, config, other,
                                                start, edits):
     """Decoding each line against the last valid record yields the records
     and lists the errors that decoding every line on its own does; so does
-    ``rally_from_json`` with a previous record of the same header, decoded
-    under another config."""
+    ``rally_from_json`` with a previous record decoded under another config."""
     match = simulate_match(seed=seed, config=config)
     start %= max(1, len(match) - WINDOW + 1)
     lines = [rally_to_json(r) for r in match[start:start + WINDOW]]
@@ -452,7 +472,7 @@ def test_chained_decode_equals_per_line_decode(chain_file, seed, config, other,
     valid = [n for n in range(len(lines)) if n + 1 not in listed]
     objs = [json.loads(json.dumps(obj)) for obj in lines]
     for n, previous in zip(valid, loaded):
-        if n + 1 < len(objs) and objs[n + 1]["match_info"] == objs[n]["match_info"]:
+        if n + 1 < len(objs):
             assert (_decoded(objs[n + 1], other, previous)
                     == _decoded(objs[n + 1], other))
 
