@@ -173,6 +173,8 @@ def parse_clip_id(clip_id: str) -> tuple[str, float, float]:
         raise ValueError(f"clip_id boundaries must be numeric: {clip_id!r}") from None
     if not start < end:
         raise ValueError(f"clip_id start must precede end: {clip_id!r}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"clip_id boundaries must be finite: {clip_id!r}")
     return parts[0], start, end
 
 
@@ -511,8 +513,7 @@ def _chained_score(previous: RallyRecord, board,
     decoder rejects ``true`` and ``15.0``, although they equal ``1`` and ``15``.
     """
     score = previous.final_score
-    if (score.config is not config and score.config != config
-            or type(board) is not dict):
+    if score.config is not config or type(board) is not dict:
         return None
     sets = score.sets_won()
     if score.completed_sets != synthesize_completed_sets(
@@ -559,11 +560,11 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     ``previous`` is the valid record decoded from the line before, as
     :func:`courtside.pipeline.load_dataset` passes it.  Its ``MatchInfo`` is
     reused if the line's ``match_info`` decodes to it (:func:`_same_header`).
-    When, in addition, the config is the same and the board shows exactly
-    the previous record's ``final_score`` (rows of ``[sets won, games,
-    points]`` with the same JSON types, and the server's name), that score
-    becomes the new ``initial_score`` without a parse.  This is taken only if
-    the score's finished sets are the ``trigger-0`` results a parse
+    When, in addition, the config is the same object and the board shows
+    exactly the previous record's ``final_score`` (rows of ``[sets won,
+    games, points]`` with the same JSON types, and the server's name), that
+    score becomes the new ``initial_score`` without a parse.  This is taken
+    only if the score's finished sets are the ``trigger-0`` results a parse
     synthesizes, so the value equals the one the parse would give.  Any
     other line is decoded in full, so its errors are the same.
     """

@@ -3,8 +3,8 @@
 The match state lives in :class:`MatchScore`: completed sets, games in the
 current set, points in the current game (``0/15/30/40/AD`` strings, or plain
 integers inside a tiebreak) and the current server.  ``advance_point`` is the
-only legal transition; everything else (break-point detection, terminal
-checks, reachability validation, scoreboard ingestion) is derived from it.
+only legal transition.  ``validate_scoreboard`` decides by closed-form rules
+whether ``advance_point`` can reach a given state from a fresh match.
 
 All values are immutable; operations return new instances.
 """
@@ -107,8 +107,7 @@ class ScoringConfig:
             raise ValueError(f"ad_scoring must be a boolean, got {self.ad_scoring!r}")
         if self.best_of not in (3, 5):
             raise ValueError("best_of must be 3 or 5")
-        # Scores have at most two digits, and the state closure that
-        # validate_scoreboard builds grows with the square of each value.
+        # Scores have at most two digits.
         if not 1 <= self.set_trigger_games <= 99:
             raise ValueError("set_trigger_games must be in 1..99")
         for target in (self.tiebreak_points, self.final_set_tiebreak_points):
@@ -332,50 +331,17 @@ def _check_structure(score: MatchScore) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_tb(points: tuple[int, int], target: int) -> tuple[int, int]:
-    # Beyond target-all the win-by-two loop repeats; fold it down so the
-    # reachable-state closure stays finite.
-    a, b = points
-    d = max(0, min(a, b) - target)
-    return a - d, b - d
-
-
-@functools.lru_cache(maxsize=None)
-def _set_closure(trigger: int, target: int, ad: bool) -> frozenset:
-    """All live (games, in_tiebreak, points) states reachable from 0-0."""
-    config = ScoringConfig(
-        best_of=3, set_trigger_games=trigger, tiebreak_points=target,
-        final_set_tiebreak_points=target, ad_scoring=ad,
-    )
-    start = ((0, 0), False, ("0", "0"))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        games, in_tb, points = frontier.pop()
-        for winner_idx in (0, 1):
-            g, tb, pts, _, set_result = _advance_set_state(
-                games, in_tb, points, winner_idx, config, target)
-            if set_result is not None:
-                continue
-            if tb:
-                pts = _canonical_tb(pts, target)
-            state = (g, tb, pts)
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
-    return frozenset(seen)
-
-
 def _set_state_reachable(score: MatchScore) -> bool:
-    config = score.config
-    target = score.tiebreak_target()
-    closure = _set_closure(config.set_trigger_games, target, config.ad_scoring)
-    points = score.points
+    """Whether a live set can show these games and points, for a score that
+    passed every structural check: each ladder pair, and AD against 40 under
+    ad scoring, occurs in every live game, so only games and tiebreak points
+    decide."""
     if score.in_tiebreak:
-        a, b = points
-        if min(a, b) > target:
-            points = _canonical_tb(points, target)
-    return (score.games, score.in_tiebreak, points) in closure
+        a, b = score.points
+        return max(a, b) < score.tiebreak_target() or abs(a - b) < 2
+    g1, g2 = score.games
+    trigger = score.config.set_trigger_games
+    return max(g1, g2) < trigger or (max(g1, g2) == trigger and abs(g1 - g2) == 1)
 
 
 def synthesize_completed_sets(p1_sets: int, p2_sets: int,

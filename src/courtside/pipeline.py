@@ -161,6 +161,7 @@ def load_dataset(path, config: ScoringConfig | None = None, errors=None):
     Every other line is parsed and validated in full, so the records and
     ``errors`` equal those of decoding each line on its own.
     """
+    config = config or ScoringConfig()
     previous = None
     for line_no, line in read_lines(path):
         try:

@@ -72,6 +72,12 @@ class TestClipId:
         with pytest.raises(ValueError):
             parse_clip_id("just-a-name")
 
+    @pytest.mark.parametrize("clip_id", ["m_0_inf", "m_-inf_1", "m_0_Infinity",
+                                         "m_1e3_1e309"])
+    def test_rejects_non_finite_bounds(self, clip_id):
+        with pytest.raises(ValueError, match="boundaries must be finite"):
+            parse_clip_id(clip_id)
+
 
 class TestDeriveOutcome:
     def test_untouched_winning_serve_is_ace(self):

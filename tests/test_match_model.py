@@ -23,7 +23,6 @@ from courtside.match_model import (
     render_scoreboard,
     score_summary,
     validate_scoreboard,
-    _set_closure,
 )
 
 import oracles
@@ -288,15 +287,52 @@ class TestValidation:
                            in_tiebreak=True)
         assert not validate_scoreboard(score)
 
-    def test_closure_matches_bfs_oracle(self):
-        impl = _set_closure(6, 7, True)
-        oracle = oracles.reachable_set_states(trigger=6, tb_target=7, ad=True)
-        assert impl == oracle
-
-    def test_closure_matches_oracle_no_ad_and_ten_point(self):
-        impl = _set_closure(6, 10, False)
-        oracle = oracles.reachable_set_states(trigger=6, tb_target=10, ad=False)
-        assert impl == oracle
+    @pytest.mark.parametrize("config", [
+        ScoringConfig(),
+        NO_AD,
+        ScoringConfig(3, 6, 10, 7, True),
+        ScoringConfig(3, 1, 1, 1, True),
+        ScoringConfig(3, 1, 7, 10, False),
+        ScoringConfig(3, 2, 1, 3, True),
+        ScoringConfig(3, 4, 2, 3, False),
+        ScoringConfig(3, 3, 7, 7, True),
+        ScoringConfig(5, 5, 3, 10, False),
+        ScoringConfig(5, 8, 10, 10, True),
+        ScoringConfig(3, 2, 2, 2, False),
+        ScoringConfig(5, 6, 5, 1, True),
+    ], ids=lambda c: (f"bo{c.best_of}-t{c.set_trigger_games}-tb{c.tiebreak_points}-"
+                      f"{c.final_set_tiebreak_points}-{'ad' if c.ad_scoring else 'noad'}"))
+    def test_rule_matches_bfs_oracle(self, config):
+        """In the first and the deciding set, a board passes exactly when the
+        oracle's search reaches its games and points: every game pair to
+        trigger+2 with every ladder or AD pair, and, at trigger-all, every
+        tiebreak pair to target+3 (elsewhere only 0-0 with the flag set)."""
+        trigger = config.set_trigger_games
+        split = ((trigger + 1, trigger), (trigger, trigger + 1)) * (config.best_of // 2)
+        ladder = oracles.LADDER + (AD,)
+        standard = [(False, (a, b)) for a in ladder for b in ladder]
+        for sets, target in (((), config.tiebreak_points),
+                             (split, config.final_set_tiebreak_points)):
+            oracle = oracles.reachable_set_states(trigger, target, config.ad_scoring)
+            tiebreak = [(True, (a, b)) for a in range(target + 4)
+                        for b in range(target + 4)]
+            passed, wrong = set(), []
+            for games in ((a, b) for a in range(trigger + 3) for b in range(trigger + 3)):
+                flagged = tiebreak if games == (trigger, trigger) else [(True, (0, 0))]
+                for in_tb, pts in standard + flagged:
+                    score = MatchScore(sets, games, pts, PLAYER_1, in_tb, config)
+                    if in_tb:
+                        # fold the win-by-two cycle as the oracle does
+                        while min(pts) > target:
+                            pts = (pts[0] - 1, pts[1] - 1)
+                    state = (games, in_tb, pts)
+                    ok = not validate_scoreboard(score)
+                    if ok != (state in oracle):
+                        wrong.append(score_summary(score))
+                    if ok:
+                        passed.add(state)
+            assert wrong == []
+            assert passed == oracle
 
     def test_advance_preserves_validity(self):
         rng = random.Random(11)

@@ -77,6 +77,15 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             list(load_dataset("/nonexistent/match.jsonl"))
 
+    def test_records_share_one_default_config(self, dataset_file, records):
+        """Without a config, one default serves the whole file, so each new
+        set's parsed board and every chained score carry the same object."""
+        assert len(records[-1].final_score.completed_sets) >= 2
+        loaded = list(load_dataset(dataset_file))
+        configs = {id(score.config) for r in loaded
+                   for score in (r.initial_score, r.final_score)}
+        assert len(configs) == 1
+
     def test_board_parsed_once_per_set(self, dataset_file, records, monkeypatch):
         """On a best-of-3 file, a line that shows the previous record's post-point board takes it
         unparsed; the first line, and the first after each set, are parsed."""
