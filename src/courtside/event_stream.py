@@ -564,9 +564,10 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     exactly the previous record's ``final_score`` (rows of ``[sets won,
     games, points]`` with the same JSON types, and the server's name), that
     score becomes the new ``initial_score`` without a parse.  This is taken
-    only if the score's finished sets are the ``trigger-0`` results a parse
-    synthesizes, so the value equals the one the parse would give.  Any
-    other line is decoded in full, so its errors are the same.
+    only if the score's finished sets are the ``trigger-0`` results (``2-0``
+    under a trigger of 1) that a parse synthesizes, so the value equals the
+    one the parse would give.  Any other line is decoded in full, so its
+    errors are the same.
     """
     config = config or ScoringConfig()
     where = "record"  # a template, filled with clip_id and i only on failure

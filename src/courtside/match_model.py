@@ -3,8 +3,10 @@
 The match state lives in :class:`MatchScore`: completed sets, games in the
 current set, points in the current game (``0/15/30/40/AD`` strings, or plain
 integers inside a tiebreak) and the current server.  ``advance_point`` is the
-only legal transition.  ``validate_scoreboard`` decides by closed-form rules
-whether ``advance_point`` can reach a given state from a fresh match.
+only legal transition, one function that builds the next score directly:
+ladder, game, tiebreak and set, with the server.  ``validate_scoreboard``
+decides by closed-form rules whether ``advance_point`` can reach a given
+state from a fresh match.
 
 All values are immutable; operations return new instances.
 """
@@ -147,12 +149,9 @@ class MatchScore:
     def sets_won(self) -> tuple[int, int]:
         return self._sets_won
 
-    def in_final_set(self) -> bool:
-        need = self.config.best_of // 2
-        return self._sets_won == (need, need)
-
     def tiebreak_target(self) -> int:
-        if self.in_final_set():
+        need = self.config.best_of // 2
+        if self._sets_won == (need, need):
             return self.config.final_set_tiebreak_points
         return self.config.tiebreak_points
 
@@ -170,65 +169,6 @@ def _index(player_id: str) -> int:
     if player_id == PLAYER_2:
         return 1
     raise ValueError(f"unknown player id: {player_id!r}")
-
-
-# ---------------------------------------------------------------------------
-# Set-level transition kernel
-# ---------------------------------------------------------------------------
-
-# Result of one point inside a set:
-#   (games, in_tiebreak, points, game_ended, set_result)
-# where set_result is None while the set is live, else the final games pair.
-_SetStep = tuple[tuple[int, int], bool, tuple, bool, "tuple[int, int] | None"]
-
-
-def _advance_set_state(
-    games: tuple[int, int],
-    in_tiebreak: bool,
-    points: tuple,
-    winner_idx: int,
-    config: ScoringConfig,
-    tiebreak_target: int,
-) -> _SetStep:
-    loser_idx = 1 - winner_idx
-    trigger = config.set_trigger_games
-
-    if in_tiebreak:
-        pts = list(points)
-        pts[winner_idx] += 1
-        if pts[winner_idx] >= tiebreak_target and pts[winner_idx] - pts[loser_idx] >= 2:
-            final = [0, 0]
-            final[winner_idx] = trigger + 1
-            final[loser_idx] = trigger
-            return games, False, ("0", "0"), True, tuple(final)
-        return games, True, tuple(pts), False, None
-
-    w, l = points[winner_idx], points[loser_idx]
-    if w == AD:
-        game_won = True
-    elif w == "40":
-        if l == AD:
-            new = ["40", "40"]
-            return games, False, tuple(new), False, None
-        if l == "40" and config.ad_scoring:
-            new = list(points)
-            new[winner_idx] = AD
-            return games, False, tuple(new), False, None
-        game_won = True
-    else:
-        new = list(points)
-        new[winner_idx] = POINT_LADDER[POINT_LADDER.index(w) + 1]
-        return games, False, tuple(new), False, None
-
-    if game_won:
-        g = list(games)
-        g[winner_idx] += 1
-        if g[winner_idx] >= trigger and g[winner_idx] - g[loser_idx] >= 2:
-            return tuple(g), False, ("0", "0"), True, tuple(g)
-        if g[winner_idx] == trigger and g[loser_idx] == trigger:
-            return tuple(g), True, (0, 0), True, None
-        return tuple(g), False, ("0", "0"), True, None
-    raise AssertionError("unreachable")
 
 
 def _tiebreak_server_at(first_server: str, k: int) -> str:
@@ -260,40 +200,50 @@ def advance_point(score: MatchScore, winner: str) -> MatchScore:
     trigger-trigger with the one-then-two serve rotation, and the deciding-set
     tiebreak target.
     """
-    winner_idx = _index(winner)
+    w = _index(winner)
     if is_terminal(score) is not None:
         raise TerminalState("match already decided")
     _check_structure(score)
-
-    points_before = sum(score.points) if score.in_tiebreak else 0
-    games, in_tb, points, game_ended, set_result = _advance_set_state(
-        score.games, score.in_tiebreak, score.points, winner_idx,
-        score.config, score.tiebreak_target(),
-    )
-
-    if set_result is not None:
-        if score.in_tiebreak:
-            first = _tiebreak_server_at(score.server, points_before)
-            next_server = other_player(first)
-        else:
-            next_server = other_player(score.server)
-        return MatchScore(score.completed_sets + (set_result,), (0, 0), ("0", "0"),
-                          next_server, False, score.config)
-
-    if game_ended:
-        # Covers both a normal game and entry into a tiebreak: the next
-        # game's server (the tiebreak's first server) alternates as usual.
-        return MatchScore(score.completed_sets, games, points,
-                          other_player(score.server), in_tb, score.config)
+    l = 1 - w
+    sets, games, server, config = (score.completed_sets, score.games,
+                                   score.server, score.config)
+    trigger = config.set_trigger_games
 
     if score.in_tiebreak:
-        first = _tiebreak_server_at(score.server, points_before)
-        server = _tiebreak_server_at(first, points_before + 1)
-        return MatchScore(score.completed_sets, score.games, points, server,
-                          True, score.config)
+        played = sum(score.points)
+        points = list(score.points)
+        points[w] += 1
+        if points[w] >= score.tiebreak_target() and points[w] - points[l] >= 2:
+            result = [trigger, trigger]
+            result[w] += 1
+            # The player who received first in the tiebreak serves next.
+            return MatchScore(sets + (tuple(result),), (0, 0), ("0", "0"),
+                              other_player(_tiebreak_server_at(server, played)),
+                              False, config)
+        # One serve, then two each: the serve changes after points 0, 2, 4...
+        if played % 2 == 0:
+            server = other_player(server)
+        return MatchScore(sets, games, tuple(points), server, True, config)
 
-    return MatchScore(score.completed_sets, score.games, points, score.server,
-                      False, score.config)
+    mine, theirs = score.points[w], score.points[l]
+    points = list(score.points)
+    if mine == "40" and theirs == AD:
+        points[l] = "40"
+    elif mine == "40" and theirs == "40" and config.ad_scoring:
+        points[w] = AD
+    elif mine not in ("40", AD):
+        points[w] = POINT_LADDER[POINT_LADDER.index(mine) + 1]
+    else:
+        won = list(games)
+        won[w] += 1
+        server = other_player(server)
+        if won[w] >= trigger and won[w] - won[l] >= 2:
+            return MatchScore(sets + (tuple(won),), (0, 0), ("0", "0"), server,
+                              False, config)
+        if won[w] == won[l] == trigger:
+            return MatchScore(sets, (trigger, trigger), (0, 0), server, True, config)
+        return MatchScore(sets, tuple(won), ("0", "0"), server, False, config)
+    return MatchScore(sets, games, tuple(points), server, False, config)
 
 
 def is_break_point(score: MatchScore) -> bool:
@@ -349,11 +299,13 @@ def synthesize_completed_sets(p1_sets: int, p2_sets: int,
     """Reconstruct per-set game pairs from bare won-set counts.
 
     Boards and dataset rows carry only how many sets each player holds, so
-    each won set becomes a synthetic trigger-0 result.  Sets alternate before
-    the leader's surplus so the sequence never continues past a clinched
-    match when the counts themselves are legal.
+    each won set becomes a synthetic trigger-0 result, 2-0 under a trigger of
+    1, where 1-0 is still a live set.  Sets alternate before the leader's
+    surplus so the sequence never continues past a clinched match when the
+    counts themselves are legal.
     """
-    win_1, win_2 = (trigger, 0), (0, trigger)
+    won = max(trigger, 2)
+    win_1, win_2 = (won, 0), (0, won)
     shared = min(p1_sets, p2_sets)
     sets: list[tuple[int, int]] = []
     for _ in range(shared):
@@ -503,7 +455,8 @@ def parse_scoreboard(layout: str, rows, server_row: int | None,
     AO/US Open and Roland Garros rows read left-to-right as completed-set
     games, current-set games, then points; Wimbledon rows are the fixed
     ``[sets won, games, points]`` triple (sets won are stored as synthetic
-    ``trigger-0`` set results, since the board does not show per-set games).
+    ``trigger-0`` set results, ``2-0`` under a trigger of 1, since the board
+    does not show per-set games).
     Integer point columns at trigger-trigger games are read as a tiebreak.
     """
     if layout not in LAYOUTS:

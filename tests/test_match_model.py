@@ -13,6 +13,7 @@ from courtside.match_model import (
     PLAYER_2,
     RowLengthMismatch,
     ScoringConfig,
+    InvalidState,
     TerminalState,
     UnknownLayout,
     advance_point,
@@ -29,6 +30,27 @@ import oracles
 
 DEFAULT = ScoringConfig()
 NO_AD = ScoringConfig(ad_scoring=False)
+
+# Scoring configs checked set by set against oracles.reachable_set_states.
+ORACLE_CONFIGS = (
+    ScoringConfig(),
+    NO_AD,
+    ScoringConfig(3, 6, 10, 7, True),
+    ScoringConfig(3, 1, 1, 1, True),
+    ScoringConfig(3, 1, 7, 10, False),
+    ScoringConfig(3, 2, 1, 3, True),
+    ScoringConfig(3, 4, 2, 3, False),
+    ScoringConfig(3, 3, 7, 7, True),
+    ScoringConfig(5, 5, 3, 10, False),
+    ScoringConfig(5, 8, 10, 10, True),
+    ScoringConfig(3, 2, 2, 2, False),
+    ScoringConfig(5, 6, 5, 1, True),
+)
+
+
+def config_id(c):
+    return (f"bo{c.best_of}-t{c.set_trigger_games}-tb{c.tiebreak_points}-"
+            f"{c.final_set_tiebreak_points}-{'ad' if c.ad_scoring else 'noad'}")
 
 
 def fresh(server=PLAYER_1, config=DEFAULT):
@@ -152,6 +174,60 @@ class TestAdvancePoint:
                     assert nxt.games != (0, 0), (disp, winner)
                 else:
                     assert nxt.points == expected, (disp, winner)
+
+    @pytest.mark.parametrize("score, winner, error, message", [
+        (MatchScore(points=(AD, AD)), PLAYER_1, InvalidState, "both players at AD"),
+        (MatchScore(points=("0", "50")), PLAYER_1, InvalidState, "illegal point value"),
+        (MatchScore(games=(-1, 0)), PLAYER_2, InvalidState, "negative games"),
+        (MatchScore(games=(6, 6), points=(-1, 0), in_tiebreak=True), PLAYER_1,
+         InvalidState, "non-negative ints"),
+        (MatchScore(games=(6, 6), points=(1.5, 0), in_tiebreak=True), PLAYER_2,
+         InvalidState, "non-negative ints"),
+        (MatchScore(completed_sets=((6, 0), (6, 0))), PLAYER_1, TerminalState,
+         "already decided"),
+        # the winner id is checked before the state
+        (MatchScore(points=(AD, AD)), "player_3", ValueError, "unknown player id"),
+        (MatchScore(completed_sets=((6, 0), (6, 0))), "", ValueError,
+         "unknown player id"),
+    ])
+    def test_guards(self, score, winner, error, message):
+        with pytest.raises(ValueError, match=message) as raised:
+            advance_point(score, winner)
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
+    def test_reach_over_one_set_matches_oracle(self, config):
+        """From 0-0 with either server, in the first and the deciding set,
+        the live states ``advance_point`` reaches are the oracle's, and each
+        set it closes is a finished set won by the point's winner."""
+        trigger = config.set_trigger_games
+        split = ((trigger + 1, trigger), (trigger, trigger + 1)) * (config.best_of // 2)
+        for sets, target in (((), config.tiebreak_points),
+                             (split, config.final_set_tiebreak_points)):
+            frontier = [MatchScore(sets, server=server, config=config)
+                        for server in (PLAYER_1, PLAYER_2)]
+            seen = {(s.games, False, s.points, s.server) for s in frontier}
+            while frontier:
+                score = frontier.pop()
+                for winner in (PLAYER_1, PLAYER_2):
+                    after = advance_point(score, winner)
+                    if len(after.completed_sets) > len(sets):
+                        a, b = after.completed_sets[-1]
+                        assert oracles.set_over(a, b, trigger)
+                        assert (a > b) == (winner == PLAYER_1)
+                        continue
+                    pts = after.points
+                    if after.in_tiebreak:
+                        # fold the win-by-two cycle as the oracle does
+                        while min(pts) > target:
+                            pts = (pts[0] - 1, pts[1] - 1)
+                    state = (after.games, after.in_tiebreak, pts, after.server)
+                    if state not in seen:
+                        seen.add(state)
+                        frontier.append(after)
+            live = {state[:3] for state in seen}
+            assert live == oracles.reachable_set_states(trigger, target,
+                                                        config.ad_scoring)
 
 
 def _tiebreak_at(a, b, config=DEFAULT):
@@ -287,21 +363,7 @@ class TestValidation:
                            in_tiebreak=True)
         assert not validate_scoreboard(score)
 
-    @pytest.mark.parametrize("config", [
-        ScoringConfig(),
-        NO_AD,
-        ScoringConfig(3, 6, 10, 7, True),
-        ScoringConfig(3, 1, 1, 1, True),
-        ScoringConfig(3, 1, 7, 10, False),
-        ScoringConfig(3, 2, 1, 3, True),
-        ScoringConfig(3, 4, 2, 3, False),
-        ScoringConfig(3, 3, 7, 7, True),
-        ScoringConfig(5, 5, 3, 10, False),
-        ScoringConfig(5, 8, 10, 10, True),
-        ScoringConfig(3, 2, 2, 2, False),
-        ScoringConfig(5, 6, 5, 1, True),
-    ], ids=lambda c: (f"bo{c.best_of}-t{c.set_trigger_games}-tb{c.tiebreak_points}-"
-                      f"{c.final_set_tiebreak_points}-{'ad' if c.ad_scoring else 'noad'}"))
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
     def test_rule_matches_bfs_oracle(self, config):
         """In the first and the deciding set, a board passes exactly when the
         oracle's search reaches its games and points: every game pair to

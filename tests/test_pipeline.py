@@ -73,6 +73,21 @@ class TestLoadDataset:
         assert [line for line, _ in errors] == [1]
         assert "invalid JSON" in errors[0][1]
 
+    def test_trigger_one_file_loads(self, tmp_path):
+        """Under a set trigger of 1, a won set is rebuilt as 2-0, a finished
+        set (1-0 is still live), so a simulated file loads with no listed line."""
+        config = ScoringConfig(set_trigger_games=1, tiebreak_points=1,
+                               final_set_tiebreak_points=1)
+        records = simulate_match(seed=7, config=config)
+        assert len(records[-1].initial_score.completed_sets) >= 1
+        path = tmp_path / "trigger_one.jsonl"
+        path.write_text("".join(json.dumps(rally_to_json(r)) + "\n" for r in records),
+                        encoding="utf-8")
+        errors = []
+        loaded = list(load_dataset(path, config, errors=errors))
+        assert errors == []
+        assert [rally_to_json(r) for r in loaded] == [rally_to_json(r) for r in records]
+
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
             list(load_dataset("/nonexistent/match.jsonl"))
