@@ -31,7 +31,7 @@ from .prompt_engine import (GenerationRequest, check_file_target, generate,
 from .segmentation import (FlagCountMismatch, ImpactEvent, SegmentationParams,
                            cluster_impacts, filter_intervals)
 from .simulate import simulate_match
-from .event_stream import rally_to_json
+from .event_stream import json_number, rally_to_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -182,11 +182,13 @@ def cmd_evaluate(args) -> int:
     records, errors = [], []
     if args.dataset:
         records, errors = _load_all(args.dataset, config.scoring)
-    metadata_by_clip = {r.clip_id: serialize_metadata(r) for r in records}
+    judge = MockJudgeClient() if args.judge == "mock" else None
+    # The metadata block is read only by the judge.
+    metadata_by_clip = ({r.clip_id: serialize_metadata(r) for r in records}
+                        if judge is not None else {})
 
     per_clip = []
     scorecards = []
-    judge = MockJudgeClient() if args.judge == "mock" else None
     for (line_no, obj), score in zip(pairs, scores):
         row = {
             "clip_id": obj["clip_id"],
@@ -208,8 +210,7 @@ def cmd_evaluate(args) -> int:
                 row["judge"] = card.as_dict()
         per_clip.append(row)
 
-    summary = aggregate(scorecards, metric_report=report) if (
-        scorecards or report) else {"pairs": len(pairs)}
+    summary = aggregate(scorecards, metric_report=report)
     summary["pairs"] = len(pairs)
     if errors:
         summary["schema_violations"] = _violations(errors)
@@ -232,8 +233,8 @@ def cmd_segment(args) -> int:
     events = []
     for line_no, obj in _read_jsonl(args.input):
         try:
-            events.append(ImpactEvent(timestamp=float(obj["t"]),
-                                      confidence=float(obj["conf"])))
+            events.append(ImpactEvent(timestamp=json_number(obj["t"]),
+                                      confidence=json_number(obj["conf"])))
         except KeyError as exc:
             raise ConfigError(
                 f"{args.input} line {line_no}: missing {exc.args[0]!r}") from None

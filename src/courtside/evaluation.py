@@ -601,12 +601,10 @@ class MockJudgeClient:
 # ---------------------------------------------------------------------------
 
 
-def aggregate(scorecards, metric_report: MetricReport | None = None,
-              sanity_reports=None) -> dict:
-    """Corpus summary: per-criterion means, metric means and sanity pass rate."""
+def aggregate(scorecards, metric_report: MetricReport | None = None) -> dict:
+    """Corpus summary: per-criterion judge means and the metric means; empty
+    when there is neither."""
     scorecards = list(scorecards)
-    if not scorecards and metric_report is None and not sanity_reports:
-        raise ValueError("nothing to aggregate")
     summary: dict = {}
     if scorecards:
         block = {"count": len(scorecards)}
@@ -616,11 +614,4 @@ def aggregate(scorecards, metric_report: MetricReport | None = None,
         summary["judge"] = block
     if metric_report is not None:
         summary["metrics"] = metric_report.as_dict()
-    if sanity_reports is not None:
-        reports = list(sanity_reports)
-        if reports:
-            summary["sanity"] = {
-                "count": len(reports),
-                "pass_rate": sum(1 for r in reports if not r) / len(reports),
-            }
     return summary

@@ -473,8 +473,9 @@ def rally_to_json(rally: RallyRecord) -> dict:
     return obj
 
 
-def _finite(value) -> float:
-    # A JSON number only: a numeric string or a boolean is not one.
+def json_number(value) -> float:
+    """A finite JSON number as a float; a numeric string or a boolean is not
+    one (TypeError), nor is NaN or an infinity (ValueError)."""
     if type(value) is not float and type(value) is not int:
         raise TypeError(f"expected a number, got {value!r}")
     number = float(value)
@@ -486,7 +487,7 @@ def _finite(value) -> float:
 def _pair(value) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"expected an [x, y] pair, got {value!r}")
-    return _finite(value[0]), _finite(value[1])
+    return json_number(value[0]), json_number(value[1])
 
 
 def _text(value, name: str) -> str:
@@ -555,7 +556,8 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
 
     The scoreboard block is read as a Wimbledon board by
     :func:`parse_scoreboard`.  A missing field or malformed value is reported
-    with the record part it sits in, e.g. ``"<clip_id> shot 3: ..."``.
+    with the record part it sits in, e.g. ``"<clip_id> shot 3: ..."``.  The
+    clip id is checked to be a string only; :func:`validate_rally` parses it.
 
     ``previous`` is the valid record decoded from the line before, as
     :func:`courtside.pipeline.load_dataset` passes it.  Its ``MatchInfo`` is
@@ -576,7 +578,6 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
         if not isinstance(obj, dict):
             raise TypeError(f"must be a JSON object, got {type(obj).__name__}")
         clip_id = _text(obj["clip_id"], "clip_id")
-        parse_clip_id(clip_id)
 
         where = "{} match_info"
         info_obj = obj["match_info"]
@@ -620,7 +621,7 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
                 raise TypeError(f"shot_index must be an integer, got {index!r}")
             shots.append(ShotEvent(
                 index, s["hitter"], s["stroke"], _text(s["technique"], "technique"),
-                s["direction"], s["outcome"], _finite(s["timestamp"]),
+                s["direction"], s["outcome"], json_number(s["timestamp"]),
                 s.get("serve_attempt"),
                 _pair(s["hitter_position"]) if "hitter_position" in s else None,
                 _pair(s["ball_position"]) if "ball_position" in s else None))
@@ -633,7 +634,7 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
         where = "{} bounce {}"
         for i, b in enumerate(raw_bounces):
             bounces.append(BounceEvent(
-                _finite(b["timestamp"]), b["court_half"],
+                json_number(b["timestamp"]), b["court_half"],
                 _pair(b["position"]) if "position" in b else None))
 
         where = "{} outcome"

@@ -198,12 +198,15 @@ def advance_point(score: MatchScore, winner: str) -> MatchScore:
     Handles the full progression: point ladder, deuce/advantage (or sudden
     death when ad scoring is off), game and set closure, tiebreak entry at
     trigger-trigger with the one-then-two serve rotation, and the deciding-set
-    tiebreak target.
+    tiebreak target.  A score with a structural violation (the first part
+    of :func:`validate_scoreboard`) raises InvalidState naming them all.
     """
     w = _index(winner)
     if is_terminal(score) is not None:
         raise TerminalState("match already decided")
-    _check_structure(score)
+    problems = _structure_violations(score)
+    if problems:
+        raise InvalidState("; ".join(problems))
     l = 1 - w
     sets, games, server, config = (score.completed_sets, score.games,
                                    score.server, score.config)
@@ -262,23 +265,45 @@ def is_break_point(score: MatchScore) -> bool:
     return ret == "40" and srv in ("0", "15", "30")
 
 
-def _check_structure(score: MatchScore) -> None:
+# ---------------------------------------------------------------------------
+# Validation: structure and reachability
+# ---------------------------------------------------------------------------
+
+
+def _structure_violations(score: MatchScore) -> list[str]:
+    """Violations of the current-set structure: server, point values against
+    the ladder or tiebreak, and games in 0..trigger+1.  ``advance_point``
+    refuses a score that has any; ``validate_scoreboard`` reports them first."""
+    v: list[str] = []
+    config = score.config
+    trigger = config.set_trigger_games
+
+    if score.server not in PLAYER_IDS:
+        v.append(f"unknown server: {score.server!r}")
+
     if score.in_tiebreak:
         if not all(isinstance(p, int) and p >= 0 for p in score.points):
-            raise InvalidState(f"tiebreak points must be non-negative ints: {score.points!r}")
+            v.append(f"tiebreak points must be non-negative integers: {score.points!r}")
+        if score.games != (trigger, trigger):
+            v.append(f"tiebreak flagged at games {score.games}, expected {trigger}-{trigger}")
     else:
-        for p in score.points:
-            if p not in POINT_LADDER and p != AD:
-                raise InvalidState(f"illegal point value: {p!r}")
+        bad = [p for p in score.points if p not in POINT_LADDER and p != AD]
+        if bad:
+            v.append(f"illegal point values: {bad!r}")
         if score.points == (AD, AD):
-            raise InvalidState("both players at AD")
-    if any(g < 0 for g in score.games):
-        raise InvalidState(f"negative games: {score.games!r}")
+            v.append("both players at AD")
+        elif AD in score.points:
+            opp = score.points[1] if score.points[0] == AD else score.points[0]
+            if opp != "40":
+                v.append(f"AD with opponent at {opp!r}, expected 40")
+            if not config.ad_scoring:
+                v.append("AD under no-ad scoring")
 
-
-# ---------------------------------------------------------------------------
-# Reachability validation
-# ---------------------------------------------------------------------------
+    if any(not isinstance(g, int) or g < 0 for g in score.games):
+        v.append(f"games must be non-negative integers: {score.games!r}")
+    elif any(g > trigger + 1 for g in score.games):
+        v.append(f"games exceed trigger+1: {score.games!r}")
+    return v
 
 
 def _set_state_reachable(score: MatchScore) -> bool:
@@ -328,35 +353,9 @@ def validate_scoreboard(score: MatchScore) -> tuple[str, ...]:
     An empty tuple means the state passed: ``advance_point`` transitions
     can produce it from a fresh match under the score's own config.
     """
-    v: list[str] = []
+    v = _structure_violations(score)
     config = score.config
     trigger = config.set_trigger_games
-
-    if score.server not in PLAYER_IDS:
-        v.append(f"unknown server: {score.server!r}")
-
-    if score.in_tiebreak:
-        if not all(isinstance(p, int) and p >= 0 for p in score.points):
-            v.append(f"tiebreak points must be non-negative integers: {score.points!r}")
-        if score.games != (trigger, trigger):
-            v.append(f"tiebreak flagged at games {score.games}, expected {trigger}-{trigger}")
-    else:
-        bad = [p for p in score.points if p not in POINT_LADDER and p != AD]
-        if bad:
-            v.append(f"illegal point values: {bad!r}")
-        if score.points == (AD, AD):
-            v.append("both players at AD")
-        elif AD in score.points:
-            opp = score.points[1] if score.points[0] == AD else score.points[0]
-            if opp != "40":
-                v.append(f"AD with opponent at {opp!r}, expected 40")
-            if not config.ad_scoring:
-                v.append("AD under no-ad scoring")
-
-    if any(not isinstance(g, int) or g < 0 for g in score.games):
-        v.append(f"games must be non-negative integers: {score.games!r}")
-    elif any(g > trigger + 1 for g in score.games):
-        v.append(f"games exceed trigger+1: {score.games!r}")
 
     if len(score.completed_sets) > config.best_of:
         v.append(f"{len(score.completed_sets)} completed sets exceeds best-of-{config.best_of}")

@@ -60,6 +60,9 @@ class PipelineConfig:
             raise ConfigError("token cap must be an integer > 0")
         if self.client not in CLIENT_KINDS:
             raise ConfigError(f"client must be one of {CLIENT_KINDS}")
+        if self.log_requests is not None and type(self.log_requests) is not str:
+            raise ConfigError(f"log_requests must be a file path string, "
+                              f"got {self.log_requests!r}")
         if self.log_requests and self.client != "http":
             raise ConfigError("log_requests needs the http client; "
                               "the mock client sends no requests")

@@ -13,7 +13,6 @@ from courtside.evaluation import (
     JudgeScorecard,
     MissingKey,
     MockJudgeClient,
-    SanityViolation,
     UnparsableOutput,
     _left_sum,
     aggregate,
@@ -362,8 +361,3 @@ class TestAggregate:
                      "pacing", "total"):
             expected = sum(getattr(c, name) for c in cards) / len(cards)
             assert summary["judge"][f"{name}_mean"] == pytest.approx(expected)
-
-    def test_sanity_pass_rate(self):
-        reports = [(), (), (SanityViolation("shot_term", "x"),)]
-        summary = aggregate([], metric_report=None, sanity_reports=reports)
-        assert summary["sanity"]["pass_rate"] == pytest.approx(2 / 3)

@@ -178,17 +178,25 @@ class TestAdvancePoint:
     @pytest.mark.parametrize("score, winner, error, message", [
         (MatchScore(points=(AD, AD)), PLAYER_1, InvalidState, "both players at AD"),
         (MatchScore(points=("0", "50")), PLAYER_1, InvalidState, "illegal point value"),
-        (MatchScore(games=(-1, 0)), PLAYER_2, InvalidState, "negative games"),
+        (MatchScore(games=(-1, 0)), PLAYER_2, InvalidState,
+         "games must be non-negative integers"),
         (MatchScore(games=(6, 6), points=(-1, 0), in_tiebreak=True), PLAYER_1,
-         InvalidState, "non-negative ints"),
+         InvalidState, "tiebreak points must be non-negative integers"),
         (MatchScore(games=(6, 6), points=(1.5, 0), in_tiebreak=True), PLAYER_2,
-         InvalidState, "non-negative ints"),
+         InvalidState, "tiebreak points must be non-negative integers"),
         (MatchScore(completed_sets=((6, 0), (6, 0))), PLAYER_1, TerminalState,
          "already decided"),
         # the winner id is checked before the state
         (MatchScore(points=(AD, AD)), "player_3", ValueError, "unknown player id"),
         (MatchScore(completed_sets=((6, 0), (6, 0))), "", ValueError,
          "unknown player id"),
+        # the states validate_scoreboard rejects on structure alone
+        (MatchScore(points=(0, 0), in_tiebreak=True), PLAYER_1, InvalidState,
+         "tiebreak flagged at games"),
+        (MatchScore(games=(9, 0)), PLAYER_1, InvalidState, "exceed trigger"),
+        (MatchScore(points=(AD, "15")), PLAYER_1, InvalidState,
+         "AD with opponent at '15'"),
+        (MatchScore(server="nobody"), PLAYER_2, InvalidState, "unknown server"),
     ])
     def test_guards(self, score, winner, error, message):
         with pytest.raises(ValueError, match=message) as raised:

@@ -118,6 +118,23 @@ class TestLoadDataset:
         sets_played = len(records[-1].final_score.completed_sets)
         assert 1 <= len(parses) <= 1 + sets_played
 
+    def test_clip_id_parsed_once_per_line(self, dataset_file, records,
+                                          monkeypatch):
+        """The clip id has one reader, validate_rally: the decoder checks only
+        that it is a string."""
+        parses = []
+
+        def counting_parse(clip_id):
+            parses.append(clip_id)
+            return original(clip_id)
+
+        original = event_stream.parse_clip_id
+        monkeypatch.setattr(event_stream, "parse_clip_id", counting_parse)
+        errors = []
+        loaded = list(load_dataset(dataset_file, errors=errors))
+        assert errors == [] and len(loaded) == len(records)
+        assert parses == [r.clip_id for r in records]
+
     def test_header_without_handedness_still_chains(self, tmp_path, records):
         """Lines that omit both ``handedness`` keys are decoded against the line
         before, since headers are compared with the decode's defaults: the file
@@ -353,6 +370,7 @@ class TestConfig:
         ({"memory_window": 2.5}, "memory window"),
         ({"memory_window": True}, "memory window"),
         ({"token_cap": 1e9}, "token cap"),
+        ({"client": "http", "log_requests": 5}, "log_requests"),
     ])
     def test_non_integer_value_exits_two(self, tmp_path, capsys, config,
                                          message):
@@ -926,6 +944,19 @@ class TestBadInputLines:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"line {bad_line}" in captured.err and "finite" in captured.err
+
+    @pytest.mark.parametrize("lines,bad_line", [
+        (['{"t": 1.0, "conf": 0.9}', '{"t": "1.5", "conf": 0.9}'], 2),
+        (['{"t": 1.0, "conf": true}', '{"t": 1.5, "conf": 0.9}'], 1),
+    ])
+    def test_segment_impact_must_be_a_json_number(self, tmp_path, capsys, lines,
+                                                  bad_line):
+        path = tmp_path / "input.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["segment", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {bad_line}" in captured.err and "expected a number" in captured.err
 
     @pytest.mark.parametrize("flag,value", [
         ("--threshold", "2"), ("--threshold", "NaN"), ("--min-hits", "0"),
