@@ -84,10 +84,14 @@ def _fold(text: str) -> str:
 # Each text is tokenized once.  CIDEr's document frequencies take each
 # reference's set of grams; then, one pair at a time, each text's 1..4-gram
 # counts are built once, in one Counter keyed by the gram tuples (a gram's n
-# is its length), and shared by BLEU-4's clipped precision and CIDEr's TF-IDF
-# vectors.  Only one pair's counts are alive at a time.  Every float is an
-# exact left-to-right fold, so the bytes are the same on every supported
-# Python.
+# is its length), and ``_scores`` reads them for BLEU-4 and CIDEr together.
+# One walk over the candidate's grams adds up BLEU's clipped matches, the
+# candidate's TF-IDF norms and its dot product with the first reference;
+# each further reference takes one more candidate walk for its own dot
+# product, and each reference one walk over its own grams for its norms.
+# No TF-IDF vector is built.  Only one pair's counts are alive at a time.
+# Every float is an exact left-to-right fold, in Counter order, so the bytes
+# are the same on every supported Python.
 
 
 def _left_sum(values) -> float:
@@ -120,32 +124,75 @@ def _tokenize_pair(candidate: str, references) -> tuple[list[str], list[list[str
     return tokenize(candidate), refs
 
 
-def _bleu(cand: _Counted, refs: list[_Counted]) -> float:
-    if not cand.tokens:
-        return 0.0
-    counts, clip = cand.grams, refs[0].grams
+def _scores(cand: _Counted, refs: list[_Counted], idf: dict | None,
+            unseen: float) -> tuple[float, float | None]:
+    """BLEU-4 and, given document frequencies, CIDEr of one pair, in the
+    walks that the comment above describes.  A dot term is
+    ``weight * (ref_tf * gram_idf)``, the product of the two texts' TF-IDF
+    weights of the gram."""
+    first = refs[0].grams
+    clip = first
     for ref in refs[1:]:
         clip = clip | ref.grams  # per-gram maximum
+    idf_get, first_get, clip_get = ({} if idf is None else idf).get, first.get, clip.get
+    several = len(refs) > 1
     matched = [0] * 5  # by n
-    for gram in counts.keys() & clip.keys():
-        matched[len(gram)] += min(counts[gram], clip[gram])
+    cand_sq = [0.0] * 5
+    dots = [[0.0] * 5]  # by reference, then by n; absent grams would add +0.0
+    dot = dots[0]
+    for gram, tf in cand.grams.items():
+        n = len(gram)
+        gram_idf = idf_get(gram, unseen)
+        weight = tf * gram_idf
+        cand_sq[n] += weight * weight
+        ref_tf = first_get(gram)
+        if ref_tf:
+            dot[n] += weight * (ref_tf * gram_idf)
+        if several:  # with one reference, its counts are the clip
+            ref_tf = clip_get(gram)
+        if ref_tf:
+            matched[n] += tf if tf < ref_tf else ref_tf
+    bleu = 0.0
+    if matched[1]:  # else 0.0, as unigram precision takes no smoothing
+        length = len(cand.tokens)
+        log_precision_sum = 0.0
+        for n in range(1, 5):
+            total = max(length - n + 1, 0)
+            if matched[n] > 0:
+                precision = matched[n] / total
+            else:
+                precision = (matched[n] + 1) / (total + 1)
+            log_precision_sum += 0.25 * math.log(precision)
+        closest_ref = min((len(r.tokens) for r in refs),
+                          key=lambda ref_len: (abs(ref_len - length), ref_len))
+        brevity = 1.0 if length > closest_ref else math.exp(1.0 - closest_ref / length)
+        bleu = brevity * math.exp(log_precision_sum)
+    if idf is None:
+        return bleu, None
 
-    length = len(cand.tokens)
-    log_precision_sum = 0.0
-    for n in range(1, 5):
-        total = max(length - n + 1, 0)
-        if matched[n] > 0:
-            precision = matched[n] / total
-        elif n == 1:
-            return 0.0
-        else:
-            precision = (matched[n] + 1) / (total + 1)
-        log_precision_sum += 0.25 * math.log(precision)
-
-    closest_ref = min((len(r.tokens) for r in refs),
-                      key=lambda ref_len: (abs(ref_len - length), ref_len))
-    brevity = 1.0 if length > closest_ref else math.exp(1.0 - closest_ref / length)
-    return brevity * math.exp(log_precision_sum)
+    for ref in refs[1:]:
+        ref_get, dot = ref.grams.get, [0.0] * 5
+        for gram, tf in cand.grams.items():
+            ref_tf = ref_get(gram)
+            if ref_tf:
+                gram_idf = idf_get(gram, unseen)
+                dot[len(gram)] += tf * gram_idf * (ref_tf * gram_idf)
+        dots.append(dot)
+    cand_norm = [math.sqrt(x) for x in cand_sq]
+    sims = [[] for _ in range(5)]  # by n, one per reference
+    for ref, dot in zip(refs, dots):
+        ref_sq = [0.0] * 5
+        for gram, tf in ref.grams.items():
+            weight = tf * idf_get(gram, unseen)
+            ref_sq[len(gram)] += weight * weight
+        for n in range(1, 5):
+            ref_norm = math.sqrt(ref_sq[n])
+            if cand_norm[n] == 0.0 or ref_norm == 0.0:
+                sims[n].append(0.0)
+            else:
+                sims[n].append(dot[n] / (cand_norm[n] * ref_norm))
+    per_n = [_left_sum(s) / len(s) for s in sims[1:]]
+    return bleu, 10.0 * _left_sum(per_n) / 4.0
 
 
 def bleu4(candidate: str, references) -> float:
@@ -156,7 +203,7 @@ def bleu4(candidate: str, references) -> float:
     zero-overlap pairs score 0.
     """
     cand, refs = _tokenize_pair(candidate, references)
-    return _bleu(_count(cand), [_count(r) for r in refs])
+    return _scores(_count(cand), [_count(r) for r in refs], None, 0.0)[0]
 
 
 def _lcs(a, b) -> int:
@@ -205,42 +252,13 @@ def _idf(ref_lists) -> tuple[dict, float]:
             math.log(corpus_size))
 
 
-def _tfidf(text: _Counted, idf: dict, unseen: float) -> tuple[dict, list[float]]:
-    """TF-IDF weights and, by n, the norm of the n-gram part."""
-    vec = {}
-    norm_sq = [0.0] * 5
-    for gram, tf in text.grams.items():
-        weight = tf * idf.get(gram, unseen)
-        vec[gram] = weight
-        norm_sq[len(gram)] += weight * weight
-    return vec, [math.sqrt(x) for x in norm_sq]
-
-
-def _cider(cand: _Counted, refs: list[_Counted], idf: dict, unseen: float) -> float:
-    cand_vec, cand_norm = _tfidf(cand, idf, unseen)
-    sims = [[] for _ in range(5)]  # by n, one per reference
-    for ref in refs:
-        ref_vec, ref_norm = _tfidf(ref, idf, unseen)
-        dot = [0.0] * 5  # in candidate order; absent grams would add +0.0
-        for gram, weight in cand_vec.items():
-            if gram in ref_vec:
-                dot[len(gram)] += weight * ref_vec[gram]
-        for n in range(1, 5):
-            if cand_norm[n] == 0.0 or ref_norm[n] == 0.0:
-                sims[n].append(0.0)
-            else:
-                sims[n].append(dot[n] / (cand_norm[n] * ref_norm[n]))
-    per_n = [_left_sum(s) / len(s) for s in sims[1:]]
-    return 10.0 * _left_sum(per_n) / 4.0
-
-
 def cider_scores(pairs) -> list[float]:
     """Per-pair CIDEr: TF-IDF n-gram cosine (n = 1..4) against each
     reference, averaged over n and references, scaled by 10.  IDF comes from
     the reference side of the whole corpus."""
     pairs = [_tokenize_pair(cand, refs) for cand, refs in pairs]
     weights = _idf([refs for _, refs in pairs])
-    return [_cider(_count(cand), [_count(r) for r in refs], *weights)
+    return [_scores(_count(cand), [_count(r) for r in refs], *weights)[1]
             for cand, refs in pairs]
 
 
@@ -264,12 +282,11 @@ def score_pairs(pairs) -> list[PairScore]:
     try:
         weights = _idf([refs for _, refs in pairs])
     except CorpusTooSmall:
-        weights = None
+        weights = None, 0.0
     scores = []
     for cand_tokens, ref_tokens in pairs:
-        cand, refs = _count(cand_tokens), [_count(r) for r in ref_tokens]
-        scores.append(PairScore(_bleu(cand, refs), _rouge(cand_tokens, ref_tokens[0]),
-                                None if weights is None else _cider(cand, refs, *weights)))
+        bleu, cider = _scores(_count(cand_tokens), [_count(r) for r in ref_tokens], *weights)
+        scores.append(PairScore(bleu, _rouge(cand_tokens, ref_tokens[0]), cider))
     return scores
 
 
@@ -517,11 +534,13 @@ def _candidate_payloads(text: str):
 def _loads_loose(payload: str) -> dict:
     try:
         return json.loads(payload)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deeply
         pass
     try:
         value = ast.literal_eval(payload)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, RecursionError, MemoryError):
+        # deep nesting overflows the parser (MemoryError) or literal_eval's
+        # recursion (RecursionError), by depth and Python version
         raise UnparsableOutput("not a JSON-compatible dictionary") from None
     if not isinstance(value, dict):
         raise UnparsableOutput("parsed value is not a dictionary")

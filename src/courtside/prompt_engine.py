@@ -525,7 +525,7 @@ class HttpCommentaryClient:
                 f"request rejected with status {http_response.status_code}")
         try:
             payload = http_response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise MalformedResponse(f"non-JSON reply: {exc}") from exc
         if not isinstance(payload, dict):
             raise MalformedResponse("reply is not a JSON object")

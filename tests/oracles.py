@@ -16,9 +16,16 @@ from types import SimpleNamespace
 
 from courtside.evaluation import (
     DEFAULT_SHOT_TAXONOMY,
+    CorpusTooSmall,
+    PairScore,
     SanityViolation,
     _ATTRIBUTION_TERMS,
     _SENTENCE_SPLIT_RE,
+    _grams,
+    _idf,
+    _left_sum,
+    _rouge,
+    tokenize,
 )
 from courtside.event_stream import SchemaViolation, rally_from_json, validate_rally
 from courtside.match_model import AD, PLAYER_IDS, advance_point, other_player, validate_scoreboard
@@ -296,6 +303,89 @@ def ref_cider(pairs_tokens) -> list[float]:
             sims = [cosine(cv, tfidf_vec(ref, n)) for ref in refs]
             per_n.append(sum(sims) / len(sims))
         scores.append(10.0 * sum(per_n) / 4.0)
+    return scores
+
+
+# The package's earlier metric path, kept verbatim as an oracle for the exact
+# float bits: BLEU by a set intersection of gram keys, CIDEr through a TF-IDF
+# dict per text and a separate dot-product walk.
+
+
+def _exact_bleu(cand, refs) -> float:
+    cand_tokens, counts = cand
+    if not cand_tokens:
+        return 0.0
+    clip = refs[0][1]
+    for _, ref_grams in refs[1:]:
+        clip = clip | ref_grams  # per-gram maximum
+    matched = [0] * 5  # by n
+    for gram in counts.keys() & clip.keys():
+        matched[len(gram)] += min(counts[gram], clip[gram])
+
+    length = len(cand_tokens)
+    log_precision_sum = 0.0
+    for n in range(1, 5):
+        total = max(length - n + 1, 0)
+        if matched[n] > 0:
+            precision = matched[n] / total
+        elif n == 1:
+            return 0.0
+        else:
+            precision = (matched[n] + 1) / (total + 1)
+        log_precision_sum += 0.25 * math.log(precision)
+
+    closest_ref = min((len(tokens) for tokens, _ in refs),
+                      key=lambda ref_len: (abs(ref_len - length), ref_len))
+    brevity = 1.0 if length > closest_ref else math.exp(1.0 - closest_ref / length)
+    return brevity * math.exp(log_precision_sum)
+
+
+def _exact_tfidf(grams, idf: dict, unseen: float) -> tuple[dict, list[float]]:
+    vec = {}
+    norm_sq = [0.0] * 5
+    for gram, tf in grams.items():
+        weight = tf * idf.get(gram, unseen)
+        vec[gram] = weight
+        norm_sq[len(gram)] += weight * weight
+    return vec, [math.sqrt(x) for x in norm_sq]
+
+
+def _exact_cider(cand, refs, idf: dict, unseen: float) -> float:
+    cand_vec, cand_norm = _exact_tfidf(cand[1], idf, unseen)
+    sims = [[] for _ in range(5)]  # by n, one per reference
+    for _, ref_grams in refs:
+        ref_vec, ref_norm = _exact_tfidf(ref_grams, idf, unseen)
+        dot = [0.0] * 5
+        for gram, weight in cand_vec.items():
+            if gram in ref_vec:
+                dot[len(gram)] += weight * ref_vec[gram]
+        for n in range(1, 5):
+            if cand_norm[n] == 0.0 or ref_norm[n] == 0.0:
+                sims[n].append(0.0)
+            else:
+                sims[n].append(dot[n] / (cand_norm[n] * ref_norm[n]))
+    per_n = [_left_sum(s) / len(s) for s in sims[1:]]
+    return 10.0 * _left_sum(per_n) / 4.0
+
+
+def exact_score_pairs(pairs) -> list[PairScore]:
+    """``score_pairs`` by the earlier path, bit for bit: the same tokenizer,
+    gram order, document frequencies and ROUGE-L, and every float folded in
+    the same order."""
+    pairs = [(tokenize(cand), [tokenize(r) for r in refs]) for cand, refs in pairs]
+    try:
+        weights = _idf([refs for _, refs in pairs])
+    except CorpusTooSmall:
+        weights = None
+
+    def counted(tokens):
+        return tokens, Counter(_grams(tokens))
+
+    scores = []
+    for cand_tokens, ref_tokens in pairs:
+        cand, refs = counted(cand_tokens), [counted(r) for r in ref_tokens]
+        scores.append(PairScore(_exact_bleu(cand, refs), _rouge(cand_tokens, ref_tokens[0]),
+                                None if weights is None else _exact_cider(cand, refs, *weights)))
     return scores
 
 

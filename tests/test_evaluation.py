@@ -295,6 +295,15 @@ class TestParseScorecard:
         with pytest.raises(UnparsableOutput):
             parse_scorecard("the commentary was quite good, 17/20 overall")
 
+    # too deep for the JSON decoder's recursion, for literal_eval's recursion
+    # and for the parser's stack; which error each raises varies by version
+    @pytest.mark.parametrize("text", ["[" * 100_000, "-" * 5_000 + "1",
+                                      "-" * 10_001 + "1"],
+                             ids=["brackets", "minus_5000", "minus_10001"])
+    def test_deep_nesting_is_unparsable(self, text):
+        with pytest.raises(UnparsableOutput):
+            parse_scorecard(text)
+
     def test_bool_is_not_an_int_score(self):
         with pytest.raises(CriterionOutOfRange):
             parse_scorecard('{"accuracy": true, "coherence": 1, '

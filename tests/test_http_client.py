@@ -206,6 +206,30 @@ class TestFailureModes:
         assert [r.commentary for r in report.rallies] == [None] * 3
         assert report.final_stats == replay_match(records).final_stats
 
+    def test_replay_marks_deeply_nested_reply_failed(self, tmp_path, monkeypatch,
+                                                     capsys):
+        records = simulate_match(seed=2024)[:3]
+        replies = [FakeResponse(text="[" * 100_000),
+                   FakeResponse(payload={"text": "steady"}),
+                   FakeResponse(payload={"text": "calm"})]
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=FakeSession(replies))
+        report = replay_match(records, client=client)
+        assert report.failures == 1
+        assert report.rallies[0].failure.startswith("MalformedResponse: non-JSON reply")
+        assert [r.commentary for r in report.rallies] == [None, "steady", "calm"]
+
+        monkeypatch.setenv(HttpCommentaryClient.ENDPOINT_ENV, "https://api.example/c")
+        monkeypatch.setattr(requests, "Session", lambda: FakeSession(replies))
+        match = tmp_path / "match.jsonl"
+        match.write_text("".join(json.dumps(rally_to_json(r)) + "\n" for r in records),
+                         encoding="utf-8")
+        code = main(["replay", "--input", str(match), "--client", "http", "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["failures"] == 1
+
     def test_generate_retries_transient_server_errors(self):
         session = FakeSession([
             FakeResponse(status_code=502, payload={}),

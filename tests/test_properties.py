@@ -509,12 +509,26 @@ def _mean(values):
 
 @settings(deadline=None)
 @given(CORPORA)
+# three references; two lengths are equally close, and the shorter one counts
+@example([("Ace down the line.", ["a break", "ace down line.", "Forehand down the line winner"]),
+          ("deuce", ["deuce a break"])])
+# an empty candidate, and one that is only punctuation
+@example([("", ["the net,"]), ("...", ["a winner", "ace"]), ("winner", ["a winner"])])
+# candidate grams that no reference holds take the unseen weight
+@example([("Moreau forehand winner", ["the net", "a break"]), ("ace ace", ["ace", "deuce"])])
+# grams counted 3 times, where ``(weight * ref_tf) * idf`` rounds differently
+# from ``weight * (ref_tf * idf)``: the last bits pin the dot term's order
+@example([("ace", ["a"]), ("ace ace ace net, a", ["a ace ace ace a deuce"]),
+          ("ace ace ace net,", ["a deuce", "a deuce deuce ace"]),
+          ("ace net,", ["deuce a a deuce net,"]), ("net,", ["ace deuce"])])
 def test_corpus_metrics_are_means_of_sentence_metrics(pairs):
     bleus = [bleu4(cand, refs) for cand, refs in pairs]
     rouges = [rouge_l(cand, refs[0]) for cand, refs in pairs]
     ciders = cider_scores(pairs)
     report = corpus_metrics(pairs)
-    assert score_pairs(pairs) == [PairScore(*s) for s in zip(bleus, rouges, ciders)]
+    scores = score_pairs(pairs)
+    assert scores == [PairScore(*s) for s in zip(bleus, rouges, ciders)]
+    assert scores == oracles.exact_score_pairs(pairs)
     assert (report.bleu4, report.rouge_l, report.cider, report.pairs_evaluated) == (
         _mean(bleus), _mean(rouges), _mean(ciders), len(pairs))
 
