@@ -31,7 +31,7 @@ from .prompt_engine import (GenerationRequest, check_file_target, generate,
 from .segmentation import (FlagCountMismatch, ImpactEvent, SegmentationParams,
                            cluster_impacts, filter_intervals)
 from .simulate import simulate_match
-from .event_stream import json_number, rally_to_json
+from .event_stream import json_number, rally_to_json, valid_unicode
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -166,6 +166,10 @@ def _read_pairs(path):
                                       and obj["metadata"]):
             raise ConfigError(
                 f"{path} line {line_no}: 'metadata' must be a non-empty string")
+        for key in ("clip_id", "prediction", "reference", "metadata"):
+            if not valid_unicode(obj.get(key, "")):
+                raise ConfigError(f"{path} line {line_no}: {key!r} must be "
+                                  f"valid Unicode, got {obj[key]!r}")
         pairs.append((line_no, obj))
     return pairs
 

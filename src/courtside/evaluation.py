@@ -16,7 +16,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import NamedTuple
 
@@ -484,19 +484,20 @@ class JudgeScorecard:
     excitement: int
     professionalism: int
     pacing: int
-    total: int
     corrected: bool = False
 
     def __post_init__(self):
         for name in CRITERIA:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise CriterionOutOfRange(f"{name} must be an integer")
+                raise CriterionOutOfRange(f"{name} must be an integer, got {value!r}")
             if not 0 <= value <= CRITERION_MAX:
                 raise CriterionOutOfRange(
                     f"{name}={value} outside [0, {CRITERION_MAX}]")
-        if self.total != sum(getattr(self, c) for c in CRITERIA):
-            raise ValueError("total must equal the sum of the five criteria")
+
+    @property
+    def total(self) -> int:
+        return sum(getattr(self, c) for c in CRITERIA)
 
     def as_dict(self) -> dict:
         out = {c: getattr(self, c) for c in CRITERIA}
@@ -569,23 +570,15 @@ def parse_scorecard(judge_output: str) -> JudgeScorecard:
         raise UnparsableOutput(str(last_error) if last_error else "no dictionary found")
 
     source = obj.get("scores") if isinstance(obj.get("scores"), dict) else obj
-    values = {}
     for name in CRITERIA:
         if name not in source:
             raise MissingKey(f"missing criterion {name!r}")
-        value = source[name]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CriterionOutOfRange(f"{name} must be an integer, got {value!r}")
-        if not 0 <= value <= CRITERION_MAX:
-            raise CriterionOutOfRange(f"{name}={value} outside [0, {CRITERION_MAX}]")
-        values[name] = value
+    card = JudgeScorecard(**{name: source[name] for name in CRITERIA})
 
     total = obj.get("total_score", obj.get("total"))
     if total is None:
         raise MissingKey("missing total_score")
-    expected = sum(values.values())
-    corrected = total != expected
-    return JudgeScorecard(total=expected, corrected=corrected, **values)
+    return replace(card, corrected=True) if total != card.total else card
 
 
 class MockJudgeClient:

@@ -490,9 +490,24 @@ def _pair(value) -> tuple[float, float]:
     return json_number(value[0]), json_number(value[1])
 
 
+def valid_unicode(text: str) -> bool:
+    """Whether ``text`` can be written as UTF-8.  JSON decodes a lone
+    surrogate escape such as ``"\\ud800"``, and no report holding one can
+    be written; a message quoting it with ``repr`` can."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _text(value, name: str) -> str:
     if type(value) is not str:
         raise TypeError(f"{name} must be a string, got {value!r}")
+    if not valid_unicode(value):
+        raise ValueError(f"{name} must be valid Unicode, got {value!r}")
     return value
 
 

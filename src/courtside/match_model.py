@@ -127,14 +127,14 @@ class MatchScore:
 
     ``completed_sets`` lists ``(player_1 games, player_2 games)`` per finished
     set, oldest first.  ``points`` holds ladder strings in a standard game and
-    non-negative integers when ``in_tiebreak`` is set.
+    non-negative integers in a tiebreak.  The games decide which: the set is
+    in its tiebreak, ``in_tiebreak``, exactly at trigger-all.
     """
 
     completed_sets: tuple[tuple[int, int], ...] = ()
     games: tuple[int, int] = (0, 0)
     points: tuple = ("0", "0")
     server: str = PLAYER_1
-    in_tiebreak: bool = False
     config: ScoringConfig = field(default_factory=ScoringConfig)
 
     def __post_init__(self):
@@ -142,6 +142,8 @@ class MatchScore:
         p1 = sum(1 for a, b in self.completed_sets if a > b)
         p2 = sum(1 for a, b in self.completed_sets if b > a)
         need = self.config.sets_to_win
+        trigger = self.config.set_trigger_games
+        object.__setattr__(self, "in_tiebreak", self.games == (trigger, trigger))
         object.__setattr__(self, "_sets_won", (p1, p2))
         object.__setattr__(self, "_winner", PLAYER_1 if p1 >= need
                            else PLAYER_2 if p2 >= need else None)
@@ -222,11 +224,11 @@ def advance_point(score: MatchScore, winner: str) -> MatchScore:
             # The player who received first in the tiebreak serves next.
             return MatchScore(sets + (tuple(result),), (0, 0), ("0", "0"),
                               other_player(_tiebreak_server_at(server, played)),
-                              False, config)
+                              config)
         # One serve, then two each: the serve changes after points 0, 2, 4...
         if played % 2 == 0:
             server = other_player(server)
-        return MatchScore(sets, games, tuple(points), server, True, config)
+        return MatchScore(sets, games, tuple(points), server, config)
 
     mine, theirs = score.points[w], score.points[l]
     points = list(score.points)
@@ -242,11 +244,11 @@ def advance_point(score: MatchScore, winner: str) -> MatchScore:
         server = other_player(server)
         if won[w] >= trigger and won[w] - won[l] >= 2:
             return MatchScore(sets + (tuple(won),), (0, 0), ("0", "0"), server,
-                              False, config)
+                              config)
         if won[w] == won[l] == trigger:
-            return MatchScore(sets, (trigger, trigger), (0, 0), server, True, config)
-        return MatchScore(sets, tuple(won), ("0", "0"), server, False, config)
-    return MatchScore(sets, games, tuple(points), server, False, config)
+            return MatchScore(sets, (trigger, trigger), (0, 0), server, config)
+        return MatchScore(sets, tuple(won), ("0", "0"), server, config)
+    return MatchScore(sets, games, tuple(points), server, config)
 
 
 def is_break_point(score: MatchScore) -> bool:
@@ -284,8 +286,6 @@ def _structure_violations(score: MatchScore) -> list[str]:
     if score.in_tiebreak:
         if not all(isinstance(p, int) and p >= 0 for p in score.points):
             v.append(f"tiebreak points must be non-negative integers: {score.points!r}")
-        if score.games != (trigger, trigger):
-            v.append(f"tiebreak flagged at games {score.games}, expected {trigger}-{trigger}")
     else:
         bad = [p for p in score.points if p not in POINT_LADDER and p != AD]
         if bad:
@@ -375,7 +375,7 @@ def validate_scoreboard(score: MatchScore) -> tuple[str, ...]:
 
     if not v:
         if is_terminal(score) is not None:
-            if score.games != (0, 0) or score.points != ("0", "0") or score.in_tiebreak:
+            if score.games != (0, 0) or score.points != ("0", "0"):
                 v.append("live games/points on a decided match")
         elif not _set_state_reachable(score):
             v.append(
@@ -502,10 +502,8 @@ def parse_scoreboard(layout: str, rows, server_row: int | None,
                 raise IllegalToken(f"illegal point value: {t!r}")
         points = point_tokens
 
-    return MatchScore(
-        completed_sets=completed, games=games, points=points,
-        server=server, in_tiebreak=in_tiebreak, config=config,
-    )
+    return MatchScore(completed_sets=completed, games=games, points=points,
+                      server=server, config=config)
 
 
 def render_scoreboard(score: MatchScore, layout: str, names: tuple[str, str]) -> dict:

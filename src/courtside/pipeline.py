@@ -147,13 +147,12 @@ def read_lines(path):
                 yield line_no, line
 
 
-def load_dataset(path, config: ScoringConfig | None = None, errors=None):
+def load_dataset(path, config: ScoringConfig | None = None, *, errors: list):
     """Stream valid rally records from a JSONL file, in file order.
 
     Each record passes the schema, event and scoreboard validators.  A
     malformed line is appended to ``errors`` as ``(line_number, message)``
-    and skipped, so one bad line never sinks the stream; without an
-    ``errors`` list it raises :class:`SchemaViolation`.
+    and skipped, so one bad line never sinks the stream.
 
     Each line is decoded against the last record yielded (see
     :func:`rally_from_json`).  A line that shows that record's match header
@@ -170,8 +169,6 @@ def load_dataset(path, config: ScoringConfig | None = None, errors=None):
         try:
             record = _read_record(line, config, previous)
         except SchemaViolation as exc:
-            if errors is None:
-                raise SchemaViolation(f"line {line_no}: {exc}") from None
             errors.append((line_no, str(exc)))
             continue
         previous = record

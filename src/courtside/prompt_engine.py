@@ -19,7 +19,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .event_stream import RallyRecord, SchemaViolation, ShotEvent, rally_from_json
+from .event_stream import (RallyRecord, SchemaViolation, ShotEvent, rally_from_json,
+                           valid_unicode)
 from .match_model import (
     AD,
     PLAYER_1,
@@ -96,10 +97,6 @@ class PromptBundle:
     reference: str | None = field(default=None, compare=False, repr=False)
     prediction: str | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.system_text:
-            raise ValueError("system_text must be non-empty")
-
     def context_text(self) -> str:
         parts = [self.system_text]
         if self.prior_interaction is not None:
@@ -117,6 +114,9 @@ class PersonaConfig:
     def __post_init__(self):
         if not isinstance(self.system_text, str) or not self.system_text:
             raise ValueError("persona system_text must be a non-empty string")
+        if not valid_unicode(self.system_text):
+            raise ValueError(f"persona system_text must be valid Unicode, "
+                             f"got {self.system_text!r}")
         if not (type(self.min_words) is int and type(self.max_words) is int
                 and 1 <= self.min_words <= self.max_words):
             raise ValueError("persona word counts must be ints with "
@@ -532,6 +532,8 @@ class HttpCommentaryClient:
         text = payload.get("text")
         if not text or not isinstance(text, str):
             raise MalformedResponse("reply carries no text")
+        if not valid_unicode(text):
+            raise MalformedResponse(f"reply text is not valid Unicode: {text!r}")
         return GenerationResponse(text=text, usage=payload.get("usage", {}))
 
     def _log(self, body: dict, http_response) -> None:

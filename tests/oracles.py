@@ -14,6 +14,8 @@ import unicodedata
 from collections import Counter, defaultdict
 from types import SimpleNamespace
 
+from hypothesis import strategies as st
+
 from courtside.evaluation import (
     DEFAULT_SHOT_TAXONOMY,
     CorpusTooSmall,
@@ -28,13 +30,36 @@ from courtside.evaluation import (
     tokenize,
 )
 from courtside.event_stream import SchemaViolation, rally_from_json, validate_rally
-from courtside.match_model import AD, PLAYER_IDS, advance_point, other_player, validate_scoreboard
+from courtside.match_model import (AD, PLAYER_IDS, ScoringConfig, advance_point,
+                                   other_player, validate_scoreboard)
 from courtside.memory import ContextView
 from courtside.pipeline import read_lines
 from courtside.prompt_engine import (USER_INSTRUCTION_TEMPLATE, GenerationRequest,
                                      MockCommentaryClient, PromptBundle, describe_shot)
 
 LADDER = ("0", "15", "30", "40")
+
+
+# ---------------------------------------------------------------------------
+# Scoring formats
+# ---------------------------------------------------------------------------
+
+# Every format up to 12 games and 12 tiebreak points: the set trigger, both
+# tiebreak targets, best-of and ad scoring are drawn independently.
+SCORING_CONFIGS = st.builds(
+    ScoringConfig, best_of=st.sampled_from((3, 5)),
+    set_trigger_games=st.integers(1, 12), tiebreak_points=st.integers(1, 12),
+    final_set_tiebreak_points=st.integers(1, 12), ad_scoring=st.booleans())
+
+# Edges each property pins as examples: a trigger of 1, where the tiebreak
+# starts at games 1-1; tiebreaks to 1 point, still won by two (2-0, 3-1...);
+# and tiebreak targets above the trigger.
+PINNED_CONFIGS = (
+    ScoringConfig(best_of=5, set_trigger_games=1, ad_scoring=False),
+    ScoringConfig(tiebreak_points=1, final_set_tiebreak_points=1),
+    ScoringConfig(set_trigger_games=3, tiebreak_points=12,
+                  final_set_tiebreak_points=9, ad_scoring=False),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -759,15 +784,13 @@ def read_record(line: bytes, config) -> object:
     return record
 
 
-def load_dataset_per_line(path, config=None, errors=None):
+def load_dataset_per_line(path, config=None, *, errors):
     """``pipeline.load_dataset`` without chained decoding: the same records
     and the same ``errors``, each line paying for its own decode."""
     for line_no, line in read_lines(path):
         try:
             record = read_record(line, config)
         except SchemaViolation as exc:
-            if errors is None:
-                raise SchemaViolation(f"line {line_no}: {exc}") from None
             errors.append((line_no, str(exc)))
             continue
         yield record

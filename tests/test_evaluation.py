@@ -344,7 +344,7 @@ class TestAggregate:
     def _card(self, base):
         values = {c: min(20, base + i) for i, c in enumerate(
             ("accuracy", "coherence", "excitement", "professionalism", "pacing"))}
-        return JudgeScorecard(total=sum(values.values()), **values)
+        return JudgeScorecard(**values)
 
     def test_single_scorecard_means_equal_itself(self):
         card = self._card(10)
@@ -364,7 +364,7 @@ class TestAggregate:
             values = {c: rng.randint(0, 20) for c in (
                 "accuracy", "coherence", "excitement", "professionalism",
                 "pacing")}
-            cards.append(JudgeScorecard(total=sum(values.values()), **values))
+            cards.append(JudgeScorecard(**values))
         summary = aggregate(cards)
         for name in ("accuracy", "coherence", "excitement", "professionalism",
                      "pacing", "total"):

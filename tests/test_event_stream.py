@@ -270,7 +270,7 @@ class TestClassifyPoint:
 
     @pytest.mark.parametrize("score,games_won", [
         (MatchScore(points=("40", "0"), server=P1), 1),
-        (MatchScore(games=(6, 6), in_tiebreak=True, points=(6, 5), server=P1), 1),
+        (MatchScore(games=(6, 6), points=(6, 5), server=P1), 1),
         (MatchScore(games=(5, 3), points=("40", "30"), server=P1), 1),
         (MatchScore(points=("15", "30"), server=P1), None),
     ], ids=["hold_from_40_0", "tiebreak_from_6_5", "set_ending_game", "mid_game"])
@@ -417,7 +417,7 @@ class TestJsonRoundTrip:
         assert reparsed == rally
 
     def test_tiebreak_score_round_trips(self):
-        score = MatchScore(games=(6, 6), points=(5, 3), in_tiebreak=True, server=P2)
+        score = MatchScore(games=(6, 6), points=(5, 3), server=P2)
         rally = make_rally([serve(0, P2, outcome="winner")], score=score)
         obj = rally_to_json(rally)
         assert obj["scoreboard"]["Alice Moreau"] == [0, 6, 5]

@@ -230,6 +230,34 @@ class TestFailureModes:
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["failures"] == 1
 
+    def test_replay_marks_lone_surrogate_reply_failed(self, tmp_path, monkeypatch,
+                                                     capsys):
+        """JSON decodes ``"\\ud800"`` to a string that no report can hold as
+        UTF-8: the rally fails, and the run goes on and writes its report."""
+        records = simulate_match(seed=2024)[:3]
+        replies = [FakeResponse(payload={"text": "Nice \ud800 point"}),
+                   FakeResponse(payload={"text": "steady"}),
+                   FakeResponse(payload={"text": "calm"})]
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=FakeSession(replies))
+        report = replay_match(records, client=client)
+        assert report.failures == 1
+        assert report.rallies[0].failure == (
+            r"MalformedResponse: reply text is not valid Unicode: 'Nice \ud800 point'")
+        assert [r.commentary for r in report.rallies] == [None, "steady", "calm"]
+
+        monkeypatch.setenv(HttpCommentaryClient.ENDPOINT_ENV, "https://api.example/c")
+        monkeypatch.setattr(requests, "Session", lambda: FakeSession(replies))
+        match = tmp_path / "match.jsonl"
+        match.write_text("".join(json.dumps(rally_to_json(r)) + "\n" for r in records),
+                         encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = main(["replay", "--input", str(match), "--client", "http",
+                     "--no-timing", "--output", str(out)])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text(encoding="utf-8"))["failures"] == 1
+
     def test_generate_retries_transient_server_errors(self):
         session = FakeSession([
             FakeResponse(status_code=502, payload={}),

@@ -159,7 +159,7 @@ class TestAdvancePoint:
 
     def test_final_set_uses_ten_point_target(self):
         s = MatchScore(completed_sets=((6, 0), (0, 6)), games=(6, 6),
-                       points=(7, 5), in_tiebreak=True)
+                       points=(7, 5))
         s = advance_point(s, PLAYER_1)
         assert s.in_tiebreak  # 8-5 is short of the 10-point target
         assert s.points == (8, 5)
@@ -180,9 +180,9 @@ class TestAdvancePoint:
         (MatchScore(points=("0", "50")), PLAYER_1, InvalidState, "illegal point value"),
         (MatchScore(games=(-1, 0)), PLAYER_2, InvalidState,
          "games must be non-negative integers"),
-        (MatchScore(games=(6, 6), points=(-1, 0), in_tiebreak=True), PLAYER_1,
+        (MatchScore(games=(6, 6), points=(-1, 0)), PLAYER_1,
          InvalidState, "tiebreak points must be non-negative integers"),
-        (MatchScore(games=(6, 6), points=(1.5, 0), in_tiebreak=True), PLAYER_2,
+        (MatchScore(games=(6, 6), points=(1.5, 0)), PLAYER_2,
          InvalidState, "tiebreak points must be non-negative integers"),
         (MatchScore(completed_sets=((6, 0), (6, 0))), PLAYER_1, TerminalState,
          "already decided"),
@@ -190,9 +190,10 @@ class TestAdvancePoint:
         (MatchScore(points=(AD, AD)), "player_3", ValueError, "unknown player id"),
         (MatchScore(completed_sets=((6, 0), (6, 0))), "", ValueError,
          "unknown player id"),
-        # the states validate_scoreboard rejects on structure alone
-        (MatchScore(points=(0, 0), in_tiebreak=True), PLAYER_1, InvalidState,
-         "tiebreak flagged at games"),
+        # the states validate_scoreboard rejects on structure alone; the
+        # games decide the tiebreak, so ladder points at 6-6 are not a game
+        (MatchScore(games=(6, 6)), PLAYER_1, InvalidState,
+         "tiebreak points must be non-negative integers"),
         (MatchScore(games=(9, 0)), PLAYER_1, InvalidState, "exceed trigger"),
         (MatchScore(points=(AD, "15")), PLAYER_1, InvalidState,
          "AD with opponent at '15'"),
@@ -239,7 +240,7 @@ class TestAdvancePoint:
 
 
 def _tiebreak_at(a, b, config=DEFAULT):
-    s = MatchScore(games=(6, 6), points=(0, 0), in_tiebreak=True, config=config)
+    s = MatchScore(games=(6, 6), points=(0, 0), config=config)
     order = [PLAYER_1] * a + [PLAYER_2] * b
     # interleave to keep both sides short of the target mid-way
     mixed = []
@@ -367,8 +368,7 @@ class TestValidation:
         assert report
 
     def test_long_tiebreak_validates_in_constant_time(self):
-        score = MatchScore(games=(6, 6), points=(10**15, 10**15 + 1),
-                           in_tiebreak=True)
+        score = MatchScore(games=(6, 6), points=(10**15, 10**15 + 1))
         assert not validate_scoreboard(score)
 
     @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
@@ -376,26 +376,25 @@ class TestValidation:
         """In the first and the deciding set, a board passes exactly when the
         oracle's search reaches its games and points: every game pair to
         trigger+2 with every ladder or AD pair, and, at trigger-all, every
-        tiebreak pair to target+3 (elsewhere only 0-0 with the flag set)."""
+        tiebreak pair to target+3 (elsewhere only integer points 0-0)."""
         trigger = config.set_trigger_games
         split = ((trigger + 1, trigger), (trigger, trigger + 1)) * (config.best_of // 2)
         ladder = oracles.LADDER + (AD,)
-        standard = [(False, (a, b)) for a in ladder for b in ladder]
+        standard = [(a, b) for a in ladder for b in ladder]
         for sets, target in (((), config.tiebreak_points),
                              (split, config.final_set_tiebreak_points)):
             oracle = oracles.reachable_set_states(trigger, target, config.ad_scoring)
-            tiebreak = [(True, (a, b)) for a in range(target + 4)
-                        for b in range(target + 4)]
+            tiebreak = [(a, b) for a in range(target + 4) for b in range(target + 4)]
             passed, wrong = set(), []
             for games in ((a, b) for a in range(trigger + 3) for b in range(trigger + 3)):
-                flagged = tiebreak if games == (trigger, trigger) else [(True, (0, 0))]
-                for in_tb, pts in standard + flagged:
-                    score = MatchScore(sets, games, pts, PLAYER_1, in_tb, config)
-                    if in_tb:
+                integer = tiebreak if games == (trigger, trigger) else [(0, 0)]
+                for pts in standard + integer:
+                    score = MatchScore(sets, games, pts, PLAYER_1, config)
+                    if pts in integer:
                         # fold the win-by-two cycle as the oracle does
                         while min(pts) > target:
                             pts = (pts[0] - 1, pts[1] - 1)
-                    state = (games, in_tb, pts)
+                    state = (games, score.in_tiebreak, pts)
                     ok = not validate_scoreboard(score)
                     if ok != (state in oracle):
                         wrong.append(score_summary(score))

@@ -90,13 +90,13 @@ class TestLoadDataset:
 
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
-            list(load_dataset("/nonexistent/match.jsonl"))
+            list(load_dataset("/nonexistent/match.jsonl", errors=[]))
 
     def test_records_share_one_default_config(self, dataset_file, records):
         """Without a config, one default serves the whole file, so each new
         set's parsed board and every chained score carry the same object."""
         assert len(records[-1].final_score.completed_sets) >= 2
-        loaded = list(load_dataset(dataset_file))
+        loaded = list(load_dataset(dataset_file, errors=[]))
         configs = {id(score.config) for r in loaded
                    for score in (r.initial_score, r.final_score)}
         assert len(configs) == 1
@@ -147,8 +147,8 @@ class TestLoadDataset:
                 del obj["match_info"][pid]["handedness"]
         path.write_text("".join(json.dumps(obj) + "\n" for obj in objs),
                         encoding="utf-8")
-        loaded = list(load_dataset(path))
-        assert loaded == list(oracles.load_dataset_per_line(path))
+        loaded = list(load_dataset(path, errors=[]))
+        assert loaded == list(oracles.load_dataset_per_line(path, errors=[]))
         assert len(loaded) == len(records)
         for before, after in zip(loaded, loaded[1:]):
             if (len(after.initial_score.completed_sets)
@@ -160,7 +160,7 @@ class TestLoadDataset:
         path = tmp_path / "big.jsonl"
         path.write_text("\n".join(json.dumps(rally_to_json(r)) for r in records)
                         + "\n", encoding="utf-8")
-        loaded = list(load_dataset(path))
+        loaded = list(load_dataset(path, errors=[]))
         assert len(loaded) == len(records)
         assert [r.clip_id for r in loaded] == [r.clip_id for r in records]
 
@@ -391,6 +391,8 @@ class TestConfig:
         ({"system_text": 5}, "system_text"),
         ({"min_words": 80, "max_words": 10}, "min_words <= max_words"),
         ({"min_words": -3}, "min_words <= max_words"),
+        # a request log holds the system text, and could not be written
+        ({"system_text": "You are \ud800 a commentator"}, "valid Unicode"),
     ])
     def test_persona_that_cannot_make_a_prompt_exits_two(
             self, dataset_file, tmp_path, capsys, persona, message):
@@ -458,6 +460,41 @@ class TestCli:
         [violation] = out["violations"]
         assert violation["line"] == 2
         assert violation["message"].startswith(f"{records[1].clip_id} {part}: ")
+
+    @pytest.mark.parametrize("field", ["clip_id", "name", "tournament",
+                                       "technique", "audio_transcript",
+                                       "commentary"])
+    def test_lone_surrogate_is_a_violation(self, tmp_path, records, capsys,
+                                           field):
+        """JSON decodes ``"\\ud800"`` to a string that UTF-8 cannot encode;
+        such a string is listed on its line, so validate, replay and stats
+        write their reports and exit 1."""
+        lines = [rally_to_json(r) for r in records[:5]]
+        bad = lines[2]
+        if field == "name":
+            info, board = bad["match_info"], bad["scoreboard"]
+            old = info["player_1"]["name"]
+            new = info["player_1"]["name"] = old + "\ud800"
+            board[new] = board.pop(old)
+            if board["server"] == old:
+                board["server"] = new
+        elif field == "tournament":
+            bad["match_info"]["tournament"] += "\ud800"
+        elif field == "technique":
+            bad["shot_sequence"][0]["technique"] += "\ud800"
+        else:
+            bad[field] += "\ud800"
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in lines),
+                        encoding="utf-8")
+        for command in (["validate"], ["replay", "--no-timing"], ["stats"]):
+            out = tmp_path / "out.json"
+            assert main([*command, "--input", str(path), "--output", str(out)]) == 1
+            assert "Traceback" not in capsys.readouterr().err
+            report = json.loads(out.read_text(encoding="utf-8"))
+            [violation] = report.get("violations") or report["schema_violations"]
+            assert violation["line"] == 3
+            assert f"{field} must be valid Unicode, got " in violation["message"]
 
     def test_validate_lists_non_finite_numbers(self, tmp_path, records, capsys):
         lines = [rally_to_json(r) for r in records[:5]]
@@ -802,7 +839,7 @@ class TestBestOfFive:
     def test_mock_replay_completes_with_match_stats(self, bo5, tmp_path):
         match_path, config_path = bo5
         config = PipelineConfig(scoring=ScoringConfig(best_of=5))
-        report = replay_match(load_dataset(match_path, config.scoring), config)
+        report = replay_match(load_dataset(match_path, config.scoring, errors=[]), config)
         assert report.failures == 0
         assert all(r.sanity_passed for r in report.rallies)
         stats_path = tmp_path / "stats.json"
@@ -861,6 +898,18 @@ class TestBadInputLines:
         err = self._run(tmp_path, capsys, "evaluate", [good, bad],
                         extra=("--judge", "mock"))
         assert "input.jsonl line 2" in err and message in err
+
+    @pytest.mark.parametrize("key", ["clip_id", "prediction", "reference",
+                                     "metadata"])
+    def test_evaluate_lone_surrogate_is_unusable(self, tmp_path, capsys, key):
+        good = {"clip_id": "a", "prediction": "x", "reference": "y",
+                "metadata": "facts"}
+        bad = json.dumps({**good, key: good[key] + "\ud800"})
+        err = self._run(tmp_path, capsys, "evaluate", [json.dumps(good), bad],
+                        extra=("--judge", "mock", "--per-clip",
+                               str(tmp_path / "rows.jsonl")))
+        assert "input.jsonl line 2" in err
+        assert f"{key!r} must be valid Unicode, got " in err
 
     def test_evaluate_unjudged_empty_prediction_scores(self, tmp_path, capsys):
         path = tmp_path / "input.jsonl"

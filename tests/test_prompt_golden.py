@@ -50,7 +50,7 @@ def replay_bundles(name, tmp_path):
         for record in simulate_match(seed=seed, config=scoring):
             fh.write(json.dumps(rally_to_json(record), ensure_ascii=False) + "\n")
     client = RecordingClient()
-    report = replay_match(load_dataset(path, scoring),
+    report = replay_match(load_dataset(path, scoring, errors=[]),
                           PipelineConfig(scoring=scoring), client=client)
     assert report.failures == 0
     return client.bundles

@@ -7,6 +7,7 @@ against a reference replay over drawn configs."""
 import copy
 import json
 import math
+import random
 from dataclasses import asdict, replace
 from functools import reduce
 from operator import add
@@ -129,8 +130,14 @@ def test_mock_judge_counts_each_taxonomy_term_once(prediction):
         CRITERION_MAX, 6 + 2 * oracles.judge_term_count(prediction))
 
 
-FORMATS = (ScoringConfig(), ScoringConfig(best_of=5),
-           ScoringConfig(ad_scoring=False))
+def at_pinned_formats(args_of):
+    """An ``@example`` at each of ``oracles.PINNED_CONFIGS``, with the
+    arguments ``args_of(config)``."""
+    def decorate(test):
+        for config in oracles.PINNED_CONFIGS:
+            test = example(*args_of(config))(test)
+        return test
+    return decorate
 
 
 def _through_json(obj):
@@ -138,7 +145,8 @@ def _through_json(obj):
 
 
 @settings(deadline=None, max_examples=15)
-@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(FORMATS))
+@given(st.integers(min_value=0, max_value=100_000), oracles.SCORING_CONFIGS)
+@at_pinned_formats(lambda config: (1, config))
 def test_codec_round_trips_file_loaded_records(seed, config):
     for simulated in simulate_match(seed=seed, config=config):
         record = rally_from_json(_through_json(rally_to_json(simulated)), config)
@@ -148,11 +156,11 @@ def test_codec_round_trips_file_loaded_records(seed, config):
 
 
 @settings(deadline=None, max_examples=15)
-@given(st.integers(min_value=0, max_value=100_000),
-       st.sampled_from(FORMATS + (ScoringConfig(best_of=5, ad_scoring=False),)))
+@given(st.integers(min_value=0, max_value=100_000), oracles.SCORING_CONFIGS)
 # a final-set tiebreak in best-of-3 with ad scoring and best-of-5 without
 @example(4, ScoringConfig())
 @example(2, ScoringConfig(best_of=5, ad_scoring=False))
+@at_pinned_formats(lambda config: (1, config))
 def test_ends_game_equals_games_rising(seed, config):
     for rally in simulate_match(seed=seed, config=config):
         score = rally.initial_score
@@ -167,8 +175,8 @@ def test_ends_game_equals_games_rising(seed, config):
 
 
 @settings(deadline=None, max_examples=15)
-@given(st.integers(min_value=0, max_value=100_000),
-       st.sampled_from(FORMATS + (ScoringConfig(best_of=5, ad_scoring=False),)))
+@given(st.integers(min_value=0, max_value=100_000), oracles.SCORING_CONFIGS)
+@at_pinned_formats(lambda config: (1, config))
 def test_final_score_is_the_advanced_initial_score(seed, config):
     for rally in simulate_match(seed=seed, config=config):
         expected = advance_point(rally.initial_score, rally.outcome.point_winner)
@@ -177,8 +185,8 @@ def test_final_score_is_the_advanced_initial_score(seed, config):
 
 
 @settings(deadline=None, max_examples=15)
-@given(st.integers(min_value=0, max_value=100_000),
-       st.sampled_from(FORMATS + (ScoringConfig(best_of=5, ad_scoring=False),)))
+@given(st.integers(min_value=0, max_value=100_000), oracles.SCORING_CONFIGS)
+@at_pinned_formats(lambda config: (1, config))
 def test_classify_point_emits_only_count_fields(seed, config):
     for rally in simulate_match(seed=seed, config=config):
         contribution = classify_point(rally)
@@ -188,14 +196,9 @@ def test_classify_point_emits_only_count_fields(seed, config):
             assert all(type(n) is int and n > 0 for n in increments.values())
 
 
-SCORING = st.builds(
-    ScoringConfig, best_of=st.sampled_from((3, 5)), ad_scoring=st.booleans(),
-    set_trigger_games=st.integers(4, 8), tiebreak_points=st.integers(3, 10),
-    final_set_tiebreak_points=st.integers(3, 10))
-
-
 @settings(deadline=None, max_examples=60)
-@given(SCORING, st.randoms(use_true_random=False))
+@given(oracles.SCORING_CONFIGS, st.randoms(use_true_random=False))
+@at_pinned_formats(lambda config: (config, random.Random(1)))
 def test_scoreboard_parses_its_own_rendering(config, rng):
     score = MatchScore(config=config)
     while True:
@@ -342,7 +345,7 @@ def line_file(tmp_path_factory):
 @settings(deadline=None, max_examples=400)
 @given(st.sampled_from(LINES).flatmap(
            lambda obj: st.tuples(st.just(obj), st.sampled_from(list(_paths(obj))))),
-       JSON_VALUES, st.sampled_from(FORMATS))
+       JSON_VALUES, oracles.SCORING_CONFIGS)
 def test_load_dataset_yields_or_lists_any_line(line_file, line_and_path, value,
                                                config):
     obj, path = line_and_path
@@ -354,11 +357,6 @@ def test_load_dataset_yields_or_lists_any_line(line_file, line_and_path, value,
     assert all(line == 1 and isinstance(message, str) for line, message in errors)
 
 
-CONFIGS = st.builds(ScoringConfig, best_of=st.sampled_from((3, 5)),
-                    set_trigger_games=st.integers(4, 8),
-                    tiebreak_points=st.sampled_from((7, 10)),
-                    final_set_tiebreak_points=st.sampled_from((7, 10)),
-                    ad_scoring=st.booleans())
 # Lines of two other matches, spliced in by the "splice" edit.
 SPLICE_LINES = [rally_to_json(r) for seed in (12, 13)
                 for r in simulate_match(seed=seed)[40:60]]
@@ -433,8 +431,9 @@ def chain_file(tmp_path_factory):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(0, 100_000), CONFIGS, CONFIGS, POSITION_DRAW,
-       st.lists(LINE_EDITS, max_size=3))
+@given(st.integers(0, 100_000), oracles.SCORING_CONFIGS, oracles.SCORING_CONFIGS,
+       POSITION_DRAW, st.lists(LINE_EDITS, max_size=3))
+@at_pinned_formats(lambda config: (1, config, config, -1, []))
 # the end of a match with a deciding-set tiebreak (seed 0, 4-game sets), with
 # sets-won cells of 1 written as true and 1.0
 @example(0, ScoringConfig(set_trigger_games=4), ScoringConfig(), -1,
@@ -467,6 +466,8 @@ def test_chained_decode_equals_per_line_decode(chain_file, seed, config, other,
                                                   errors=expected_errors))
     assert loaded == expected
     assert errors == expected_errors
+    if not edits:  # an unedited slice of any simulated match loads whole
+        assert errors == []
 
     listed = {line for line, _ in errors}
     valid = [n for n in range(len(lines)) if n + 1 not in listed]
@@ -579,8 +580,9 @@ class RecordingMock(MockCommentaryClient):
 
 
 @settings(deadline=None, max_examples=50)
-@given(st.integers(0, 100_000), CONFIGS, st.integers(1, 20), PERSONAS,
+@given(st.integers(0, 100_000), oracles.SCORING_CONFIGS, st.integers(1, 20), PERSONAS,
        st.sampled_from((16_000, 2_500)), POSITION_DRAW, st.integers(1, 60))
+@at_pinned_formats(lambda config: (1, config, 16, PersonaConfig(), 16_000, -1, 60))
 # a deciding-set tiebreak (seed 0, 4-game sets) to the end of the match
 @example(0, ScoringConfig(set_trigger_games=4), 16, PersonaConfig(), 16_000, -1, 60)
 def test_replay_equals_reference_replay(replay_dir, seed, scoring, window, persona,
@@ -609,7 +611,7 @@ def test_replay_equals_reference_replay(replay_dir, seed, scoring, window, perso
     with mock.patch.object(pipeline, "make_client", lambda _: client):
         code = main(["replay", "--input", str(dataset), "--config", str(config_file),
                      "--client", "mock", "--no-timing", "--output", str(out)])
-    reference, sent = oracles.replay_reference(list(load_dataset(dataset, scoring)),
+    reference, sent = oracles.replay_reference(list(load_dataset(dataset, scoring, errors=[])),
                                                config)
     assert code == (3 if reference["failures"] else 0)
     assert client.sent == sent
