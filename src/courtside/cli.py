@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from .evaluation import (
     score_pairs,
 )
 from .match_model import ScoringConfig
-from .memory import LongTermMemory, MemoryEntry, consolidate
+from .memory import LongTermMemory, consolidate
 from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
                        read_lines, replay_match)
 from .prompt_engine import (GenerationRequest, check_file_target, generate,
@@ -101,7 +102,8 @@ def cmd_validate(args) -> int:
     config = _build_config(args)
     records, errors = _load_all(args.input, config.scoring)
     report = {
-        "input": args.input,
+        # a non-UTF-8 name's bytes escaped ("\\xff"): the report stays UTF-8
+        "input": os.fsencode(args.input).decode("utf-8", "backslashreplace"),
         "valid_records": len(records),
         "violations": _violations(errors),
     }
@@ -129,11 +131,8 @@ def cmd_stats(args) -> int:
     config = _build_config(args)
     errors: list[tuple[int, str]] = []
     long_term = LongTermMemory()
-    records = load_dataset(args.input, config.scoring, errors=errors)
-    for index, record in enumerate(records):
-        entry = MemoryEntry(rally_index=index, metadata=record,
-                            commentary=record.commentary)
-        long_term = consolidate(long_term, entry)
+    for record in load_dataset(args.input, config.scoring, errors=errors):
+        consolidate(long_term, record)
     payload = long_term.report()
     if errors:
         payload["schema_violations"] = _violations(errors)

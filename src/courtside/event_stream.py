@@ -17,6 +17,7 @@ from .match_model import (
     AD,
     LAYOUT_WIMBLEDON,
     MatchScore,
+    PLAYER_1,
     PLAYER_IDS,
     PlayerRef,
     ScoringConfig,
@@ -344,58 +345,63 @@ def edit_score(predicted, reference) -> float:
 # ---------------------------------------------------------------------------
 
 
-def classify_point(rally: RallyRecord) -> dict[str, dict[str, int]]:
-    """Break one rally down into ``{player_id: {field: n}}`` statistic increments.
+# A count list holds player_1's block of ``STAT_WIDTH`` counts, then
+# player_2's; a field's position in a block follows ``memory.COUNT_FIELDS``.
+STAT_WIDTH = 16
+(_ACES, _DOUBLE_FAULTS, _FIRST_SERVES_IN, _SERVE_POINTS, _SERVE_POINTS_WON,
+ _RETURN_POINTS, _RETURN_POINTS_WON, _WINNERS, _UNFORCED_ERRORS,
+ _FORCED_ERRORS_CONCEDED, _BREAK_POINTS_FACED, _BREAK_POINTS_SAVED,
+ _BREAK_POINTS_CONVERTED, _POINTS_WON, _GAMES_WON, _TOTAL_SHOTS) = range(STAT_WIDTH)
+
+
+def classify_point(rally: RallyRecord, counts: list[int]) -> None:
+    """Add one rally's statistic increments into ``counts``, a count list.
 
     Covers service, return, shot-ending, break-point and game categories:
-    every rally yields one point won, one serve point and one return point,
+    every rally adds one point won, one serve point and one return point,
     and a point that ends a game (a tiebreak too) one game won for its winner.
+    Shots are read one by one, so a record never validated counts as it is.
     """
     shots = rally.shots
-    server = shots[0].hitter
-    returner = other_player(server)
     outcome = rally.outcome
-    inc = {server: {"serve_points": 1}, returner: {"return_points": 1}}
-
-    def bump(player, name, by=1):
-        inc[player][name] = inc[player].get(name, 0) + by
-
-    if any(s.stroke == "serve" and s.serve_attempt == "first"
-           and s.outcome in ("in", "winner") for s in shots):
-        bump(server, "first_serves_in")
+    server = 0 if shots[0].hitter == PLAYER_1 else STAT_WIDTH
+    winner = 0 if outcome.point_winner == PLAYER_1 else STAT_WIDTH
+    server_won = winner == server
+    # First: past a decided match the post-point score raises, and ``counts``
+    # must then stay as it was.
+    if rally.ends_game:
+        counts[winner + _GAMES_WON] += 1
+    counts[server + _SERVE_POINTS] += 1
+    counts[STAT_WIDTH - server + _RETURN_POINTS] += 1
+    counts[winner + _POINTS_WON] += 1
+    counts[winner + (_SERVE_POINTS_WON if server_won else _RETURN_POINTS_WON)] += 1
+    if is_break_point(rally.initial_score):
+        counts[server + _BREAK_POINTS_FACED] += 1
+        counts[winner + (_BREAK_POINTS_SAVED if server_won
+                         else _BREAK_POINTS_CONVERTED)] += 1
 
     reason = outcome.reason
     if reason == "ace":
-        bump(server, "aces")
+        counts[server + _ACES] += 1
     elif reason == "double_fault":
-        bump(server, "double_faults")
+        counts[server + _DOUBLE_FAULTS] += 1
     elif reason == "winner":
-        bump(outcome.point_winner, "winners")
+        counts[winner + _WINNERS] += 1
     elif reason == "unforced_error":
-        bump(outcome.point_loser, "unforced_errors")
+        counts[STAT_WIDTH - winner + _UNFORCED_ERRORS] += 1
     elif reason == "forced_error":
-        bump(outcome.point_loser, "forced_errors_conceded")
+        counts[STAT_WIDTH - winner + _FORCED_ERRORS_CONCEDED] += 1
 
-    bump(outcome.point_winner, "points_won")
-    if outcome.point_winner == server:
-        bump(server, "serve_points_won")
-    else:
-        bump(returner, "return_points_won")
-
-    if is_break_point(rally.initial_score):
-        bump(server, "break_points_faced")
-        if outcome.point_winner == server:
-            bump(server, "break_points_saved")
-        else:
-            bump(returner, "break_points_converted")
-
-    if rally.ends_game:
-        bump(outcome.point_winner, "games_won")
-
+    player_1_shots = first_serve_in = 0
     for shot in shots:
-        bump(shot.hitter, "total_shots")
-
-    return inc
+        if shot.hitter == PLAYER_1:
+            player_1_shots += 1
+        if (shot.stroke == "serve" and shot.serve_attempt == "first"
+                and shot.outcome in ("in", "winner")):
+            first_serve_in = 1
+    counts[server + _FIRST_SERVES_IN] += first_serve_in
+    counts[_TOTAL_SHOTS] += player_1_shots
+    counts[STAT_WIDTH + _TOTAL_SHOTS] += len(shots) - player_1_shots
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,18 @@
 consolidated per-player statistics.
 
 New rallies enter the short-term window; once the window overflows, the
-oldest rally is evicted and folded into the long-term statistic lines, so at
+oldest rally is evicted and folded into the long-term count list, so at
 any instant every past rally is represented in exactly one of the two tiers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .event_stream import RallyRecord, classify_point
-from .match_model import (
-    MatchScore,
-    PLAYER_1,
-    PLAYER_2,
-    score_summary,
-)
+from .event_stream import STAT_WIDTH, RallyRecord, classify_point
+from .match_model import MatchScore, score_summary
 
 DEFAULT_WINDOW = 4
 
@@ -27,17 +22,13 @@ class OutOfOrderEntry(ValueError):
     """A pushed rally does not extend the stored sequence."""
 
 
-class NonSequentialConsolidation(ValueError):
-    """Rallies must be consolidated in stream order, without gaps."""
-
-
 class PlayerStatLine(NamedTuple):
     """Cumulative broadcast statistics for one player.
 
     A tuple of int counts, one per field in report and prompt-table order
-    (``COUNT_FIELDS``), so a fold can add increments by index and rebuild
-    the line with ``_make``; it equals the plain tuple of the same counts.
-    The ratios are derived views.
+    (``COUNT_FIELDS``): one player's block of a count list, so it is built
+    from a slice with ``_make`` and equals the plain tuple of the same
+    counts.  The ratios are derived views.
     """
 
     aces: int = 0
@@ -57,35 +48,42 @@ class PlayerStatLine(NamedTuple):
     games_won: int = 0
     total_shots: int = 0
 
-    # Ratios are views; with a zero denominator they are absent, never 0.
     @property
     def first_serve_pct(self) -> float | None:
-        if self.serve_points == 0:
-            return None
-        return self.first_serves_in / self.serve_points
+        return _ratio(self.first_serves_in, self.serve_points)
 
     @property
     def serve_points_won_pct(self) -> float | None:
-        if self.serve_points == 0:
-            return None
-        return self.serve_points_won / self.serve_points
+        return _ratio(self.serve_points_won, self.serve_points)
 
     @property
     def return_points_won_pct(self) -> float | None:
-        if self.return_points == 0:
-            return None
-        return self.return_points_won / self.return_points
+        return _ratio(self.return_points_won, self.return_points)
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in COUNT_FIELDS + RATIO_FIELDS}
+        return _stat_dict(self)
+
+
+def _ratio(part: int, whole: int) -> float | None:
+    """A derived ratio: with a zero denominator it is absent, never 0."""
+    return part / whole if whole else None
+
+
+def _stat_dict(counts) -> dict:
+    """One player's report from a block of counts in ``COUNT_FIELDS`` order:
+    each count by name, then the ratio views."""
+    line = dict(zip(COUNT_FIELDS, counts))
+    line["first_serve_pct"] = _ratio(line["first_serves_in"], line["serve_points"])
+    line["serve_points_won_pct"] = _ratio(line["serve_points_won"], line["serve_points"])
+    line["return_points_won_pct"] = _ratio(line["return_points_won"],
+                                           line["return_points"])
+    return line
 
 
 # The count and derived-ratio fields of PlayerStatLine, in report and
 # prompt-table order.
 COUNT_FIELDS = PlayerStatLine._fields
 RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
-
-_FIELD_INDEX = {name: i for i, name in enumerate(COUNT_FIELDS)}
 
 COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
 
@@ -125,18 +123,26 @@ class MemoryEntry:
                    else COMMENTARY_PLACEHOLDER))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LongTermMemory:
-    stat_lines: tuple[PlayerStatLine, PlayerStatLine] = (PlayerStatLine(),
-                                                         PlayerStatLine())
+    """The consolidated tier: one count list, player_1's ``COUNT_FIELDS``
+    then player_2's, that ``consolidate`` adds each rally into in place."""
+
+    counts: list[int] = field(default_factory=lambda: [0] * (2 * STAT_WIDTH))
     rallies_consolidated: int = 0
     last_consolidated_score: MatchScore | None = None
+
+    @property
+    def stat_lines(self) -> tuple[PlayerStatLine, PlayerStatLine]:
+        """The two players' lines, built from the counts on each read."""
+        return (PlayerStatLine._make(self.counts[:STAT_WIDTH]),
+                PlayerStatLine._make(self.counts[STAT_WIDTH:]))
 
     def report(self) -> dict:
         """Stable JSON-serializable statistics report."""
         return {
-            "player_1": self.stat_lines[0].as_dict(),
-            "player_2": self.stat_lines[1].as_dict(),
+            "player_1": _stat_dict(self.counts[:STAT_WIDTH]),
+            "player_2": _stat_dict(self.counts[STAT_WIDTH:]),
             "rallies_consolidated": self.rallies_consolidated,
             "last_consolidated_score": (
                 score_summary(self.last_consolidated_score)
@@ -144,34 +150,13 @@ class LongTermMemory:
         }
 
 
-def consolidate(long: LongTermMemory, evicted: MemoryEntry) -> LongTermMemory:
-    """Fold one evicted rally's statistic increments into the cumulative
-    lines and record the score after its point, the rally's cached
-    ``final_score``, so a rally the mock or the sanity check already read
-    is not advanced again.
-
-    Rallies must arrive in stream order.
-    """
-    if evicted.rally_index != long.rallies_consolidated:
-        raise NonSequentialConsolidation(
-            f"expected rally {long.rallies_consolidated}, got {evicted.rally_index}")
-
-    rally = evicted.metadata
-    contribution = classify_point(rally)
-    return LongTermMemory(
-        stat_lines=(_plus(long.stat_lines[0], contribution[PLAYER_1]),
-                    _plus(long.stat_lines[1], contribution[PLAYER_2])),
-        rallies_consolidated=long.rallies_consolidated + 1,
-        last_consolidated_score=rally.final_score,
-    )
-
-
-def _plus(line: PlayerStatLine, increments: dict[str, int]) -> PlayerStatLine:
-    """``line`` with ``increments`` added; an unknown field raises KeyError."""
-    counts = list(line)
-    for name, n in increments.items():
-        counts[_FIELD_INDEX[name]] += n
-    return PlayerStatLine._make(counts)
+def consolidate(long: LongTermMemory, rally: RallyRecord) -> None:
+    """Fold one rally's statistic increments into ``long`` in place, and
+    record the score after its point: the rally's cached ``final_score``, so
+    a rally that the mock or the sanity check read is not advanced again."""
+    classify_point(rally, long.counts)
+    long.rallies_consolidated += 1
+    long.last_consolidated_score = rally.final_score
 
 
 @dataclass(frozen=True)
@@ -217,11 +202,11 @@ class MatchMemory:
         if len(self.short) <= self.capacity:
             return None
         evicted = self.short.pop(0)
-        self.long = consolidate(self.long, evicted)
+        consolidate(self.long, evicted.metadata)
         return evicted
 
     def flush(self) -> None:
         """Consolidate everything left in the window (used at match end)."""
         for entry in self.short:
-            self.long = consolidate(self.long, entry)
+            consolidate(self.long, entry.metadata)
         self.short = []

@@ -448,9 +448,17 @@ class MockCommentaryClient:
 
 
 def check_file_target(path) -> None:
-    """Raise ValueError unless ``path`` can name a file written later: it is
-    not a directory and its parent directory exists.  Nothing is opened, so
-    an existing file is neither created nor truncated."""
+    """Raise ValueError unless ``path`` can name a file written later: the
+    system can encode it (no lone surrogate, while a non-UTF-8 name's escaped
+    bytes are fine) and it holds no NUL, it is not a directory and its parent
+    directory exists.  Nothing is opened, so an existing file is neither
+    created nor truncated."""
+    try:
+        named = b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:  # a lone surrogate
+        named = False
+    if not named:
+        raise ValueError("it is not a valid file name")
     target = Path(path)
     if target.is_dir():
         raise ValueError("it is a directory")
@@ -465,8 +473,8 @@ class HttpCommentaryClient:
     ``clip_id`` of the bundle's rally and is left out when there is none;
     expected reply: a JSON object ``{"text": ..., "usage": {...}}``.  Endpoint and
     credential come from the environment unless given explicitly.  Each reply
-    is appended to ``log_path`` when one is given; a directory there, or a
-    missing parent directory, is a ValueError here, before any request.
+    is appended to ``log_path`` when one is given; a path that no file can
+    have (see ``check_file_target``) is a ValueError here, before any request.
     """
 
     ENDPOINT_ENV = "COMMENTARY_API_URL"
@@ -483,7 +491,7 @@ class HttpCommentaryClient:
             try:
                 check_file_target(log_path)
             except ValueError as exc:
-                raise ValueError(f"cannot write request log {log_path}: {exc}") from None
+                raise ValueError(f"cannot write request log {log_path!r}: {exc}") from None
         import requests  # only the HTTP client needs it; keeps replay start-up light
         self.session = session or requests.Session()
         self.log_path = log_path

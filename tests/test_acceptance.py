@@ -196,10 +196,8 @@ def test_criterion_04_memory_oracle_equivalence():
     memory.flush()
 
     batch = LongTermMemory()
-    for i, record in enumerate(records):
-        batch = consolidate(batch, MemoryEntry(
-            rally_index=i, metadata=record,
-            commentary=None))
+    for record in records:
+        consolidate(batch, record)
     assert memory.long.stat_lines == batch.stat_lines
     assert memory.long.rallies_consolidated == len(records)
 

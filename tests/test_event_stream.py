@@ -10,6 +10,7 @@ from courtside.event_stream import (
     MatchInfo,
     RallyOutcome,
     RallyRecord,
+    STAT_WIDTH,
     SchemaViolation,
     ShotEvent,
     classify_point,
@@ -20,7 +21,8 @@ from courtside.event_stream import (
     rally_to_json,
     validate_rally,
 )
-from courtside.match_model import MatchScore, PlayerRef, advance_point
+from courtside.match_model import MatchScore, PlayerRef, TerminalState, advance_point
+from courtside.memory import COUNT_FIELDS
 
 import oracles
 
@@ -235,10 +237,19 @@ class TestEditScore:
             assert 0.0 <= edit_score(a, b) <= 100.0
 
 
+def increments(rally):
+    """One rally's ``classify_point`` increments as ``{player: {field: n}}``,
+    zero counts left out."""
+    counts = [0] * (2 * STAT_WIDTH)
+    classify_point(rally, counts)
+    return {pid: {name: n for name, n in zip(COUNT_FIELDS, counts[offset:]) if n}
+            for pid, offset in ((P1, 0), (P2, STAT_WIDTH))}
+
+
 class TestClassifyPoint:
     def test_ace_increments(self):
         rally = make_rally([serve(0, P1, outcome="winner")])
-        contrib = classify_point(rally)
+        contrib = increments(rally)
         assert contrib[P1] == {"serve_points": 1, "first_serves_in": 1,
                                "aces": 1, "points_won": 1,
                                "serve_points_won": 1, "total_shots": 1}
@@ -247,7 +258,7 @@ class TestClassifyPoint:
     def test_double_fault_increments(self):
         rally = make_rally([serve(0, P1, outcome="fault"),
                             serve(1, P1, outcome="fault", attempt="second")])
-        contrib = classify_point(rally)
+        contrib = increments(rally)
         assert contrib[P1] == {"serve_points": 1, "double_faults": 1,
                                "total_shots": 2}
         assert contrib[P2] == {"return_points": 1, "return_points_won": 1,
@@ -257,7 +268,7 @@ class TestClassifyPoint:
         score = MatchScore(points=("30", "40"), server=P1)
         rally = make_rally([serve(0, P1), shot(1, P2, outcome="winner")],
                            score=score)
-        contrib = classify_point(rally)
+        contrib = increments(rally)
         assert contrib[P1]["break_points_faced"] == 1
         assert contrib[P2]["break_points_converted"] == 1
         assert "break_points_saved" not in contrib[P1]
@@ -265,7 +276,7 @@ class TestClassifyPoint:
     def test_break_point_saved(self):
         score = MatchScore(points=("30", "40"), server=P1)
         rally = make_rally([serve(0, P1, outcome="winner")], score=score)
-        contrib = classify_point(rally)
+        contrib = increments(rally)
         assert contrib[P1]["break_points_saved"] == 1
 
     @pytest.mark.parametrize("score,games_won", [
@@ -275,15 +286,15 @@ class TestClassifyPoint:
         (MatchScore(points=("15", "30"), server=P1), None),
     ], ids=["hold_from_40_0", "tiebreak_from_6_5", "set_ending_game", "mid_game"])
     def test_games_won_credited_when_point_ends_game(self, score, games_won):
-        contrib = classify_point(make_rally([serve(0, P1, outcome="winner")],
-                                            score=score))
+        contrib = increments(make_rally([serve(0, P1, outcome="winner")],
+                                        score=score))
         assert contrib[P1].get("games_won") == games_won
         assert "games_won" not in contrib[P2]
 
     def test_exactly_one_point_and_serve_sides(self):
         rallies = _varied_rallies()
         for rally in rallies:
-            contrib = classify_point(rally)
+            contrib = increments(rally)
             total_points = sum(side.get("points_won", 0)
                                for side in contrib.values())
             assert total_points == 1
@@ -296,11 +307,19 @@ class TestClassifyPoint:
         rallies = _varied_rallies()
         totals = {P1: {}, P2: {}}
         for rally in rallies:
-            for pid, side in classify_point(rally).items():
+            for pid, side in increments(rally).items():
                 for k, n in side.items():
                     totals[pid][k] = totals[pid].get(k, 0) + n
         expected = _recount(rallies)
         assert totals == expected
+
+    def test_rally_after_decided_match_leaves_counts_unchanged(self):
+        decided = MatchScore(completed_sets=((6, 0), (6, 0)), server=P1)
+        counts = list(range(2 * STAT_WIDTH))
+        with pytest.raises(TerminalState):
+            classify_point(make_rally([serve(0, P1, outcome="winner")],
+                                      score=decided), counts)
+        assert counts == list(range(2 * STAT_WIDTH))
 
 
 def _varied_rallies():

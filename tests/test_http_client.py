@@ -330,3 +330,39 @@ class TestRequestLogging:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert all(session.calls == [] for session in sessions)
+
+    @pytest.mark.parametrize("name", ["log\ud800.jsonl", "log\x00.jsonl"],
+                             ids=["lone_surrogate", "nul"])
+    def test_log_path_no_file_can_have_is_a_config_error(self, tmp_path, monkeypatch,
+                                                         capsys, name):
+        """A config may spell a path that no file system can name; it fails
+        with the rest of the config, before the first request."""
+        monkeypatch.setenv(HttpCommentaryClient.ENDPOINT_ENV, "https://api.example/c")
+        sessions = []
+        monkeypatch.setattr(requests, "Session",
+                            lambda: sessions.append(FakeSession([])) or sessions[-1])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"client": "http",
+                                      "log_requests": str(tmp_path / name)}),
+                          encoding="utf-8")
+        match = tmp_path / "match.jsonl"
+        match.write_text("".join(json.dumps(rally_to_json(r)) + "\n"
+                                 for r in simulate_match(seed=2024)[:3]),
+                         encoding="utf-8")
+        code = main(["replay", "--input", str(match), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not a valid file name" in captured.err
+        assert all(session.calls == [] for session in sessions)
+
+    def test_log_name_with_escaped_bytes_is_written(self, tmp_path):
+        """A name holding byte 0xff, as the command line passes it, is a file
+        name the system can hold."""
+        log_path = tmp_path / "log\udcff.jsonl"
+        session = FakeSession([FakeResponse(payload={"text": "ok"})])
+        client = HttpCommentaryClient(endpoint="https://api.example/c",
+                                      session=session, log_path=str(log_path))
+        client.complete(request_with_prior())
+        assert b"log\xff.jsonl" in [p.name.encode("utf-8", "surrogateescape")
+                                    for p in tmp_path.iterdir()]

@@ -7,7 +7,6 @@ from courtside.memory import (
     LongTermMemory,
     MatchMemory,
     MemoryEntry,
-    NonSequentialConsolidation,
     OutOfOrderEntry,
     PlayerStatLine,
     consolidate,
@@ -59,8 +58,8 @@ class TestPushRally:
 class TestConsolidate:
     def test_ace_rally_increments(self, match_records):
         ace = next(r for r in match_records if r.outcome.reason == "ace")
-        entry = MemoryEntry(rally_index=0, metadata=ace, commentary=None)
-        long = consolidate(LongTermMemory(), entry)
+        long = LongTermMemory()
+        consolidate(long, ace)
         server_idx = 0 if ace.shots[0].hitter == P1 else 1
         line = long.stat_lines[server_idx]
         other = long.stat_lines[1 - server_idx]
@@ -82,16 +81,10 @@ class TestConsolidate:
         line = PlayerStatLine(serve_points=8, first_serves_in=5)
         assert line.first_serve_pct == 5 / 8
 
-    def test_non_sequential_rejected(self, match_records):
-        entries = entries_for(match_records[:3])
-        long = consolidate(LongTermMemory(), entries[0])
-        with pytest.raises(NonSequentialConsolidation):
-            consolidate(long, entries[2])
-
     def test_sequential_equals_batch_recount(self, match_records):
         long = LongTermMemory()
-        for entry in entries_for(match_records):
-            long = consolidate(long, entry)
+        for rally in match_records:
+            consolidate(long, rally)
         expected = _recount_stats(match_records)
         for idx, pid in enumerate((P1, P2)):
             got = long.stat_lines[idx]
@@ -103,8 +96,8 @@ class TestConsolidate:
 
     def test_bounds_hold_after_every_step(self, match_records):
         long = LongTermMemory()
-        for entry in entries_for(match_records):
-            long = consolidate(long, entry)
+        for rally in match_records:
+            consolidate(long, rally)
             for line in long.stat_lines:
                 assert all(value >= 0 for value in line)
                 assert line.first_serves_in <= line.serve_points
@@ -114,8 +107,8 @@ class TestConsolidate:
 
     def test_games_won_matches_score_walk(self, match_records):
         long = LongTermMemory()
-        for entry in entries_for(match_records):
-            long = consolidate(long, entry)
+        for rally in match_records:
+            consolidate(long, rally)
         final = advance_point(match_records[-1].initial_score,
                               match_records[-1].outcome.point_winner)
         for idx in range(2):
@@ -215,8 +208,8 @@ class TestSnapshotAndWindow:
             streamed.observe(entry)
         streamed.flush()
         direct = LongTermMemory()
-        for entry in entries_for(match_records):
-            direct = consolidate(direct, entry)
+        for rally in match_records:
+            consolidate(direct, rally)
         assert streamed.long.stat_lines == direct.stat_lines
 
     def test_report_shape(self, match_records):

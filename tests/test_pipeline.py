@@ -194,12 +194,10 @@ class TestReplay:
 
     def test_stats_equal_recount(self, records):
         report = replay_match(records, PipelineConfig())
-        from courtside.memory import LongTermMemory, MemoryEntry, consolidate
+        from courtside.memory import LongTermMemory, consolidate
         direct = LongTermMemory()
-        for i, rally in enumerate(records):
-            direct = consolidate(direct, MemoryEntry(
-                rally_index=i, metadata=rally,
-                commentary=None))
+        for rally in records:
+            consolidate(direct, rally)
         assert report.final_stats["player_1"] == direct.report()["player_1"]
         assert report.final_stats["player_2"] == direct.report()["player_2"]
         assert report.final_stats["rallies_consolidated"] == len(records)
@@ -411,6 +409,20 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["violations"] == []
+
+    def test_validate_echoes_non_utf8_input_name_as_utf8(self, dataset_file,
+                                                        tmp_path, capsys):
+        """A name holding byte 0xff reaches Python as ``"\\udcff"``; the report
+        shows its bytes escaped, the same in a file and on stdout."""
+        named = tmp_path / "x\udcff.jsonl"
+        named.write_bytes(dataset_file.read_bytes())
+        out = tmp_path / "v.json"
+        assert main(["validate", "--input", str(named), "--output", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads(out.read_bytes().decode("utf-8"))
+        assert report["input"] == str(tmp_path / "x\\xff.jsonl")
+        assert main(["validate", "--input", str(named)]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_validate_dirty_file_exit_one(self, tmp_path, records, capsys):
         path = tmp_path / "dirty.jsonl"

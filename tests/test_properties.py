@@ -34,8 +34,8 @@ from courtside.evaluation import (
     score_pairs,
     tokenize,
 )
-from courtside.event_stream import (BounceEvent, SchemaViolation, classify_point,
-                                    rally_from_json, rally_to_json)
+from courtside.event_stream import (STAT_WIDTH, BounceEvent, SchemaViolation,
+                                    classify_point, rally_from_json, rally_to_json)
 from courtside.match_model import (LAYOUT_WIMBLEDON, LAYOUTS, PLAYER_IDS,
                                    MatchScore, ScoringConfig, advance_point,
                                    is_terminal, parse_scoreboard,
@@ -184,16 +184,40 @@ def test_final_score_is_the_advanced_initial_score(seed, config):
         assert rally.final_score is rally.final_score
 
 
+@pytest.fixture(scope="module")
+def stats_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stats")
+
+
 @settings(deadline=None, max_examples=15)
 @given(st.integers(min_value=0, max_value=100_000), oracles.SCORING_CONFIGS)
 @at_pinned_formats(lambda config: (1, config))
-def test_classify_point_emits_only_count_fields(seed, config):
-    for rally in simulate_match(seed=seed, config=config):
-        contribution = classify_point(rally)
-        assert set(contribution) == set(PLAYER_IDS)
-        for increments in contribution.values():
-            assert set(increments) <= set(COUNT_FIELDS)
-            assert all(type(n) is int and n > 0 for n in increments.values())
+def test_fold_equals_recount_and_stats_equal_replay(stats_dir, seed, config):
+    """A simulated match folded into one count list holds the recount of
+    every field, and ``courtside stats`` of the written file prints the
+    final statistics of a replay of it."""
+    match = simulate_match(seed=seed, config=config)
+    counts = [0] * (2 * STAT_WIDTH)
+    for rally in match:
+        classify_point(rally, counts)
+    recount = oracles.stat_recount(match)
+    for pid, offset in zip(PLAYER_IDS, (0, STAT_WIDTH)):
+        assert counts[offset:offset + STAT_WIDTH] == [
+            recount[pid].get(name, 0) for name in COUNT_FIELDS]
+
+    dataset = stats_dir / "match.jsonl"
+    dataset.write_text("".join(json.dumps(rally_to_json(r)) + "\n" for r in match),
+                       encoding="utf-8")
+    config_file = stats_dir / "config.json"
+    config_file.write_text(json.dumps({"scoring": asdict(config)}), encoding="utf-8")
+    out = stats_dir / "stats.json"
+    code = main(["stats", "--input", str(dataset), "--config", str(config_file),
+                 "--output", str(out)])
+    replay = pipeline.replay_match(load_dataset(dataset, config, errors=[]),
+                                   PipelineConfig(scoring=config))
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == json.dumps(
+        replay.final_stats, indent=2, ensure_ascii=False) + "\n"
 
 
 @settings(deadline=None, max_examples=60)
