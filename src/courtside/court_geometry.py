@@ -9,9 +9,9 @@ conditioning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .match_model import frozen
 
 # Standard court dimensions in meters.
 DOUBLES_WIDTH = 10.97
@@ -38,7 +38,7 @@ class AtInfinity(ValueError):
     """The projected point lies on (or numerically at) the line at infinity."""
 
 
-@dataclass(frozen=True)
+@frozen
 class PixelPoint:
     x: float
     y: float
@@ -48,7 +48,7 @@ class PixelPoint:
             raise ValueError(f"pixel coordinates must be finite: ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
+@frozen
 class CourtPoint:
     x: float
     y: float
@@ -58,7 +58,7 @@ class CourtPoint:
             raise ValueError(f"court coordinates must be finite: ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
+@frozen
 class Homography:
     """3x3 projective map, unit Frobenius norm, bottom-right entry positive
     when it is meaningfully nonzero."""
@@ -196,7 +196,7 @@ def _keypoints() -> dict[str, CourtPoint]:
     }
 
 
-@dataclass(frozen=True)
+@frozen
 class CourtModel:
     """The 14 named line intersections of a regulation court."""
 

@@ -16,12 +16,12 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 from typing import NamedTuple
 
 from .event_stream import RallyRecord
-from .match_model import AD, PLAYER_IDS, is_terminal
+from .match_model import AD, PLAYER_IDS, frozen, is_terminal
 from .prompt_engine import GenerationRequest, GenerationResponse, PromptBundle
 
 CRITERIA = ("accuracy", "coherence", "excitement", "professionalism", "pacing")
@@ -268,7 +268,7 @@ def cider(pairs) -> float:
     return _left_sum(scores) / len(scores)
 
 
-@dataclass(frozen=True)
+@frozen
 class PairScore:
     bleu4: float
     rouge_l: float  # against the first reference
@@ -290,7 +290,7 @@ def score_pairs(pairs) -> list[PairScore]:
     return scores
 
 
-@dataclass(frozen=True)
+@frozen
 class MetricReport:
     bleu4: float
     rouge_l: float
@@ -323,7 +323,7 @@ def corpus_metrics(pairs) -> MetricReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SanityViolation:
     kind: str  # player_name | score_mention | shot_term
     detail: str
@@ -477,7 +477,7 @@ The dictionary must have the following keys:
 }}"""
 
 
-@dataclass(frozen=True)
+@frozen
 class JudgeScorecard:
     accuracy: int
     coherence: int

@@ -10,7 +10,6 @@ with the normalized edit-distance metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .match_model import (
@@ -22,6 +21,7 @@ from .match_model import (
     PlayerRef,
     ScoringConfig,
     advance_point,
+    frozen,
     is_break_point,
     is_terminal,
     other_player,
@@ -47,7 +47,7 @@ class SchemaViolation(ValueError):
     """A serialized rally record does not match the dataset schema."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ShotEvent:
     """One hit in the rally event sequence.
 
@@ -80,7 +80,7 @@ class ShotEvent:
             raise ValueError(f"serve_attempt must be first or second, got {self.serve_attempt!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class BounceEvent:
     timestamp: float
     court_half: str
@@ -91,7 +91,7 @@ class BounceEvent:
             raise ValueError(f"court_half must be near or far, got {self.court_half!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RallyOutcome:
     point_winner: str
     point_loser: str
@@ -106,7 +106,7 @@ class RallyOutcome:
             raise ValueError(f"unknown outcome reason: {self.reason!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class MatchInfo:
     tournament: str
     round: str
@@ -133,7 +133,7 @@ class MatchInfo:
         return None
 
 
-@dataclass(frozen=True)
+@frozen
 class RallyRecord:
     """One annotated rally: identity, context, events, outcome and text."""
 

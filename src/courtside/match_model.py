@@ -14,7 +14,57 @@ All values are immutable; operations return new instances.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+
+
+def frozen(cls):
+    """Declare ``cls`` an immutable value: ``dataclass(frozen=True)``, built
+    at the cost of a plain dataclass.
+
+    Equality, hashing, ``repr``, ``dataclasses.replace``, pickling, the
+    refused ``__setattr__``/``__delattr__`` and the signature of ``__init__``
+    are the stock ones, and ``__post_init__`` runs on every construction.
+    Only the body of ``__init__`` differs: it stores the fields with one
+    update of the instance dict, where the stock body makes one call to
+    ``object``'s ``__setattr__`` per field.
+    """
+    cls = dataclass(frozen=True)(cls)
+    stock = cls.__init__
+    code = stock.__code__
+    names = code.co_varnames[1:code.co_argcount]
+    declared = fields(cls)
+    if code.co_kwonlyargcount or names != tuple(f.name for f in declared):
+        raise TypeError(f"{cls.__name__}: frozen takes only fields that __init__ "
+                        f"sets by position (no InitVar, kw_only or init=False)")
+    defaults = stock.__defaults__ or ()
+    first_default = len(names) - len(defaults)
+    namespace = {}
+    lines = []
+    for i, f in enumerate(declared):
+        if f.default_factory is not MISSING:
+            # the stock default is a sentinel that asks for a fresh value
+            namespace[f"__sentinel_{i}__"] = defaults[i - first_default]
+            namespace[f"__factory_{i}__"] = f.default_factory
+            lines.append(f" if {f.name} is __sentinel_{i}__: {f.name} = __factory_{i}__()")
+    # One update from a dict literal, not one store per key: on CPython 3.11
+    # the update gives the instance a combined dict, whose attributes read as
+    # fast as stock ones, while stores per key keep a split dict that reads
+    # twice as slowly.
+    fill = ", ".join(f"{n!r}: {n}" for n in names)
+    lines.append(f" self.__dict__.update({{{fill}}})")
+    if hasattr(cls, "__post_init__"):
+        lines.append(" self.__post_init__()")
+    params = ", ".join(n if i < first_default else f"{n}=None"
+                       for i, n in enumerate(names))
+    exec(f"def __init__(self, {params}):\n" + "\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = stock.__defaults__
+    init.__annotations__ = stock.__annotations__
+    init.__qualname__ = stock.__qualname__
+    init.__module__ = stock.__module__
+    cls.__init__ = init
+    return cls
+
 
 PLAYER_1 = "player_1"
 PLAYER_2 = "player_2"
@@ -65,7 +115,7 @@ def other_player(player_id: str) -> str:
     raise ValueError(f"unknown player id: {player_id!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class PlayerRef:
     """One of the two competitors, as referenced by metadata and prompts."""
 
@@ -85,7 +135,7 @@ class PlayerRef:
         return self.name.split()[-1]
 
 
-@dataclass(frozen=True)
+@frozen
 class ScoringConfig:
     """Match format: set count, set trigger games and tiebreak targets.
 
@@ -121,7 +171,7 @@ class ScoringConfig:
         return self.best_of // 2 + 1
 
 
-@dataclass(frozen=True)
+@frozen
 class MatchScore:
     """Full scoring state: finished sets, current games, points and server.
 
@@ -143,10 +193,10 @@ class MatchScore:
         p2 = sum(1 for a, b in self.completed_sets if b > a)
         need = self.config.sets_to_win
         trigger = self.config.set_trigger_games
-        object.__setattr__(self, "in_tiebreak", self.games == (trigger, trigger))
-        object.__setattr__(self, "_sets_won", (p1, p2))
-        object.__setattr__(self, "_winner", PLAYER_1 if p1 >= need
-                           else PLAYER_2 if p2 >= need else None)
+        self.__dict__.update(in_tiebreak=self.games == (trigger, trigger),
+                             _sets_won=(p1, p2),
+                             _winner=PLAYER_1 if p1 >= need
+                             else PLAYER_2 if p2 >= need else None)
 
     def sets_won(self) -> tuple[int, int]:
         return self._sets_won

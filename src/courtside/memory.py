@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .event_stream import STAT_WIDTH, RallyRecord, classify_point
-from .match_model import MatchScore, score_summary
+from .match_model import MatchScore, frozen, score_summary
 
 DEFAULT_WINDOW = 4
 
@@ -88,7 +88,7 @@ RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pc
 COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
 
 
-@dataclass(frozen=True)
+@frozen
 class MemoryEntry:
     """One remembered rally: its stream index, metadata and commentary."""
 
@@ -159,7 +159,7 @@ def consolidate(long: LongTermMemory, rally: RallyRecord) -> None:
     long.last_consolidated_score = rally.final_score
 
 
-@dataclass(frozen=True)
+@frozen
 class ContextView:
     """Immutable snapshot handed to prompt assembly: the window's entries,
     oldest first, plus the consolidated statistic lines."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, field, fields
 from pathlib import Path
 
 from .evaluation import corpus_metrics, CorpusTooSmall, sanity_check
@@ -22,7 +22,7 @@ from .event_stream import (
     rally_from_json,
     validate_rally,
 )
-from .match_model import ScoringConfig, validate_scoreboard
+from .match_model import ScoringConfig, frozen, validate_scoreboard
 from .memory import DEFAULT_WINDOW, MatchMemory, MemoryEntry
 from .prompt_engine import (
     BudgetExceeded,
@@ -44,7 +44,7 @@ class ConfigError(ValueError):
     """Configuration file or flag values are unusable."""
 
 
-@dataclass(frozen=True)
+@frozen
 class PipelineConfig:
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     memory_window: int = DEFAULT_WINDOW
@@ -180,7 +180,7 @@ def load_dataset(path, config: ScoringConfig | None = None, *, errors: list):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class RallyRunRecord:
     rally_index: int
     clip_id: str
@@ -194,13 +194,14 @@ class RallyRunRecord:
     client_ms: float
 
     def as_dict(self, include_timing: bool = True) -> dict:
-        out = asdict(self)
+        # every field is a JSON atom, so asdict's recursive copy is not needed
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         if not include_timing:
             del out["engine_ms"], out["client_ms"]
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class RunReport:
     rallies: tuple[RallyRunRecord, ...]
     final_stats: dict

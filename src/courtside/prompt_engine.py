@@ -16,7 +16,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 
 from .event_stream import (RallyRecord, SchemaViolation, ShotEvent, rally_from_json,
@@ -28,6 +28,7 @@ from .match_model import (
     PLAYER_IDS,
     PlayerRef,
     ScoringConfig,
+    frozen,
 )
 from .memory import COUNT_FIELDS, RATIO_FIELDS, ContextView, PlayerStatLine
 
@@ -80,7 +81,7 @@ class BudgetExceeded(RuntimeError):
     """The assembled prompt overruns the configured token cap."""
 
 
-@dataclass(frozen=True)
+@frozen
 class PromptBundle:
     """The prompt text, plus the facts it was built from.
 
@@ -105,7 +106,7 @@ class PromptBundle:
         return "\n".join(parts)
 
 
-@dataclass(frozen=True)
+@frozen
 class PersonaConfig:
     system_text: str = COMMENTATOR_SYSTEM_PROMPT
     min_words: int = 5
@@ -124,12 +125,12 @@ class PersonaConfig:
                              f"{self.min_words!r} and {self.max_words!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class GenerationRequest:
     bundle: PromptBundle
 
 
-@dataclass(frozen=True)
+@frozen
 class GenerationResponse:
     text: str
     usage: dict

@@ -9,14 +9,15 @@ neighbours overlap; those are merged so the output stays disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .match_model import frozen
 
 
 class FlagCountMismatch(ValueError):
     """filter_intervals needs exactly one flag pair per interval."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ImpactEvent:
     timestamp: float
     confidence: float
@@ -28,7 +29,7 @@ class ImpactEvent:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
-@dataclass(frozen=True)
+@frozen
 class SegmentationParams:
     confidence_threshold: float = 0.5
     max_gap_s: float = 3.0
@@ -46,7 +47,7 @@ class SegmentationParams:
             raise ValueError(f"min_hits must be >= 1, got {self.min_hits}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RallyInterval:
     start: float
     end: float

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -12,6 +13,7 @@ from courtside.match_model import ScoringConfig, is_terminal, advance_point
 from courtside.pipeline import (
     ConfigError,
     PipelineConfig,
+    RallyRunRecord,
     load_dataset,
     replay_match,
 )
@@ -293,6 +295,19 @@ class TestReplay:
         # and its absent commentary shows as a placeholder in later digests
         later = replay_match(subset, PipelineConfig(), client=DeadOnThird())
         assert later.rallies[3].commentary is not None
+
+    @pytest.mark.parametrize("run", [
+        RallyRunRecord(0, "sim0001_0.0_6.5", 412, 96, "Sinner holds.", True,
+                       False, None, 0.25, 1.5),
+        RallyRunRecord(1, "sim0001_6.5_9.0", 420, 101, None, None, True,
+                       "MalformedResponse: garbage", 0.125, 0.0),
+    ], ids=["passed", "failed"])
+    def test_run_record_dict_is_asdict_in_field_order(self, run):
+        assert list(run.as_dict().items()) == list(asdict(run).items())
+        untimed = asdict(run)
+        del untimed["engine_ms"], untimed["client_ms"]
+        assert list(run.as_dict(include_timing=False).items()) == \
+            list(untimed.items())
 
     def test_deterministic_report_without_timing(self, records):
         a = replay_match(records[:15], PipelineConfig())
