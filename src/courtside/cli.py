@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .evaluation import (
@@ -225,12 +225,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_segment(args) -> int:
     try:
-        params = SegmentationParams(
-            confidence_threshold=args.threshold,
-            max_gap_s=args.max_gap,
-            min_hits=args.min_hits,
-            padding_s=args.padding,
-        )
+        params = SegmentationParams(**{
+            f.name: getattr(args, f.name) for f in fields(SegmentationParams)
+            if getattr(args, f.name) is not None})
     except ValueError as exc:
         raise ConfigError(f"segment parameters: {exc}") from None
     events = []
@@ -315,10 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="cluster impact detections into intervals")
     p.add_argument("--input", required=True, help="impact detections JSONL file")
     p.add_argument("--output", help="write the result here instead of stdout")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--max-gap", type=float, default=3.0, dest="max_gap")
-    p.add_argument("--min-hits", type=int, default=2, dest="min_hits")
-    p.add_argument("--padding", type=float, default=1.0)
+    # An option not given stays None and keeps its SegmentationParams default.
+    p.add_argument("--threshold", type=float, dest="confidence_threshold")
+    p.add_argument("--max-gap", type=float, dest="max_gap_s")
+    p.add_argument("--min-hits", type=int, dest="min_hits")
+    p.add_argument("--padding", type=float, dest="padding_s")
     p.add_argument("--flags", help="JSONL of per-interval view/scoreboard flags")
     p.set_defaults(func=cmd_segment)
 

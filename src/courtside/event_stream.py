@@ -26,7 +26,6 @@ from .match_model import (
     is_terminal,
     other_player,
     parse_scoreboard,
-    render_scoreboard,
     synthesize_completed_sets,
 )
 
@@ -345,9 +344,15 @@ def edit_score(predicted, reference) -> float:
 # ---------------------------------------------------------------------------
 
 
-# A count list holds player_1's block of ``STAT_WIDTH`` counts, then
-# player_2's; a field's position in a block follows ``memory.COUNT_FIELDS``.
-STAT_WIDTH = 16
+# The statistic counts of one player, in report and prompt-table order.  A
+# count list holds player_1's block of ``STAT_WIDTH`` counts, then player_2's.
+COUNT_FIELDS = ("aces", "double_faults", "first_serves_in", "serve_points",
+                "serve_points_won", "return_points", "return_points_won",
+                "winners", "unforced_errors", "forced_errors_conceded",
+                "break_points_faced", "break_points_saved",
+                "break_points_converted", "points_won", "games_won",
+                "total_shots")
+STAT_WIDTH = len(COUNT_FIELDS)
 (_ACES, _DOUBLE_FAULTS, _FIRST_SERVES_IN, _SERVE_POINTS, _SERVE_POINTS_WON,
  _RETURN_POINTS, _RETURN_POINTS_WON, _WINNERS, _UNFORCED_ERRORS,
  _FORCED_ERRORS_CONCEDED, _BREAK_POINTS_FACED, _BREAK_POINTS_SAVED,
@@ -414,6 +419,14 @@ def score_cell(value):
     return value if value == AD else int(value)
 
 
+def _dataset_rows(score: MatchScore) -> tuple[list, list]:
+    """The Wimbledon board's ``[sets won, games, points]`` rows of ``score``,
+    player_1's first, with the JSON types the dataset writes."""
+    sets, games, points = score.sets_won(), score.games, score.points
+    return ([sets[0], games[0], score_cell(points[0])],
+            [sets[1], games[1], score_cell(points[1])])
+
+
 def bounces_json(bounces) -> list[dict]:
     return [
         {"timestamp": b.timestamp, "court_half": b.court_half,
@@ -429,10 +442,10 @@ def rally_to_json(rally: RallyRecord) -> dict:
     ``[sets won, games, points]`` plus the server's display name.
     """
     info = rally.match_info
-    board = render_scoreboard(rally.initial_score, LAYOUT_WIMBLEDON,
-                              (info.player_1.name, info.player_2.name))
-    scoreboard = {key: value if key == "server" else [score_cell(c) for c in value]
-                  for key, value in board.items()}
+    score = rally.initial_score
+    row_1, row_2 = _dataset_rows(score)
+    scoreboard = {info.player_1.name: row_1, info.player_2.name: row_2,
+                  "server": info.name_of(score.server)}
     shot_sequence = []
     for shot in rally.shots:
         entry = {
@@ -544,13 +557,12 @@ def _chained_score(previous: RallyRecord, board,
     info = previous.match_info
     if board.get("server") != info.name_of(score.server):
         return None
-    for name, won, games, points in zip(
-            (info.player_1.name, info.player_2.name), sets, score.games,
-            score.points):
-        row, point = board.get(name), score_cell(points)
-        if not (type(row) is list and row == [won, games, point]
+    for name, expected in zip((info.player_1.name, info.player_2.name),
+                              _dataset_rows(score)):
+        row = board.get(name)
+        if not (type(row) is list and row == expected
                 and type(row[0]) is int and type(row[1]) is int
-                and type(row[2]) is type(point)):
+                and type(row[2]) is type(expected[2])):
             return None
     return score
 

@@ -8,11 +8,11 @@ any instant every past rally is represented in exactly one of the two tiers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
-from .event_stream import STAT_WIDTH, RallyRecord, classify_point
+from .event_stream import COUNT_FIELDS, STAT_WIDTH, RallyRecord, classify_point
 from .match_model import MatchScore, frozen, score_summary
 
 DEFAULT_WINDOW = 4
@@ -22,68 +22,34 @@ class OutOfOrderEntry(ValueError):
     """A pushed rally does not extend the stored sequence."""
 
 
-class PlayerStatLine(NamedTuple):
-    """Cumulative broadcast statistics for one player.
+# One player's block of a count list, its counts by name: built from a slice
+# with ``_make``, and equal to the plain tuple of the same counts.
+PlayerStatLine = namedtuple("PlayerStatLine", COUNT_FIELDS)
 
-    A tuple of int counts, one per field in report and prompt-table order
-    (``COUNT_FIELDS``): one player's block of a count list, so it is built
-    from a slice with ``_make`` and equals the plain tuple of the same
-    counts.  The ratios are derived views.
-    """
-
-    aces: int = 0
-    double_faults: int = 0
-    first_serves_in: int = 0
-    serve_points: int = 0
-    serve_points_won: int = 0
-    return_points: int = 0
-    return_points_won: int = 0
-    winners: int = 0
-    unforced_errors: int = 0
-    forced_errors_conceded: int = 0
-    break_points_faced: int = 0
-    break_points_saved: int = 0
-    break_points_converted: int = 0
-    points_won: int = 0
-    games_won: int = 0
-    total_shots: int = 0
-
-    @property
-    def first_serve_pct(self) -> float | None:
-        return _ratio(self.first_serves_in, self.serve_points)
-
-    @property
-    def serve_points_won_pct(self) -> float | None:
-        return _ratio(self.serve_points_won, self.serve_points)
-
-    @property
-    def return_points_won_pct(self) -> float | None:
-        return _ratio(self.return_points_won, self.return_points)
-
-    def as_dict(self) -> dict:
-        return _stat_dict(self)
+# The derived ratios of a block, in report and prompt-table order: each
+# one's name, then the two counts whose quotient it is, part / whole.
+RATIOS = (("first_serve_pct", "first_serves_in", "serve_points"),
+          ("serve_points_won_pct", "serve_points_won", "serve_points"),
+          ("return_points_won_pct", "return_points_won", "return_points"))
+RATIO_FIELDS = tuple(name for name, _, _ in RATIOS)
+_RATIO_INDICES = tuple((COUNT_FIELDS.index(part), COUNT_FIELDS.index(whole))
+                       for _, part, whole in RATIOS)
 
 
-def _ratio(part: int, whole: int) -> float | None:
-    """A derived ratio: with a zero denominator it is absent, never 0."""
-    return part / whole if whole else None
+def ratios(block) -> list[float | None]:
+    """A block's ratios in ``RATIOS`` order, from its counts in
+    ``COUNT_FIELDS`` order: over a zero denominator a ratio is None, not 0."""
+    values = []
+    for part, whole in _RATIO_INDICES:
+        total = block[whole]
+        values.append(block[part] / total if total else None)
+    return values
 
 
-def _stat_dict(counts) -> dict:
-    """One player's report from a block of counts in ``COUNT_FIELDS`` order:
-    each count by name, then the ratio views."""
-    line = dict(zip(COUNT_FIELDS, counts))
-    line["first_serve_pct"] = _ratio(line["first_serves_in"], line["serve_points"])
-    line["serve_points_won_pct"] = _ratio(line["serve_points_won"], line["serve_points"])
-    line["return_points_won_pct"] = _ratio(line["return_points_won"],
-                                           line["return_points"])
-    return line
+def _stat_dict(block: list[int]) -> dict:
+    """One player's report: each count by name, then each ratio."""
+    return dict(zip(COUNT_FIELDS + RATIO_FIELDS, block + ratios(block)))
 
-
-# The count and derived-ratio fields of PlayerStatLine, in report and
-# prompt-table order.
-COUNT_FIELDS = PlayerStatLine._fields
-RATIO_FIELDS = ("first_serve_pct", "serve_points_won_pct", "return_points_won_pct")
 
 COMMENTARY_PLACEHOLDER = "[commentary unavailable]"
 

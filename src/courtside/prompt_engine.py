@@ -19,8 +19,8 @@ import time
 from dataclasses import field
 from pathlib import Path
 
-from .event_stream import (RallyRecord, SchemaViolation, ShotEvent, rally_from_json,
-                           valid_unicode)
+from .event_stream import (COUNT_FIELDS, RallyRecord, SchemaViolation, ShotEvent,
+                           rally_from_json, valid_unicode)
 from .match_model import (
     AD,
     PLAYER_1,
@@ -30,7 +30,7 @@ from .match_model import (
     ScoringConfig,
     frozen,
 )
-from .memory import COUNT_FIELDS, RATIO_FIELDS, ContextView, PlayerStatLine
+from .memory import RATIO_FIELDS, ContextView, PlayerStatLine, ratios
 
 COMMENTATOR_SYSTEM_PROMPT = """\
 I want you to act as a professional tennis commentator and coach. I will give \
@@ -330,7 +330,7 @@ def _pct(value: float | None) -> str:
 
 _STATISTIC_LABEL = f"{'statistic':<26}"
 _COUNT_LABELS = tuple(f"{name:<26}" for name in COUNT_FIELDS)
-_RATIO_ROWS = tuple((f"{name:<26}", name) for name in RATIO_FIELDS)
+_RATIO_LABELS = tuple(f"{name:<26}" for name in RATIO_FIELDS)
 
 
 def _stats_table(lines: tuple[PlayerStatLine, PlayerStatLine],
@@ -340,9 +340,8 @@ def _stats_table(lines: tuple[PlayerStatLine, PlayerStatLine],
     rows = [_STATISTIC_LABEL + names[0].rjust(width) + names[1].rjust(width)]
     for label, x, y in zip(_COUNT_LABELS, a, b):
         rows.append(label + str(x).rjust(width) + str(y).rjust(width))
-    for label, name in _RATIO_ROWS:
-        rows.append(label + _pct(getattr(a, name)).rjust(width)
-                    + _pct(getattr(b, name)).rjust(width))
+    for label, x, y in zip(_RATIO_LABELS, ratios(a), ratios(b)):
+        rows.append(label + _pct(x).rjust(width) + _pct(y).rjust(width))
     return "\n".join(rows)
 
 

@@ -554,6 +554,9 @@ def _pct(value) -> str:
 
 
 def stats_table(lines, names: tuple[str, str]) -> str:
+    # Every ratio is recomputed from the counts, whatever ``lines`` carry.
+    lines = [stat_line({name: getattr(line, name) for name in COUNT_FIELDS})
+             for line in lines]
     width = max(len(names[0]), len(names[1]), 10) + 2
     header = f"{'statistic':<26}{names[0]:>{width}}{names[1]:>{width}}"
     rows = [header]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from courtside.event_stream import (
+    COUNT_FIELDS,
     BounceEvent,
     IncompleteRally,
     MatchInfo,
@@ -22,7 +23,6 @@ from courtside.event_stream import (
     validate_rally,
 )
 from courtside.match_model import MatchScore, PlayerRef, TerminalState, advance_point
-from courtside.memory import COUNT_FIELDS
 
 import oracles
 

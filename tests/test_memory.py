@@ -2,14 +2,17 @@
 
 import pytest
 
+from courtside.event_stream import COUNT_FIELDS, STAT_WIDTH
 from courtside.match_model import advance_point
 from courtside.memory import (
+    RATIO_FIELDS,
     LongTermMemory,
     MatchMemory,
     MemoryEntry,
     OutOfOrderEntry,
     PlayerStatLine,
     consolidate,
+    ratios,
 )
 from courtside.simulate import simulate_match
 
@@ -72,14 +75,18 @@ class TestConsolidate:
         assert long.rallies_consolidated == 1
 
     def test_percentages_absent_before_any_serve(self):
-        line = PlayerStatLine()
-        assert line.first_serve_pct is None
-        assert line.serve_points_won_pct is None
-        assert line.as_dict()["first_serve_pct"] is None
+        assert ratios([0] * STAT_WIDTH) == [None, None, None]
+        report = LongTermMemory().report()
+        for pid in (P1, P2):
+            assert [report[pid][name] for name in RATIO_FIELDS] == [None] * 3
 
     def test_first_serve_pct_exact(self):
-        line = PlayerStatLine(serve_points=8, first_serves_in=5)
-        assert line.first_serve_pct == 5 / 8
+        long = LongTermMemory()
+        long.counts[COUNT_FIELDS.index("serve_points")] = 8
+        long.counts[COUNT_FIELDS.index("first_serves_in")] = 5
+        assert ratios(long.stat_lines[0]) == [5 / 8, 0.0, None]
+        line = long.report()[P1]
+        assert [line[name] for name in RATIO_FIELDS] == [5 / 8, 0.0, None]
 
     def test_sequential_equals_batch_recount(self, match_records):
         long = LongTermMemory()
@@ -168,7 +175,8 @@ class TestSnapshotAndWindow:
     def test_fresh_snapshot_is_empty(self):
         view = MatchMemory().snapshot()
         assert view.recent == ()
-        assert view.stat_lines == (PlayerStatLine(), PlayerStatLine())
+        assert view.stat_lines == ((0,) * STAT_WIDTH, (0,) * STAT_WIDTH)
+        assert all(type(line) is PlayerStatLine for line in view.stat_lines)
 
     def test_window_counts_after_six_rallies(self, match_records):
         memory = MatchMemory(capacity=4)

@@ -34,13 +34,14 @@ from courtside.evaluation import (
     score_pairs,
     tokenize,
 )
-from courtside.event_stream import (STAT_WIDTH, BounceEvent, SchemaViolation,
-                                    classify_point, rally_from_json, rally_to_json)
+from courtside.event_stream import (COUNT_FIELDS, STAT_WIDTH, BounceEvent,
+                                    SchemaViolation, classify_point,
+                                    rally_from_json, rally_to_json)
 from courtside.match_model import (LAYOUT_WIMBLEDON, LAYOUTS, PLAYER_IDS,
                                    MatchScore, ScoringConfig, advance_point,
                                    is_terminal, parse_scoreboard,
                                    render_scoreboard, synthesize_completed_sets)
-from courtside.memory import COUNT_FIELDS, MatchMemory, MemoryEntry
+from courtside.memory import MatchMemory, MemoryEntry
 from courtside import pipeline
 from courtside.cli import main
 from courtside.pipeline import PipelineConfig, load_dataset
@@ -182,6 +183,23 @@ def test_final_score_is_the_advanced_initial_score(seed, config):
         expected = advance_point(rally.initial_score, rally.outcome.point_winner)
         assert rally.final_score == expected
         assert rally.final_score is rally.final_score
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=100_000), oracles.SCORING_CONFIGS)
+@at_pinned_formats(lambda config: (1, config))
+def test_dataset_board_is_the_rendered_wimbledon_board(seed, config):
+    """The board ``rally_to_json`` writes is the ``render_scoreboard``
+    Wimbledon board of the rally's score, each number cell a JSON int, in
+    the same key order."""
+    for rally in simulate_match(seed=seed, config=config):
+        info = rally.match_info
+        board = render_scoreboard(rally.initial_score, LAYOUT_WIMBLEDON,
+                                  (info.player_1.name, info.player_2.name))
+        expected = {key: value if key == "server"
+                    else [cell if cell == "AD" else int(cell) for cell in value]
+                    for key, value in board.items()}
+        assert json.dumps(rally_to_json(rally)["scoreboard"]) == json.dumps(expected)
 
 
 @pytest.fixture(scope="module")
