@@ -189,8 +189,14 @@ class MatchScore:
 
     def __post_init__(self):
         # Derived once: a score is one rally's final and the next one's initial.
-        p1 = sum(1 for a, b in self.completed_sets if a > b)
-        p2 = sum(1 for a, b in self.completed_sets if b > a)
+        # One plain loop: it runs per rally, where a generator costs more
+        # than the count.
+        p1 = p2 = 0
+        for a, b in self.completed_sets:
+            if a > b:
+                p1 += 1
+            if b > a:
+                p2 += 1
         need = self.config.sets_to_win
         trigger = self.config.set_trigger_games
         self.__dict__.update(in_tiebreak=self.games == (trigger, trigger),
@@ -310,8 +316,14 @@ def is_break_point(score: MatchScore) -> bool:
     """
     if score.in_tiebreak:
         return False
-    ret = score.point_of(score.returner)
-    srv = score.point_of(score.server)
+    points, server = score.points, score.server
+    # the returner's point first, as ``point_of(returner)`` read it
+    if server == PLAYER_1:
+        ret, srv = points[1], points[0]
+    elif server == PLAYER_2:
+        ret, srv = points[0], points[1]
+    else:
+        raise ValueError(f"unknown player id: {server!r}")
     if ret == AD:
         return True
     return ret == "40" and srv in ("0", "15", "30")
@@ -325,34 +337,50 @@ def is_break_point(score: MatchScore) -> bool:
 def _structure_violations(score: MatchScore) -> list[str]:
     """Violations of the current-set structure: server, point values against
     the ladder or tiebreak, and games in 0..trigger+1.  ``advance_point``
-    refuses a score that has any; ``validate_scoreboard`` reports them first."""
+    refuses a score that has any; ``validate_scoreboard`` reports them first.
+
+    Each check is a plain loop that stops at its first failure, and only a
+    failure builds its message: this runs on every rally."""
     v: list[str] = []
     config = score.config
-    trigger = config.set_trigger_games
+    most = config.set_trigger_games + 1
+    points, games = score.points, score.games
 
     if score.server not in PLAYER_IDS:
         v.append(f"unknown server: {score.server!r}")
 
     if score.in_tiebreak:
-        if not all(isinstance(p, int) and p >= 0 for p in score.points):
-            v.append(f"tiebreak points must be non-negative integers: {score.points!r}")
+        for p in points:
+            if not (isinstance(p, int) and p >= 0):
+                v.append(f"tiebreak points must be non-negative integers: {points!r}")
+                break
     else:
-        bad = [p for p in score.points if p not in POINT_LADDER and p != AD]
-        if bad:
-            v.append(f"illegal point values: {bad!r}")
-        if score.points == (AD, AD):
-            v.append("both players at AD")
-        elif AD in score.points:
-            opp = score.points[1] if score.points[0] == AD else score.points[0]
-            if opp != "40":
-                v.append(f"AD with opponent at {opp!r}, expected 40")
-            if not config.ad_scoring:
-                v.append("AD under no-ad scoring")
+        for p in points:
+            if p not in POINT_LADDER and p != AD:
+                bad = [p for p in points if p not in POINT_LADDER and p != AD]
+                v.append(f"illegal point values: {bad!r}")
+                break
+        if AD in points:
+            if points == (AD, AD):
+                v.append("both players at AD")
+            else:
+                opp = points[1] if points[0] == AD else points[0]
+                if opp != "40":
+                    v.append(f"AD with opponent at {opp!r}, expected 40")
+                if not config.ad_scoring:
+                    v.append("AD under no-ad scoring")
 
-    if any(not isinstance(g, int) or g < 0 for g in score.games):
-        v.append(f"games must be non-negative integers: {score.games!r}")
-    elif any(g > trigger + 1 for g in score.games):
-        v.append(f"games exceed trigger+1: {score.games!r}")
+    # Games above trigger+1 count only when every game is a non-negative int.
+    over = False
+    for g in games:
+        if not isinstance(g, int) or g < 0:
+            v.append(f"games must be non-negative integers: {games!r}")
+            break
+        if g > most:
+            over = True
+    else:
+        if over:
+            v.append(f"games exceed trigger+1: {games!r}")
     return v
 
 
@@ -369,6 +397,7 @@ def _set_state_reachable(score: MatchScore) -> bool:
     return max(g1, g2) < trigger or (max(g1, g2) == trigger and abs(g1 - g2) == 1)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def synthesize_completed_sets(p1_sets: int, p2_sets: int,
                               trigger: int) -> tuple[tuple[int, int], ...]:
     """Reconstruct per-set game pairs from bare won-set counts.
@@ -378,6 +407,12 @@ def synthesize_completed_sets(p1_sets: int, p2_sets: int,
     1, where 1-0 is still a live set.  Sets alternate before the leader's
     surplus so the sequence never continues past a clinched match when the
     counts themselves are legal.
+
+    Memoized, as a decode asks it once per rally for the same few counts and
+    the result is immutable.  The memo is keyed by argument types too, so
+    ``1.0`` still fails as it would unmemoized.  A match asks for a handful
+    of keys (sets won up to best-of, one trigger); the bound only caps what
+    other callers may add.
     """
     won = max(trigger, 2)
     win_1, win_2 = (won, 0), (0, won)

@@ -20,9 +20,8 @@ from dataclasses import field
 from pathlib import Path
 
 from .event_stream import (COUNT_FIELDS, RallyRecord, SchemaViolation, ShotEvent,
-                           rally_from_json, valid_unicode)
+                           rally_from_json, score_cell, valid_unicode)
 from .match_model import (
-    AD,
     PLAYER_1,
     PLAYER_2,
     PLAYER_IDS,
@@ -189,7 +188,9 @@ def _pair(pos: tuple[float, float]) -> str:
 
 
 def _cell(value) -> str:
-    return '"AD"' if value == AD else repr(int(value))
+    """A point cell as JSON text: the dataset's :func:`score_cell`, written."""
+    cell = score_cell(value)
+    return repr(cell) if type(cell) is int else _encode(cell)
 
 
 def serialize_metadata(rally: RallyRecord) -> str:

@@ -12,26 +12,22 @@ import math
 import re
 import unicodedata
 from collections import Counter, defaultdict
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
 from courtside.evaluation import (
     DEFAULT_SHOT_TAXONOMY,
-    CorpusTooSmall,
     PairScore,
     SanityViolation,
     _ATTRIBUTION_TERMS,
     _SENTENCE_SPLIT_RE,
-    _grams,
-    _idf,
-    _left_sum,
-    _rouge,
-    tokenize,
 )
 from courtside.event_stream import SchemaViolation, rally_from_json, validate_rally
-from courtside.match_model import (AD, PLAYER_IDS, ScoringConfig, advance_point,
-                                   other_player, validate_scoreboard)
+from courtside.match_model import (AD, PLAYER_1, PLAYER_2, PLAYER_IDS, ScoringConfig,
+                                   advance_point, other_player, validate_scoreboard)
 from courtside.memory import ContextView
 from courtside.pipeline import read_lines
 from courtside.prompt_engine import (USER_INSTRUCTION_TEMPLATE, GenerationRequest,
@@ -174,6 +170,78 @@ def reachable_set_states(trigger: int = 6, tb_target: int = 7, ad: bool = True) 
     return out
 
 
+# The package's per-rally scoring kernels as they were written with
+# generators and list comprehensions, kept verbatim as an oracle: the
+# plain-loop rewrites must give the same values, messages and exceptions on
+# any score, well-formed or not.
+
+
+def ref_post_init(completed_sets, games, config) -> dict:
+    """The fields ``MatchScore.__post_init__`` derives."""
+    p1 = sum(1 for a, b in completed_sets if a > b)
+    p2 = sum(1 for a, b in completed_sets if b > a)
+    need = config.sets_to_win
+    trigger = config.set_trigger_games
+    return dict(in_tiebreak=games == (trigger, trigger),
+                _sets_won=(p1, p2),
+                _winner=PLAYER_1 if p1 >= need
+                else PLAYER_2 if p2 >= need else None)
+
+
+def ref_is_break_point(score) -> bool:
+    if score.in_tiebreak:
+        return False
+    ret = score.point_of(score.returner)
+    srv = score.point_of(score.server)
+    if ret == AD:
+        return True
+    return ret == "40" and srv in ("0", "15", "30")
+
+
+def ref_structure_violations(score) -> list[str]:
+    v: list[str] = []
+    config = score.config
+    trigger = config.set_trigger_games
+
+    if score.server not in PLAYER_IDS:
+        v.append(f"unknown server: {score.server!r}")
+
+    if score.in_tiebreak:
+        if not all(isinstance(p, int) and p >= 0 for p in score.points):
+            v.append(f"tiebreak points must be non-negative integers: {score.points!r}")
+    else:
+        bad = [p for p in score.points if p not in LADDER and p != AD]
+        if bad:
+            v.append(f"illegal point values: {bad!r}")
+        if score.points == (AD, AD):
+            v.append("both players at AD")
+        elif AD in score.points:
+            opp = score.points[1] if score.points[0] == AD else score.points[0]
+            if opp != "40":
+                v.append(f"AD with opponent at {opp!r}, expected 40")
+            if not config.ad_scoring:
+                v.append("AD under no-ad scoring")
+
+    if any(not isinstance(g, int) or g < 0 for g in score.games):
+        v.append(f"games must be non-negative integers: {score.games!r}")
+    elif any(g > trigger + 1 for g in score.games):
+        v.append(f"games exceed trigger+1: {score.games!r}")
+    return v
+
+
+def ref_synthesize_completed_sets(p1_sets: int, p2_sets: int,
+                                  trigger: int) -> tuple[tuple[int, int], ...]:
+    won = max(trigger, 2)
+    win_1, win_2 = (won, 0), (0, won)
+    shared = min(p1_sets, p2_sets)
+    sets: list[tuple[int, int]] = []
+    for _ in range(shared):
+        sets.extend((win_1, win_2))
+    sets.extend([win_1] * (p1_sets - shared))
+    sets.extend([win_2] * (p2_sets - shared))
+    return tuple(sets)
+
+
 def total_games(score, idx: int) -> int:
     """Games won by player ``idx`` (0 or 1) over the whole match so far:
     the games of every completed set plus those of the live set."""
@@ -243,6 +311,29 @@ def lcs_length(a, b) -> int:
 # ---------------------------------------------------------------------------
 # Text-metric references (shared tokenizer contract: caller passes tokens)
 # ---------------------------------------------------------------------------
+
+METRIC_PUNCT = ".,!?;:\"'`()[]{}“”‘’…"
+
+
+def metric_tokens(text: str) -> list[str]:
+    """The metric tokenizer's contract: lowercase, split on whitespace,
+    strip punctuation from both ends of each word, drop what is left empty."""
+    words = (word.strip(METRIC_PUNCT) for word in text.lower().split())
+    return [word for word in words if word]
+
+
+def gram_counts(tokens) -> Counter:
+    """Counts of the 1..4-grams as tuples, first met by n, then position."""
+    counts = Counter()
+    for n in range(1, 5):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i:i + n])] += 1
+    return counts
+
+
+def left_fold(values) -> float:
+    """Left-to-right float sum, with no compensated rounding."""
+    return reduce(add, values, 0.0)
 
 
 def ref_bleu4(candidate_tokens, reference_token_lists) -> float:
@@ -389,27 +480,33 @@ def _exact_cider(cand, refs, idf: dict, unseen: float) -> float:
                 sims[n].append(0.0)
             else:
                 sims[n].append(dot[n] / (cand_norm[n] * ref_norm[n]))
-    per_n = [_left_sum(s) / len(s) for s in sims[1:]]
-    return 10.0 * _left_sum(per_n) / 4.0
+    per_n = [left_fold(s) / len(s) for s in sims[1:]]
+    return 10.0 * left_fold(per_n) / 4.0
 
 
 def exact_score_pairs(pairs) -> list[PairScore]:
     """``score_pairs`` by the earlier path, bit for bit: the same tokenizer,
     gram order, document frequencies and ROUGE-L, and every float folded in
     the same order."""
-    pairs = [(tokenize(cand), [tokenize(r) for r in refs]) for cand, refs in pairs]
-    try:
-        weights = _idf([refs for _, refs in pairs])
-    except CorpusTooSmall:
-        weights = None
-
-    def counted(tokens):
-        return tokens, Counter(_grams(tokens))
+    pairs = [(metric_tokens(cand), [metric_tokens(r) for r in refs]) for cand, refs in pairs]
+    weights = None
+    if len(pairs) >= 2:
+        doc_freq = Counter()
+        for _, refs in pairs:
+            present = set()
+            for ref in refs:
+                present.update(gram_counts(ref))
+            for gram in present:
+                doc_freq[gram] += 1
+        weights = ({gram: math.log(len(pairs) / df) for gram, df in doc_freq.items()},
+                   math.log(len(pairs)))
 
     scores = []
     for cand_tokens, ref_tokens in pairs:
-        cand, refs = counted(cand_tokens), [counted(r) for r in ref_tokens]
-        scores.append(PairScore(_exact_bleu(cand, refs), _rouge(cand_tokens, ref_tokens[0]),
+        cand = cand_tokens, gram_counts(cand_tokens)
+        refs = [(r, gram_counts(r)) for r in ref_tokens]
+        scores.append(PairScore(_exact_bleu(cand, refs),
+                                ref_rouge_l(cand_tokens, ref_tokens[0]),
                                 None if weights is None else _exact_cider(cand, refs, *weights)))
     return scores
 

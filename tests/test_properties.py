@@ -1,8 +1,9 @@
 """Property-based tests: the commentary sanity check on arbitrary text, the
 rally codec on simulated matches of every supported format, the scoreboard
-layouts over whole matches of arbitrary formats, dataset ingestion on
-arbitrary values, the text metrics on arbitrary corpora, and whole replays
-against a reference replay over drawn configs."""
+layouts over whole matches of arbitrary formats, the scoring kernels on
+reachable and malformed scores, dataset ingestion on arbitrary values, the
+text metrics on arbitrary corpora, and whole replays against a reference
+replay over drawn configs."""
 
 import copy
 import json
@@ -38,9 +39,10 @@ from courtside.event_stream import (COUNT_FIELDS, STAT_WIDTH, BounceEvent,
                                     SchemaViolation, classify_point,
                                     rally_from_json, rally_to_json)
 from courtside.match_model import (LAYOUT_WIMBLEDON, LAYOUTS, PLAYER_IDS,
-                                   MatchScore, ScoringConfig, advance_point,
-                                   is_terminal, parse_scoreboard,
-                                   render_scoreboard, synthesize_completed_sets)
+                                   MatchScore, ScoringConfig, _structure_violations,
+                                   advance_point, is_break_point, is_terminal,
+                                   parse_scoreboard, render_scoreboard,
+                                   synthesize_completed_sets)
 from courtside.memory import MatchMemory, MemoryEntry
 from courtside import pipeline
 from courtside.cli import main
@@ -183,6 +185,109 @@ def test_final_score_is_the_advanced_initial_score(seed, config):
         expected = advance_point(rally.initial_score, rally.outcome.point_winner)
         assert rally.final_score == expected
         assert rally.final_score is rally.final_score
+
+
+def _outcome(function, *args):
+    """What a call gave: its value, or its exception's type and message."""
+    try:
+        return "returned", function(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+# Cells a malformed score may hold: every ladder string, AD, a number string
+# off the ladder, negative and plain ints, floats, bools and an unhashable list.
+POINT_CELLS = st.sampled_from(("0", "15", "30", "40", "AD", "50", -1, 0, 2, 15,
+                               0.0, 2.5, True, False, [1]))
+
+
+@st.composite
+def drawn_scores(draw):
+    """The parts of a score: one that a match reaches by a random walk, or
+    one whose points, games or server are then overwritten with values that
+    break the structure (lengths 1 and 3, negative, above trigger+1, bools,
+    floats, an unknown server).  The history is the walk's, or one rebuilt
+    from drawn sets won, which may be decided twice over."""
+    config = draw(oracles.SCORING_CONFIGS)
+    trigger = config.set_trigger_games
+    rng = draw(st.randoms(use_true_random=False))
+    score = MatchScore(config=config)
+    for _ in range(draw(st.integers(0, 300))):
+        if is_terminal(score):
+            break
+        score = advance_point(score, rng.choice(PLAYER_IDS))
+    parts = dict(completed_sets=score.completed_sets, games=score.games,
+                 points=score.points, server=score.server, config=config)
+    if draw(st.booleans()):
+        parts["completed_sets"] = synthesize_completed_sets(
+            draw(st.integers(0, 3)), draw(st.integers(0, 3)), trigger)
+    if draw(st.booleans()):
+        cells = st.lists(POINT_CELLS, min_size=1, max_size=3)
+        games = st.lists(st.sampled_from((trigger, trigger + 1, trigger + 2, -1, True,
+                                          float(trigger), 0.5)) | st.integers(0, trigger),
+                         min_size=1, max_size=3).map(tuple)
+        if draw(st.booleans()):
+            parts["points"] = tuple(draw(cells))
+        if draw(st.booleans()):
+            # trigger-all, the tiebreak, is as likely as all other games
+            parts["games"] = draw(st.just((trigger, trigger)) | games)
+        if draw(st.booleans()):
+            parts["server"] = "nobody"
+    return parts
+
+
+def _parts(points=("0", "0"), games=(0, 0), server="player_1", completed_sets=()):
+    return dict(completed_sets=completed_sets, games=games, points=points,
+                server=server, config=ScoringConfig())
+
+
+@settings(deadline=None, max_examples=400)
+@given(drawn_scores())
+# an unhashable point is an illegal point value, not a TypeError
+@example(_parts(points=("15", [1])))
+# games of length 1 and 3 are listed, not unpacked
+@example(_parts(games=(6,)))
+@example(_parts(games=(6, 6, 0), points=(2, 1)))
+# games above trigger+1, both players at AD, under no-ad scoring too
+@example(_parts(games=(8, 0), points=("AD", "AD")))
+@example(dict(_parts(points=("40", "AD")), config=ScoringConfig(ad_scoring=False)))
+# a point tuple of length 1, and 3 with an AD, and an unknown server
+@example(_parts(points=("40",), server="nobody"))
+@example(_parts(points=("AD", "40", "0"), server="player_2"))
+def test_scoring_kernels_equal_their_generator_versions(parts):
+    """Sets won, the winner, the structural check and the break-point test
+    give what their earlier generator versions gave, value for value and
+    message for message, on reachable and malformed scores alike."""
+    built = _outcome(lambda: MatchScore(**parts))
+    derived = _outcome(oracles.ref_post_init, parts["completed_sets"],
+                       parts["games"], parts["config"])
+    if built[0] == "raised":
+        assert built == derived
+        return
+    score = built[1]
+    assert derived == ("returned", {"in_tiebreak": score.in_tiebreak,
+                                    "_sets_won": score.sets_won(),
+                                    "_winner": is_terminal(score)})
+    assert (_outcome(_structure_violations, score)
+            == _outcome(oracles.ref_structure_violations, score))
+    assert _outcome(is_break_point, score) == _outcome(oracles.ref_is_break_point, score)
+
+
+SET_COUNTS = st.integers(-1, 5) | st.booleans() | st.sampled_from((0.0, 1.0, 2.5))
+
+
+@settings(deadline=None, max_examples=200)
+@given(SET_COUNTS, SET_COUNTS, st.integers(1, 99) | st.sampled_from((True, 6.0)))
+@example(1.0, 0, 6)
+@example(2, 1, 6.0)
+def test_synthesized_history_equals_its_unmemoized_version(p1_sets, p2_sets, trigger):
+    """The memoized history equals the unmemoized one, value or exception,
+    also right after the ints equal to the drawn arguments were asked, when
+    a memo keyed without the argument types would answer for them."""
+    _outcome(synthesize_completed_sets, int(p1_sets), int(p2_sets), int(trigger))
+    got = _outcome(synthesize_completed_sets, p1_sets, p2_sets, trigger)
+    expected = _outcome(oracles.ref_synthesize_completed_sets, p1_sets, p2_sets, trigger)
+    assert (got, repr(got)) == (expected, repr(expected))
 
 
 @settings(deadline=None, max_examples=15)
