@@ -239,12 +239,13 @@ def rouge_l(candidate: str, reference: str) -> float:
     return _rouge(tokenize(candidate), tokenize(reference))
 
 
-def _idf(ref_lists) -> tuple[dict, float]:
+def _idf(ref_lists) -> tuple[dict | None, float]:
     """Inverse document frequency of every gram over the reference side of
-    the corpus, and the weight of a gram that no reference holds (df 1)."""
+    the corpus, and the weight of a gram that no reference holds (df 1);
+    none below two pairs, where CIDEr has no corpus statistics."""
     corpus_size = len(ref_lists)
     if corpus_size < 2:
-        raise CorpusTooSmall("CIDEr needs at least 2 pairs for corpus statistics")
+        return None, 0.0
     doc_freq: Counter = Counter()
     for refs in ref_lists:
         doc_freq.update(set(chain.from_iterable(map(_grams, refs))))
@@ -252,20 +253,11 @@ def _idf(ref_lists) -> tuple[dict, float]:
             math.log(corpus_size))
 
 
-def cider_scores(pairs) -> list[float]:
-    """Per-pair CIDEr: TF-IDF n-gram cosine (n = 1..4) against each
-    reference, averaged over n and references, scaled by 10.  IDF comes from
-    the reference side of the whole corpus."""
-    pairs = [_tokenize_pair(cand, refs) for cand, refs in pairs]
-    weights = _idf([refs for _, refs in pairs])
-    return [_scores(_count(cand), [_count(r) for r in refs], *weights)[1]
-            for cand, refs in pairs]
-
-
 def cider(pairs) -> float:
-    """Corpus CIDEr: mean of the per-pair scores."""
-    scores = cider_scores(pairs)
-    return _left_sum(scores) / len(scores)
+    """Corpus CIDEr: the mean over pairs of the TF-IDF n-gram cosine
+    (n = 1..4) against each reference, averaged over n and references and
+    scaled by 10.  IDF comes from the reference side of the whole corpus."""
+    return MetricReport.of(score_pairs(pairs)).cider
 
 
 @frozen
@@ -279,10 +271,7 @@ def score_pairs(pairs) -> list[PairScore]:
     """BLEU-4, ROUGE-L and CIDEr of every (candidate, references) pair, in
     one pass that tokenizes each text once and counts its n-grams once."""
     pairs = [_tokenize_pair(cand, refs) for cand, refs in pairs]
-    try:
-        weights = _idf([refs for _, refs in pairs])
-    except CorpusTooSmall:
-        weights = None, 0.0
+    weights = _idf([refs for _, refs in pairs])
     scores = []
     for cand_tokens, ref_tokens in pairs:
         bleu, cider = _scores(_count(cand_tokens), [_count(r) for r in ref_tokens], *weights)

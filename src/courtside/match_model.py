@@ -336,8 +336,10 @@ def is_break_point(score: MatchScore) -> bool:
 
 def _structure_violations(score: MatchScore) -> list[str]:
     """Violations of the current-set structure: server, point values against
-    the ladder or tiebreak, and games in 0..trigger+1.  ``advance_point``
-    refuses a score that has any; ``validate_scoreboard`` reports them first.
+    the ladder or tiebreak, and games in 0..trigger+1.  A count is an int
+    exactly: a bool or a float is not one, as in the dataset decoder.
+    ``advance_point`` refuses a score that has any; ``validate_scoreboard``
+    reports them first.
 
     Each check is a plain loop that stops at its first failure, and only a
     failure builds its message: this runs on every rally."""
@@ -351,7 +353,7 @@ def _structure_violations(score: MatchScore) -> list[str]:
 
     if score.in_tiebreak:
         for p in points:
-            if not (isinstance(p, int) and p >= 0):
+            if not (type(p) is int and p >= 0):
                 v.append(f"tiebreak points must be non-negative integers: {points!r}")
                 break
     else:
@@ -373,7 +375,7 @@ def _structure_violations(score: MatchScore) -> list[str]:
     # Games above trigger+1 count only when every game is a non-negative int.
     over = False
     for g in games:
-        if not isinstance(g, int) or g < 0:
+        if type(g) is not int or g < 0:
             v.append(f"games must be non-negative integers: {games!r}")
             break
         if g > most:
@@ -427,7 +429,7 @@ def synthesize_completed_sets(p1_sets: int, p2_sets: int,
 
 def _valid_set_result(pair: tuple[int, int], trigger: int) -> bool:
     w, l = max(pair), min(pair)
-    if w == l:
+    if type(w) is not int or type(l) is not int or w == l:
         return False
     return (w == trigger and w - l >= 2) or (w == trigger + 1 and l in (trigger - 1, trigger))
 

@@ -173,7 +173,9 @@ def reachable_set_states(trigger: int = 6, tb_target: int = 7, ad: bool = True) 
 # The package's per-rally scoring kernels as they were written with
 # generators and list comprehensions, kept verbatim as an oracle: the
 # plain-loop rewrites must give the same values, messages and exceptions on
-# any score, well-formed or not.
+# any score, well-formed or not.  One edit since: a count in
+# ``ref_structure_violations`` is an int exactly (``type(x) is int``), as a
+# bool or a float is not a count.
 
 
 def ref_post_init(completed_sets, games, config) -> dict:
@@ -207,7 +209,7 @@ def ref_structure_violations(score) -> list[str]:
         v.append(f"unknown server: {score.server!r}")
 
     if score.in_tiebreak:
-        if not all(isinstance(p, int) and p >= 0 for p in score.points):
+        if not all(type(p) is int and p >= 0 for p in score.points):
             v.append(f"tiebreak points must be non-negative integers: {score.points!r}")
     else:
         bad = [p for p in score.points if p not in LADDER and p != AD]
@@ -222,7 +224,7 @@ def ref_structure_violations(score) -> list[str]:
             if not config.ad_scoring:
                 v.append("AD under no-ad scoring")
 
-    if any(not isinstance(g, int) or g < 0 for g in score.games):
+    if any(type(g) is not int or g < 0 for g in score.games):
         v.append(f"games must be non-negative integers: {score.games!r}")
     elif any(g > trigger + 1 for g in score.games):
         v.append(f"games exceed trigger+1: {score.games!r}")

@@ -19,10 +19,10 @@ from courtside.evaluation import (
     UnparsableOutput,
     bleu4,
     build_judge_prompt,
-    cider_scores,
     parse_scorecard,
     rouge_l,
     sanity_check,
+    score_pairs,
 )
 from courtside.court_geometry import (
     Homography,
@@ -290,7 +290,7 @@ def test_criterion_08_metric_identities_and_oracles():
     corpus = [(e["candidate"], e["references"]) for e in golden["corpus"]]
     for (cand, refs), expected in zip(corpus, golden["bleu4"]):
         assert bleu4(cand, refs) == pytest.approx(expected, abs=1e-6)
-    for got, expected in zip(cider_scores(corpus), golden["cider"]):
+    for got, expected in zip([s.cider for s in score_pairs(corpus)], golden["cider"]):
         assert got == pytest.approx(expected, abs=1e-6)
     _finish(8, time.perf_counter() - started, 10.0,
             "metric identities hold, edit score matches the DP oracle on "

@@ -19,11 +19,11 @@ from courtside.evaluation import (
     bleu4,
     build_judge_prompt,
     cider,
-    cider_scores,
     corpus_metrics,
     parse_scorecard,
     rouge_l,
     sanity_check,
+    score_pairs,
     tokenize,
 )
 from courtside.prompt_engine import (
@@ -112,18 +112,18 @@ class TestLeftSum:
 
 class TestCider:
     def test_golden_values(self):
-        scores = cider_scores(CORPUS)
+        scores = [s.cider for s in score_pairs(CORPUS)]
         for got, expected in zip(scores, GOLDEN["cider"]):
             assert got == pytest.approx(expected, abs=1e-6)
         assert cider(CORPUS) == pytest.approx(GOLDEN["cider_mean"], abs=1e-6)
 
     def test_identical_candidate_maximal_in_varied_corpus(self):
-        scores = cider_scores(CORPUS)
+        scores = [s.cider for s in score_pairs(CORPUS)]
         assert scores[0] == pytest.approx(10.0, abs=1e-9)
         assert max(scores) <= 10.0 + 1e-9
 
     def test_disjoint_candidate_scores_zero(self):
-        assert cider_scores(CORPUS)[5] == 0.0
+        assert score_pairs(CORPUS)[5].cider == 0.0
 
     def test_corpus_too_small(self):
         with pytest.raises(CorpusTooSmall):

@@ -22,7 +22,8 @@ from courtside.event_stream import (
     rally_to_json,
     validate_rally,
 )
-from courtside.match_model import MatchScore, PlayerRef, TerminalState, advance_point
+from courtside.match_model import (MatchScore, PlayerRef, TerminalState, advance_point,
+                                   other_player)
 
 import oracles
 
@@ -190,6 +191,21 @@ class TestValidateRally:
         rally = make_rally([serve(0, P1, outcome="winner")],
                            bounces=[BounceEvent(timestamp=99.0, court_half="far")])
         assert any("outside the clip" in v for v in validate_rally(rally))
+
+    def test_bounces_at_the_clip_ends_are_inside(self):
+        rally = make_rally([serve(0, P1, outcome="winner")],
+                           bounces=[BounceEvent(timestamp=0.0, court_half="far"),
+                                    BounceEvent(timestamp=8.0, court_half="near")])
+        assert not validate_rally(rally)
+
+    @pytest.mark.parametrize("retry, winner", [
+        (serve(1, P2, outcome="winner", attempt="second"), P2),
+        (shot(1, P1, outcome="winner"), P1),
+    ], ids=["other_player_serves", "same_player_non_serve"])
+    def test_retry_wrong_in_one_way_flagged(self, retry, winner):
+        rally = make_rally([serve(0, P1, outcome="fault"), retry],
+                           outcome=RallyOutcome(winner, other_player(winner), "winner"))
+        assert "shot 1: expected a serve retry by the same player" in validate_rally(rally)
 
     def test_play_after_point_end_flagged(self):
         shots = [serve(0, P1), shot(1, P2, outcome="unforced_error"),
@@ -490,10 +506,14 @@ class TestJsonRoundTrip:
          r"shot 1: technique must be a string"),
         (("commentary",), 3, r"commentary must be a string, got 3$"),
         (("bounces",), {}, r"^m001_10\.0_18\.0: bounces must be a list, got \{\}$"),
+        (("shot_sequence",), [],
+         r"^m001_10\.0_18\.0: shot_sequence must be a non-empty list$"),
+        (("shot_sequence",), "serve",
+         r"^m001_10\.0_18\.0: shot_sequence must be a non-empty list$"),
     ], ids=["string_timestamp", "bool_timestamp", "object_tournament",
             "float_shot_index", "bool_shot_index", "bool_position",
             "int_clip_id", "int_name", "list_technique", "int_commentary",
-            "object_bounces"])
+            "object_bounces", "empty_shots", "string_shots"])
     def test_values_must_have_their_json_type(self, path, value, message):
         # no value is converted: a string, boolean or float where another
         # JSON type is meant is a violation, not read as that type

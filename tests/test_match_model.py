@@ -198,6 +198,9 @@ class TestAdvancePoint:
         (MatchScore(points=(AD, "15")), PLAYER_1, InvalidState,
          "AD with opponent at '15'"),
         (MatchScore(server="nobody"), PLAYER_2, InvalidState, "unknown server"),
+        # a bool is not a tiebreak point, though it compares as 0 or 1
+        (MatchScore(games=(6, 6), points=(True, False)), PLAYER_1, InvalidState,
+         "tiebreak points must be non-negative integers"),
     ])
     def test_guards(self, score, winner, error, message):
         with pytest.raises(ValueError, match=message) as raised:
@@ -367,6 +370,43 @@ class TestValidation:
             MatchScore(completed_sets=((6, 0), (6, 0), (0, 6))))
         assert report
 
+    def test_play_after_player_2_clinch_flagged(self):
+        report = validate_scoreboard(
+            MatchScore(completed_sets=((0, 6), (0, 6), (6, 0))))
+        assert report == ("set 3 played after the match was decided",)
+
+    @pytest.mark.parametrize("games, points", [
+        ((1, 0), ("0", "0")),
+        ((0, 0), ("15", "0")),
+    ], ids=["games_only", "points_only"])
+    def test_live_play_on_a_decided_match_flagged(self, games, points):
+        score = MatchScore(completed_sets=((6, 0), (6, 0)), games=games, points=points)
+        assert validate_scoreboard(score) == ("live games/points on a decided match",)
+
+    @pytest.mark.parametrize("score, message", [
+        (MatchScore(games=(True, False)),
+         "games must be non-negative integers: (True, False)"),
+        (MatchScore(games=(6.0, 2)),
+         "games must be non-negative integers: (6.0, 2)"),
+        (MatchScore(completed_sets=((6.0, 0),)),
+         "set 1 result (6.0, 0) violates set-winning rules"),
+        (MatchScore(completed_sets=((2, True),), config=ScoringConfig(3, 1, 7, 10, True)),
+         "set 1 result (2, True) violates set-winning rules"),
+    ], ids=["bool_games", "float_games", "float_set", "bool_set_trigger_1"])
+    def test_a_count_is_an_int_exactly(self, score, message):
+        assert validate_scoreboard(score) == (message,)
+
+    def test_largest_format_validates(self):
+        # trigger 99 and tiebreak target 99, where simulating a match is too slow
+        config = ScoringConfig(3, 99, 99, 99, True)
+        assert not validate_scoreboard(
+            MatchScore(completed_sets=((100, 99),), games=(99, 99), points=(98, 97),
+                       config=config))
+        assert validate_scoreboard(
+            MatchScore(games=(99, 99), points=(99, 97), config=config))
+        with pytest.raises(ValueError, match="tiebreak targets must be in 1..99"):
+            ScoringConfig(3, 99, 100, 99, True)
+
     def test_long_tiebreak_validates_in_constant_time(self):
         score = MatchScore(games=(6, 6), points=(10**15, 10**15 + 1))
         assert not validate_scoreboard(score)
@@ -480,6 +520,12 @@ class TestScoreboardParsing:
             "Bob": ["4", "6", "2", "AD"],
             "server": "Bob",
         }
+
+    def test_ad_fill_on_the_bottom_row(self):
+        raw = oracles.board(
+            "AO_USO", {"A": ["6", "3", "AD"], "B": ["4", "2", ""], "server": "A"})
+        score = parse_scoreboard(*raw)
+        assert (score.games, score.points) == ((3, 2), (AD, "40"))
 
     def test_rg_server_from_slash_row(self):
         raw = oracles.board("RG", RG_EXAMPLE)

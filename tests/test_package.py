@@ -1,6 +1,6 @@
-"""The package root: its lazy namespace, and the modules a cold start loads."""
+"""The package root: it loads no module, and a cold start loads only the
+modules its path uses."""
 
-import importlib
 import json
 import os
 import subprocess
@@ -15,67 +15,33 @@ import courtside
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Every name the package root exports, by the submodule that defines it.
-EXPORTS = {
-    "match_model": [
-        "MatchScore", "PlayerRef", "ScoringConfig", "advance_point",
-        "is_break_point", "is_terminal", "parse_scoreboard",
-        "render_scoreboard", "score_summary", "validate_scoreboard",
-    ],
-    "event_stream": [
-        "BounceEvent", "MatchInfo", "RallyOutcome", "RallyRecord", "ShotEvent",
-        "classify_point", "derive_outcome", "edit_score", "rally_from_json",
-        "rally_to_json", "validate_rally",
-    ],
-    "court_geometry": [
-        "CourtModel", "CourtPoint", "Homography", "PixelPoint",
-        "estimate_homography", "in_bounds", "project", "reprojection_error",
-    ],
-    "memory": [
-        "ContextView", "LongTermMemory", "MatchMemory", "MemoryEntry",
-        "PlayerStatLine", "consolidate",
-    ],
-    "prompt_engine": [
-        "GenerationRequest", "GenerationResponse", "HttpCommentaryClient",
-        "MockCommentaryClient", "PersonaConfig", "PromptBundle",
-        "build_commentary_prompt", "estimate_tokens", "generate",
-        "parse_metadata", "serialize_memory", "serialize_metadata",
-    ],
-    "evaluation": [
-        "JudgeScorecard", "MetricReport", "aggregate", "bleu4",
-        "build_judge_prompt", "cider", "parse_scorecard", "rouge_l",
-        "sanity_check",
-    ],
-    "segmentation": [
-        "ImpactEvent", "RallyInterval", "SegmentationParams",
-        "cluster_impacts", "filter_intervals",
-    ],
-    "pipeline": ["PipelineConfig", "RunReport", "load_dataset", "replay_match"],
-    "simulate": ["simulate_match"],
-}
-NAMES = [name for names in EXPORTS.values() for name in names]
+
+def public_names(namespace):
+    return {name for name in namespace if not name.startswith("_")}
 
 
 class TestNamespace:
     def test_all_is_exactly_the_exported_names(self):
-        assert len(NAMES) == 66
-        assert sorted(courtside.__all__) == sorted(NAMES)
-
-    @pytest.mark.parametrize("module, name", [
-        (module, name) for module, names in EXPORTS.items() for name in names])
-    def test_name_is_the_submodule_object(self, module, name):
-        submodule = importlib.import_module(f"courtside.{module}")
-        assert getattr(courtside, name) is getattr(submodule, name)
+        # the root re-exports nothing, so it has no name list to keep
+        assert "__all__" not in vars(courtside)
+        assert "__version__" in vars(courtside)
 
     def test_dir_lists_every_name(self):
+        # the default listing: the version, then each submodule once loaded
+        assert "__dir__" not in vars(courtside)
         listing = dir(courtside)
-        assert set(NAMES) <= set(listing)
         assert "__version__" in listing
+        assert all(isinstance(getattr(courtside, name), types.ModuleType)
+                   for name in public_names(listing))
 
     def test_star_import_binds_every_name(self):
+        import courtside.pipeline
         namespace = {}
         exec("from courtside import *", namespace)
-        assert set(NAMES) <= set(namespace)
+        assert namespace["pipeline"] is courtside.pipeline
+        assert "replay_match" not in namespace
+        assert all(isinstance(namespace[name], types.ModuleType)
+                   for name in public_names(namespace))
 
     def test_submodules_import_from_the_root(self):
         from courtside import cli, pipeline
@@ -83,7 +49,17 @@ class TestNamespace:
         assert cli is sys.modules["courtside.cli"]
         assert pipeline is sys.modules["courtside.pipeline"]
 
+    def test_import_loads_no_submodule(self):
+        # a fresh interpreter: this test session has every submodule loaded
+        code = ("import sys, courtside; "
+                "print([n for n in sys.modules if n.startswith('courtside.')])")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"
+
     def test_unknown_name_raises_attribute_error(self):
+        assert "__getattr__" not in vars(courtside)
         with pytest.raises(AttributeError, match="no_such_name"):
             courtside.no_such_name
         assert not hasattr(courtside, "no_such_name")
@@ -106,7 +82,7 @@ COLD_START = textwrap.dedent("""
                   "--output", os.path.join(work, "s.json")]),
     ]
     heavy = sorted(n for n in sys.modules if n.startswith(("numpy", "requests")))
-    from courtside import estimate_homography
+    import courtside.court_geometry
     with open(os.path.join(work, "result.json"), "w") as fh:
         json.dump({"codes": codes, "heavy": heavy,
                    "numpy_after_geometry": "numpy" in sys.modules}, fh)

@@ -21,14 +21,12 @@ from courtside.evaluation import (
     CRITERION_MAX,
     DEFAULT_SHOT_TAXONOMY,
     MockJudgeClient,
-    PairScore,
     SanityViolation,
     _SCORE_PAIR_RE,
     _fold,
     _lcs,
     bleu4,
     build_judge_prompt,
-    cider_scores,
     corpus_metrics,
     rouge_l,
     sanity_check,
@@ -672,10 +670,10 @@ def _mean(values):
 def test_corpus_metrics_are_means_of_sentence_metrics(pairs):
     bleus = [bleu4(cand, refs) for cand, refs in pairs]
     rouges = [rouge_l(cand, refs[0]) for cand, refs in pairs]
-    ciders = cider_scores(pairs)
     report = corpus_metrics(pairs)
     scores = score_pairs(pairs)
-    assert scores == [PairScore(*s) for s in zip(bleus, rouges, ciders)]
+    ciders = [s.cider for s in scores]
+    assert [(s.bleu4, s.rouge_l) for s in scores] == list(zip(bleus, rouges))
     assert scores == oracles.exact_score_pairs(pairs)
     assert (report.bleu4, report.rouge_l, report.cider, report.pairs_evaluated) == (
         _mean(bleus), _mean(rouges), _mean(ciders), len(pairs))

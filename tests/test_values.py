@@ -184,7 +184,7 @@ def test_default_factory_gives_a_fresh_value_per_construction(cls):
     ("RallyOutcome", "reason", "let"),
 ])
 def test_post_init_still_refuses_a_bad_vocabulary_value(type_name, name, bad):
-    cls = getattr(courtside, type_name)
+    cls = getattr(courtside.event_stream, type_name)
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         replace(_sample(cls), **{name: bad})
 
