@@ -69,18 +69,17 @@ def _write_jsonl(rows, output: str | None) -> None:
     _emit("".join(lines), output)
 
 
+def _overrides(args, cls) -> dict:
+    """The fields of ``cls`` that options set, each option's dest being a
+    field name; an option not given (None) or given as "" is left out."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) not in (None, "")}
+
+
 def _build_config(args) -> PipelineConfig:
     config = (PipelineConfig.from_file(args.config)
               if getattr(args, "config", None) else PipelineConfig())
-    overrides = {}
-    if getattr(args, "client", None):
-        overrides["client"] = args.client
-    if getattr(args, "k", None) is not None:
-        overrides["memory_window"] = args.k
-    if getattr(args, "token_cap", None) is not None:
-        overrides["token_cap"] = args.token_cap
-    if getattr(args, "log_requests", None):
-        overrides["log_requests"] = args.log_requests
+    overrides = _overrides(args, PipelineConfig)
     if getattr(args, "best_of", None) is not None:
         overrides["scoring"] = replace(config.scoring, best_of=args.best_of)
     if overrides:
@@ -225,9 +224,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_segment(args) -> int:
     try:
-        params = SegmentationParams(**{
-            f.name: getattr(args, f.name) for f in fields(SegmentationParams)
-            if getattr(args, f.name) is not None})
+        params = SegmentationParams(**_overrides(args, SegmentationParams))
     except ValueError as exc:
         raise ConfigError(f"segment parameters: {exc}") from None
     events = []
@@ -288,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="run the commentary loop over a match")
     common(p)
     p.add_argument("--client", choices=CLIENT_KINDS)
-    p.add_argument("--k", type=int, help="short-term memory window size")
+    p.add_argument("--k", type=int, dest="memory_window", metavar="K",
+                   help="short-term memory window size")
     p.add_argument("--token-cap", type=int, dest="token_cap")
     p.add_argument("--log-requests", dest="log_requests",
                    help="JSONL file capturing client traffic (credentials redacted)")

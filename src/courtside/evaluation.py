@@ -588,11 +588,8 @@ class MockJudgeClient:
         professionalism = min(CRITERION_MAX, 6 + 2 * len(terms))
         word_count = len(prediction.split())
         pacing = CRITERION_MAX - min(CRITERION_MAX, abs(word_count - 25) // 2)
-        scores = {
-            "accuracy": accuracy, "coherence": coherence,
-            "excitement": excitement, "professionalism": professionalism,
-            "pacing": pacing,
-        }
+        scores = dict(zip(CRITERIA, (accuracy, coherence, excitement,
+                                     professionalism, pacing)))
         text = json.dumps({"scores": scores, "total_score": sum(scores.values())})
         return GenerationResponse(text=text, usage={})
 

@@ -26,7 +26,6 @@ from .match_model import (
     is_terminal,
     other_player,
     parse_scoreboard,
-    synthesize_completed_sets,
 )
 
 STROKES = ("serve", "forehand", "backhand")
@@ -114,22 +113,18 @@ class MatchInfo:
     player_2: PlayerRef
 
     def __post_init__(self):
-        # Boards, prompts and name lookups are keyed by display name.
+        # Boards, prompts and name lookups are keyed by display name, and a
+        # dataset board keeps the server's name under the key "server".
         if self.player_1.name == self.player_2.name:
             raise ValueError(f"both players are named {self.player_1.name!r}")
+        if "server" in (self.player_1.name, self.player_2.name):
+            raise ValueError("no player may be named 'server'")
 
     def player(self, player_id: str) -> PlayerRef:
         return self.player_1 if player_id == "player_1" else self.player_2
 
     def name_of(self, player_id: str) -> str:
         return self.player(player_id).name
-
-    def id_of_name(self, name: str) -> str | None:
-        if name == self.player_1.name:
-            return "player_1"
-        if name == self.player_2.name:
-            return "player_2"
-        return None
 
 
 @frozen
@@ -427,14 +422,6 @@ def _dataset_rows(score: MatchScore) -> tuple[list, list]:
             [sets[1], games[1], score_cell(points[1])])
 
 
-def bounces_json(bounces) -> list[dict]:
-    return [
-        {"timestamp": b.timestamp, "court_half": b.court_half,
-         **({"position": list(b.position)} if b.position is not None else {})}
-        for b in bounces
-    ]
-
-
 def rally_to_json(rally: RallyRecord) -> dict:
     """Render one record as the dataset's JSON object.
 
@@ -486,7 +473,12 @@ def rally_to_json(rally: RallyRecord) -> dict:
         },
     }
     if rally.bounces:
-        obj["bounces"] = bounces_json(rally.bounces)
+        obj["bounces"] = [
+            {"timestamp": b.timestamp, "court_half": b.court_half,
+             **({"position": list(b.position)}
+                if b.position is not None else {})}
+            for b in rally.bounces
+        ]
     if rally.commentary is not None:
         obj["commentary"] = rally.commentary
     return obj
@@ -530,12 +522,12 @@ def _text(value, name: str) -> str:
     return value
 
 
-def _board_row(row, name: str) -> tuple[str, str, str]:
+def _board_row(row, name: str) -> list:
     if not (isinstance(row, list) and len(row) == 3
             and all(cell == AD or type(cell) is int for cell in row)):
         raise ValueError(f"row for {name!r} must be [sets, games, points] "
                          f"of ints or {AD!r}, got {row!r}")
-    return tuple(str(cell) for cell in row)
+    return row
 
 
 def _chained_score(previous: RallyRecord, board,
@@ -543,16 +535,16 @@ def _chained_score(previous: RallyRecord, board,
     """``previous.final_score`` when ``board`` shows exactly that score and a
     parse of it would build the same value, else None.
 
-    A parse keeps finished sets only as sets won, so the previous score must
-    hold the synthesized history.  Cells are compared type-exactly: the full
-    decoder rejects ``true`` and ``15.0``, although they equal ``1`` and ``15``.
+    A parse keeps finished sets only as sets won, and synthesizes their
+    history.  ``previous`` holds such a history in its ``initial_score``
+    (see :func:`rally_from_json`), so its point must have finished no set.
+    Cells are compared type-exactly: the full decoder rejects ``true`` and
+    ``15.0``, although they equal ``1`` and ``15``.
     """
     score = previous.final_score
-    if score.config is not config or type(board) is not dict:
-        return None
-    sets = score.sets_won()
-    if score.completed_sets != synthesize_completed_sets(
-            *sets, config.set_trigger_games):
+    if (score.config is not config or type(board) is not dict
+            or len(score.completed_sets)
+            != len(previous.initial_score.completed_sets)):
         return None
     info = previous.match_info
     if board.get("server") != info.name_of(score.server):
@@ -595,14 +587,17 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     ``previous`` is the valid record decoded from the line before, as
     :func:`courtside.pipeline.load_dataset` passes it.  Its ``MatchInfo`` is
     reused if the line's ``match_info`` decodes to it (:func:`_same_header`).
-    When, in addition, the config is the same object and the board shows
-    exactly the previous record's ``final_score`` (rows of ``[sets won,
-    games, points]`` with the same JSON types, and the server's name), that
-    score becomes the new ``initial_score`` without a parse.  This is taken
-    only if the score's finished sets are the ``trigger-0`` results (``2-0``
-    under a trigger of 1) that a parse synthesizes, so the value equals the
-    one the parse would give.  Any other line is decoded in full, so its
-    errors are the same.
+    When, in addition, the config is the same object, the previous point
+    finished no set, and the board shows exactly the previous record's
+    ``final_score`` (rows of ``[sets won, games, points]`` with the same JSON
+    types, and the server's name), that score becomes the new
+    ``initial_score`` without a parse.  The value equals the one the parse
+    would give.  A parse keeps finished sets only as sets won, rebuilt as
+    ``trigger-0`` results (``2-0`` under a trigger of 1), and the previous
+    record's ``initial_score`` holds that history: a parse built it, or it
+    was inherited in the same way.  That is why ``previous`` must be the
+    record this function decoded from the line before.  Any other line is
+    decoded in full, so its errors are the same.
     """
     config = config or ScoringConfig()
     where = "record"  # a template, filled with clip_id and i only on failure
@@ -636,11 +631,11 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
         if score is None:
             names = (info.player_1.name, info.player_2.name)
             rows = tuple(_board_row(board[name], name) for name in names)
-            server = info.id_of_name(board["server"])
-            if server is None:
-                raise ValueError(f"server {board['server']!r} is not a match player")
+            server = board["server"]
+            if server not in names:
+                raise ValueError(f"server {server!r} is not a match player")
             score = parse_scoreboard(LAYOUT_WIMBLEDON, rows,
-                                     PLAYER_IDS.index(server), config)
+                                     names.index(server), config)
 
         where = "{}"
         raw_shots = obj["shot_sequence"]

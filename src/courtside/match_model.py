@@ -399,7 +399,6 @@ def _set_state_reachable(score: MatchScore) -> bool:
     return max(g1, g2) < trigger or (max(g1, g2) == trigger and abs(g1 - g2) == 1)
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
 def synthesize_completed_sets(p1_sets: int, p2_sets: int,
                               trigger: int) -> tuple[tuple[int, int], ...]:
     """Reconstruct per-set game pairs from bare won-set counts.
@@ -410,11 +409,8 @@ def synthesize_completed_sets(p1_sets: int, p2_sets: int,
     surplus so the sequence never continues past a clinched match when the
     counts themselves are legal.
 
-    Memoized, as a decode asks it once per rally for the same few counts and
-    the result is immutable.  The memo is keyed by argument types too, so
-    ``1.0`` still fails as it would unmemoized.  A match asks for a handful
-    of keys (sets won up to best-of, one trigger); the bound only caps what
-    other callers may add.
+    A dataset decode asks for it only when it parses a board, about once
+    per set (see :func:`courtside.event_stream.rally_from_json`).
     """
     won = max(trigger, 2)
     win_1, win_2 = (won, 0), (0, won)

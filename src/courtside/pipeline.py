@@ -154,14 +154,11 @@ def load_dataset(path, config: ScoringConfig | None = None, *, errors: list):
     malformed line is appended to ``errors`` as ``(line_number, message)``
     and skipped, so one bad line never sinks the stream.
 
-    Each line is decoded against the last record yielded (see
-    :func:`rally_from_json`).  A line that shows that record's match header
-    and post-point board takes its ``final_score`` as its own
-    ``initial_score`` instead of parsing the board: the parse would build an
-    equal value, and it needs no second reachability check, because
-    ``advance_point`` moves a valid non-final score only to valid scores.
-    Every other line is parsed and validated in full, so the records and
-    ``errors`` equal those of decoding each line on its own.
+    Each line is decoded against the last record yielded, which
+    :func:`rally_from_json` may take a line's score from.  Such a score
+    needs no second reachability check, because ``advance_point`` moves a
+    valid non-final score only to valid scores.  The records and ``errors``
+    equal those of decoding each line on its own.
     """
     config = config or ScoringConfig()
     previous = None

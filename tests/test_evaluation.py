@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from courtside.evaluation import (
+    CRITERIA,
     CorpusTooSmall,
     CriterionOutOfRange,
     JudgeScorecard,
@@ -294,6 +295,21 @@ class TestParseScorecard:
     def test_garbage_rejected(self):
         with pytest.raises(UnparsableOutput):
             parse_scorecard("the commentary was quite good, 17/20 overall")
+
+    def test_card_inside_prose_accepted(self):
+        payload = json.dumps({"scores": {c: 4 for c in CRITERIA},
+                              "total_score": 20})
+        card = parse_scorecard(f"Here is my verdict: {payload} Thanks.")
+        assert card.total == 20
+
+    def test_literal_that_is_not_a_dict_rejected(self):
+        with pytest.raises(UnparsableOutput,
+                           match="parsed value is not a dictionary"):
+            parse_scorecard("{1, 2, 3}")
+
+    def test_missing_total_rejected(self):
+        with pytest.raises(MissingKey, match="missing total_score"):
+            parse_scorecard(json.dumps({"scores": {c: 4 for c in CRITERIA}}))
 
     # too deep for the JSON decoder's recursion, for literal_eval's recursion
     # and for the parser's stack; which error each raises varies by version

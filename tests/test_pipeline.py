@@ -2,7 +2,7 @@
 
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -38,7 +38,93 @@ def dataset_file(tmp_path, records):
     return path
 
 
+def _board(obj, row_1, row_2):
+    info = obj["match_info"]
+    obj["scoreboard"].update({info["player_1"]["name"]: row_1,
+                              info["player_2"]["name"]: row_2})
+
+
+def _first_serve(obj, **changes):
+    return {**obj["shot_sequence"][0], **changes}
+
+
+# Each edit breaks one rule of a line: a decoding, event or scoreboard rule.
+BROKEN_LINES = {
+    "winner_is_loser": (
+        lambda o: o["outcome"].update(point_loser=o["outcome"]["point_winner"]),
+        "outcome: point winner and loser must differ"),
+    "clip_bounds_not_numeric": (
+        lambda o: o.update(clip_id="sim2024_start_end"),
+        "sim2024_start_end: clip_id boundaries must be numeric: "
+        "'sim2024_start_end'"),
+    "clip_id_without_bounds": (
+        lambda o: o.update(clip_id="sim2024"),
+        "sim2024: clip_id must look like matchID_start_end: 'sim2024'"),
+    "first_shot_not_a_serve": (
+        lambda o: o["shot_sequence"][0].update(stroke="forehand"),
+        "first event must be a serve, got 'forehand'"),
+    "shot_index_out_of_order": (
+        lambda o: o["shot_sequence"][1].update(shot_index=7),
+        "shot 1 carries index 7"),
+    "fault_retried_as_first_serve": (
+        lambda o: o.update(shot_sequence=[
+            _first_serve(o, outcome="fault"),
+            _first_serve(o, shot_index=1, timestamp=1.5, outcome="winner")]),
+        "shot 1: retry after a fault must be a second serve"),
+    "serve_in_mid_rally": (
+        lambda o: o["shot_sequence"][1].update(stroke="serve",
+                                               serve_attempt="second"),
+        "shot 1: serve in the middle of a rally"),
+    "last_shot_in": (
+        lambda o: o.update(shot_sequence=[_first_serve(o, outcome="in")]),
+        "outcome cannot be derived: rally still live after 'in'"),
+    "negative_cell": (
+        lambda o: _board(o, [0, -1, 0], [0, 0, 15]),
+        "scoreboard: games column must be a non-negative integer, got '-1'"),
+    "advantage_at_six_all": (
+        lambda o: _board(o, [0, 6, "AD"], [0, 6, 40]),
+        "scoreboard: AD is not a legal tiebreak point value"),
+}
+
+
 class TestLoadDataset:
+    @pytest.mark.parametrize("edit,message", BROKEN_LINES.values(),
+                             ids=BROKEN_LINES.keys())
+    def test_broken_line_is_listed_with_its_rule(self, tmp_path, records, edit,
+                                                 message):
+        """A line that breaks one rule is listed with that rule's message, and
+        the lines around it load."""
+        objs = [rally_to_json(r) for r in records[:3]]
+        edit(objs[1])
+        path = tmp_path / "one_broken_line.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs),
+                        encoding="utf-8")
+        errors = []
+        loaded = list(load_dataset(path, errors=errors))
+        assert [r.clip_id for r in loaded] == [records[0].clip_id,
+                                               records[2].clip_id]
+        [(line, text)] = errors
+        assert line == 2 and message in text
+
+    def test_non_ascii_name_loads(self, tmp_path, records):
+        """A name outside ASCII is valid Unicode: written as UTF-8, each line
+        loads and writes back as it was read."""
+        objs = [rally_to_json(r) for r in records[:5]]
+        old = records[0].match_info.player_1.name
+        for obj in objs:
+            obj["match_info"]["player_1"]["name"] = "Zoë Ångström"
+            board = obj["scoreboard"]
+            board["Zoë Ångström"] = board.pop(old)
+            if board["server"] == old:
+                board["server"] = "Zoë Ångström"
+        path = tmp_path / "non_ascii.jsonl"
+        path.write_text("".join(json.dumps(o, ensure_ascii=False) + "\n"
+                                for o in objs), encoding="utf-8")
+        errors = []
+        loaded = list(load_dataset(path, errors=errors))
+        assert errors == []
+        assert [rally_to_json(r) for r in loaded] == objs
+
     def test_round_trips_full_file(self, dataset_file, records):
         errors = []
         loaded = list(load_dataset(dataset_file, errors=errors))
@@ -249,6 +335,15 @@ class TestReplay:
         assert 0.0 <= report.evaluation["bleu4"] <= 1.0
         assert report.evaluation["pairs_evaluated"] == 12
 
+    def test_one_referenced_rally_has_no_evaluation(self, records):
+        # corpus metrics need two pairs
+        rallies = [records[0]] + [replace(r, commentary=None)
+                                  for r in records[1:4]]
+        report = replay_match(rallies, PipelineConfig())
+        assert report.failures == 0
+        assert report.evaluation is None
+        assert report.as_dict()["evaluation"] is None
+
     def test_failed_rallies_keep_stats_complete(self, records):
         class FlakyClient(MockCommentaryClient):
             def __init__(self):
@@ -366,6 +461,21 @@ class TestConfig:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(str(path))
+
+    def test_file_holding_a_list_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ConfigError, match="must hold a JSON object"):
+            PipelineConfig.from_file(str(path))
+
+    @pytest.mark.parametrize("scoring,message", [
+        ({"best_of": 4}, "best_of must be 3 or 5"),
+        ({"set_trigger_games": 0}, "set_trigger_games must be in 1..99"),
+        ({"set_trigger_games": 100}, "set_trigger_games must be in 1..99"),
+    ])
+    def test_scoring_values_out_of_range_rejected(self, scoring, message):
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict({"scoring": scoring})
 
     def test_scoring_values_above_two_digits_rejected(self):
         with pytest.raises(ConfigError, match="1..99"):
@@ -605,6 +715,24 @@ class TestCli:
         [violation] = json.loads(capsys.readouterr().out)[key]
         assert violation["line"] == 2
         assert "rally starts after the match was decided" in violation["message"]
+
+    def test_player_named_server_is_listed(self, tmp_path, records, capsys):
+        """The board keeps the server's name under the key "server", so a
+        player of that name would lose their row to it."""
+        named = rally_to_json(records[1])
+        old = named["match_info"]["player_2"]["name"]
+        named["match_info"]["player_2"]["name"] = "server"
+        del named["scoreboard"][old]  # its row is lost to the server key
+        lines = [rally_to_json(records[0]), named, rally_to_json(records[2])]
+        path = tmp_path / "server_name.jsonl"
+        path.write_text("\n".join(json.dumps(x) for x in lines) + "\n",
+                        encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid_records"] == 2
+        assert out["violations"] == [{
+            "line": 2, "message": f"{records[1].clip_id} match_info: "
+                                  f"no player may be named 'server'"}]
 
     def test_simulate_then_replay_round_trip(self, tmp_path, capsys):
         match_path = tmp_path / "sim.jsonl"
@@ -882,6 +1010,13 @@ class TestBestOfFive:
                      "--output", str(tmp_path / "report.json")])
         assert code == 0
 
+    def test_simulate_command_writes_the_match(self, bo5, tmp_path):
+        match_path, _ = bo5
+        output = tmp_path / "simulated.jsonl"
+        assert main(["simulate", "--seed", "3", "--best-of", "5",
+                     "--output", str(output)]) == 0
+        assert output.read_bytes() == match_path.read_bytes()
+
 
 class TestBadInputLines:
     """Unusable lines in evaluate/segment input exit 2 with the line number."""
@@ -949,6 +1084,11 @@ class TestBadInputLines:
         err = self._run(tmp_path, capsys, "segment",
                         ['{"t": 1.0, "conf": 0.9}', "", "not json"])
         assert "line 3" in err and "invalid JSON" in err
+
+    def test_segment_non_object_line(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "segment",
+                        ['{"t": 1.0, "conf": 0.9}', "[1.5, 0.9]"])
+        assert "line 2: expected a JSON object" in err
 
     @pytest.mark.parametrize("row,key", [({"t": 2.0}, "conf"),
                                          ({"conf": 0.9}, "t")])

@@ -308,6 +308,14 @@ class TestRetries:
             generate(Broken(), self._request())
         assert Broken.attempts == 1
 
+    def test_empty_text_is_malformed(self):
+        class Mute:
+            def complete(self, request):
+                return GenerationResponse(text="", usage={})
+
+        with pytest.raises(MalformedResponse, match="empty commentary text"):
+            generate(Mute(), self._request())
+
 
 class TestBoundedContext:
     def test_context_is_constant_in_rally_index(self):
