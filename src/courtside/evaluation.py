@@ -506,32 +506,18 @@ def build_judge_prompt(metadata: str, reference: str,
                         reference=reference, prediction=prediction)
 
 
-_FENCE_RE = re.compile(r"^```(?:json|python)?|```$", re.MULTILINE)
-
-
-def _candidate_payloads(text: str):
-    yield text
-    # judge models occasionally wrap the dictionary in prose or fences
-    fenced = _FENCE_RE.sub("", text.strip()).strip()
-    if fenced != text:
-        yield fenced
-    start = text.find("{")
-    end = text.rfind("}")
-    if start != -1 and end > start:
-        yield text[start:end + 1]
-
-
 def _loads_loose(payload: str) -> dict:
+    """Read ``payload`` as JSON, else as a Python literal; anything but a
+    dictionary is :class:`UnparsableOutput`."""
     try:
-        return json.loads(payload)
+        value = json.loads(payload)
     except (ValueError, RecursionError):  # RecursionError: nested too deeply
-        pass
-    try:
-        value = ast.literal_eval(payload)
-    except (ValueError, SyntaxError, RecursionError, MemoryError):
-        # deep nesting overflows the parser (MemoryError) or literal_eval's
-        # recursion (RecursionError), by depth and Python version
-        raise UnparsableOutput("not a JSON-compatible dictionary") from None
+        try:
+            value = ast.literal_eval(payload)
+        except (ValueError, TypeError, SyntaxError, RecursionError, MemoryError):
+            # TypeError: an unhashable key or set member; MemoryError or
+            # RecursionError: nesting too deep, by depth and Python version
+            raise UnparsableOutput("not a JSON-compatible dictionary") from None
     if not isinstance(value, dict):
         raise UnparsableOutput("parsed value is not a dictionary")
     return value
@@ -540,23 +526,17 @@ def _loads_loose(payload: str) -> dict:
 def parse_scorecard(judge_output: str) -> JudgeScorecard:
     """Extract and validate a five-criterion scorecard from judge text.
 
-    Accepts the nested ``{"scores": {...}, "total_score": n}`` shape and the
-    flat variant.  Criterion values are hard bounds, never clamped; a total
-    that disagrees with the criterion sum is recomputed and flagged.
+    The scorecard is the span from the first ``{`` to the last ``}``, so
+    prose and code fences around it are ignored.  Accepts the nested
+    ``{"scores": {...}, "total_score": n}`` shape and the flat variant.
+    Criterion values are hard bounds, never clamped; a total that disagrees
+    with the criterion sum is recomputed and flagged.
     """
-    obj = None
-    last_error: Exception | None = None
-    for payload in _candidate_payloads(judge_output):
-        try:
-            parsed = _loads_loose(payload)
-        except UnparsableOutput as exc:
-            last_error = exc
-            continue
-        if isinstance(parsed, dict):
-            obj = parsed
-            break
-    if obj is None:
-        raise UnparsableOutput(str(last_error) if last_error else "no dictionary found")
+    start = judge_output.find("{")
+    end = judge_output.rfind("}")
+    if not 0 <= start < end:
+        raise UnparsableOutput("no dictionary found")
+    obj = _loads_loose(judge_output[start:end + 1])
 
     source = obj.get("scores") if isinstance(obj.get("scores"), dict) else obj
     for name in CRITERIA:

@@ -21,6 +21,7 @@ from .match_model import (
     PlayerRef,
     ScoringConfig,
     advance_point,
+    check_player_names,
     frozen,
     is_break_point,
     is_terminal,
@@ -113,12 +114,8 @@ class MatchInfo:
     player_2: PlayerRef
 
     def __post_init__(self):
-        # Boards, prompts and name lookups are keyed by display name, and a
-        # dataset board keeps the server's name under the key "server".
-        if self.player_1.name == self.player_2.name:
-            raise ValueError(f"both players are named {self.player_1.name!r}")
-        if "server" in (self.player_1.name, self.player_2.name):
-            raise ValueError("no player may be named 'server'")
+        # Prompts and name lookups are keyed by display name too.
+        check_player_names((self.player_1.name, self.player_2.name))
 
     def player(self, player_id: str) -> PlayerRef:
         return self.player_1 if player_id == "player_1" else self.player_2
@@ -294,7 +291,7 @@ def validate_rally(rally: RallyRecord) -> tuple[str, ...]:
     if not v:
         try:
             derived = derive_outcome(rally.shots)
-        except (IncompleteRally, ValueError) as exc:
+        except ValueError as exc:
             v.append(f"outcome cannot be derived: {exc}")
         else:
             if derived != rally.outcome:

@@ -589,10 +589,20 @@ def parse_scoreboard(layout: str, rows, server_row: int | None,
                       server=server, config=config)
 
 
+def check_player_names(names: tuple[str, str]) -> None:
+    """Refuse two names that would collide as board keys: a board is keyed by
+    display name and keeps the server's name under the key "server"."""
+    if names[0] == names[1]:
+        raise ValueError(f"both players are named {names[0]!r}")
+    if "server" in names:
+        raise ValueError("no player may be named 'server'")
+
+
 def render_scoreboard(score: MatchScore, layout: str, names: tuple[str, str]) -> dict:
     """Render a MatchScore back into the per-layout JSON column format."""
     if layout not in LAYOUTS:
         raise UnknownLayout(f"unknown scoreboard layout: {layout!r}")
+    check_player_names(names)
     if layout == LAYOUT_WIMBLEDON:
         p1_sets, p2_sets = score.sets_won()
         top = [str(p1_sets), str(score.games[0]), str(score.points[0])]

@@ -254,7 +254,6 @@ def replay_match(records, config: PipelineConfig | None = None,
 
         commentary = None
         failure = None
-        client_s = 0.0
         client_started = time.perf_counter()
         try:
             if context_tokens > config.token_cap:
@@ -262,10 +261,9 @@ def replay_match(records, config: PipelineConfig | None = None,
                                      f"exceeds cap {config.token_cap}")
             response = generate(client, request)
             commentary = response.text
-            client_s = time.perf_counter() - client_started
         except _CLIENT_ERRORS as exc:
-            client_s = time.perf_counter() - client_started
             failure = f"{type(exc).__name__}: {exc}"
+        client_s = time.perf_counter() - client_started
 
         sanity_passed = None
         if commentary is not None:

@@ -7,11 +7,13 @@ transitive closure instead of sorted sweeps, plain DP tables, and so on.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
 import unicodedata
 from collections import Counter, defaultdict
+from dataclasses import replace
 from functools import reduce
 from operator import add
 from types import SimpleNamespace
@@ -19,9 +21,13 @@ from types import SimpleNamespace
 from hypothesis import strategies as st
 
 from courtside.evaluation import (
+    CRITERIA,
     DEFAULT_SHOT_TAXONOMY,
+    JudgeScorecard,
+    MissingKey,
     PairScore,
     SanityViolation,
+    UnparsableOutput,
     _ATTRIBUTION_TERMS,
     _SENTENCE_SPLIT_RE,
 )
@@ -865,6 +871,74 @@ def judge_term_count(prediction: str) -> int:
     it as a whole word of the lower-cased prediction, counted once."""
     return sum(1 for t in DEFAULT_SHOT_TAXONOMY
                if re.search(rf"\b{t}\b", prediction.lower()))
+
+
+# ---------------------------------------------------------------------------
+# Judge replies, read three ways
+# ---------------------------------------------------------------------------
+
+# The package's earlier judge-reply reader, kept verbatim as an oracle: it
+# tried the raw reply, the reply without code fences, and the span from the
+# first "{" to the last "}", in turn.  On a reply with no brace outside the
+# dictionary, reading the span alone must give the same card or raise the
+# same exception type.
+
+_FENCE_RE = re.compile(r"^```(?:json|python)?|```$", re.MULTILINE)
+
+
+def _candidate_payloads(text: str):
+    yield text
+    # judge models occasionally wrap the dictionary in prose or fences
+    fenced = _FENCE_RE.sub("", text.strip()).strip()
+    if fenced != text:
+        yield fenced
+    start = text.find("{")
+    end = text.rfind("}")
+    if start != -1 and end > start:
+        yield text[start:end + 1]
+
+
+def _loads_loose(payload: str) -> dict:
+    try:
+        return json.loads(payload)
+    except (ValueError, RecursionError):  # RecursionError: nested too deeply
+        pass
+    try:
+        value = ast.literal_eval(payload)
+    except (ValueError, SyntaxError, RecursionError, MemoryError):
+        # deep nesting overflows the parser (MemoryError) or literal_eval's
+        # recursion (RecursionError), by depth and Python version
+        raise UnparsableOutput("not a JSON-compatible dictionary") from None
+    if not isinstance(value, dict):
+        raise UnparsableOutput("parsed value is not a dictionary")
+    return value
+
+
+def ref_parse_scorecard(judge_output: str) -> JudgeScorecard:
+    obj = None
+    last_error: Exception | None = None
+    for payload in _candidate_payloads(judge_output):
+        try:
+            parsed = _loads_loose(payload)
+        except UnparsableOutput as exc:
+            last_error = exc
+            continue
+        if isinstance(parsed, dict):
+            obj = parsed
+            break
+    if obj is None:
+        raise UnparsableOutput(str(last_error) if last_error else "no dictionary found")
+
+    source = obj.get("scores") if isinstance(obj.get("scores"), dict) else obj
+    for name in CRITERIA:
+        if name not in source:
+            raise MissingKey(f"missing criterion {name!r}")
+    card = JudgeScorecard(**{name: source[name] for name in CRITERIA})
+
+    total = obj.get("total_score", obj.get("total"))
+    if total is None:
+        raise MissingKey("missing total_score")
+    return replace(card, corrected=True) if total != card.total else card
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,44 @@ class TestReprojectionError:
         assert abs(reprojection_error(h, pairs) - d / np.sqrt(n)) < 1e-9
 
 
+class TestRejectedInputs:
+    @pytest.mark.parametrize("point, what", [(PixelPoint, "pixel"),
+                                             (CourtPoint, "court")])
+    def test_nan_point(self, point, what):
+        with pytest.raises(ValueError, match=f"{what} coordinates must be finite"):
+            point(float("nan"), 0.0)
+
+    def test_matrix_not_3x3(self):
+        with pytest.raises(ValueError, match=r"must be 3x3, got \(2, 3\)"):
+            Homography.from_array(np.ones((2, 3)))
+
+    def test_zero_matrix(self):
+        with pytest.raises(DegenerateConfiguration,
+                           match="zero or non-finite homography matrix"):
+            Homography.from_array(np.zeros((3, 3)))
+
+    def test_zero_corner_takes_its_sign_from_the_largest_entry(self):
+        h = Homography.from_array([[0, 0, -1], [0, -1, 0], [-1, 0, 0]])
+        expected = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) / np.sqrt(3.0)
+        assert np.allclose(h.as_array(), expected, atol=1e-12)
+
+    def test_singular_matrix(self):
+        with pytest.raises(DegenerateConfiguration,
+                           match="homography matrix is singular"):
+            Homography.from_array(np.ones((3, 3)))
+
+    def test_five_pairs_on_one_line(self):
+        pairs = [(PixelPoint(float(i), 0.0), CourtPoint(float(i), 0.0))
+                 for i in range(5)]
+        with pytest.raises(DegenerateConfiguration,
+                           match="correspondences admit no unique solution"):
+            estimate_homography(pairs)
+
+    def test_reprojection_error_needs_a_pair(self):
+        with pytest.raises(ValueError, match="need at least one correspondence"):
+            reprojection_error(Homography.from_array(np.eye(3)), [])
+
+
 KEYPOINT_REGIONS = {
     "near_left_doubles": {"doubles"},
     "near_right_doubles": {"doubles"},

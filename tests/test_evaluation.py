@@ -30,6 +30,7 @@ from courtside.evaluation import (
 from courtside.prompt_engine import (
     GenerationRequest,
     MockCommentaryClient,
+    PromptBundle,
     build_commentary_prompt,
     generate,
 )
@@ -76,6 +77,10 @@ class TestBleu:
                     for _ in range(rng.randint(1, 3))]
             expected = oracles.ref_bleu4(tokenize(cand), [tokenize(r) for r in refs])
             assert bleu4(cand, refs) == pytest.approx(expected, abs=1e-9)
+
+    def test_no_references_rejected(self):
+        with pytest.raises(ValueError, match="references must be non-empty"):
+            bleu4("x", [])
 
     def test_whitespace_normalization_invariance(self):
         a = "a  strong   kick serve"
@@ -320,6 +325,14 @@ class TestParseScorecard:
         with pytest.raises(UnparsableOutput):
             parse_scorecard(text)
 
+    # literal_eval raises TypeError while it builds an unhashable set member
+    # or dictionary key
+    @pytest.mark.parametrize("text", ['{"scores": {{}}}', '{[1]: 2}'],
+                             ids=["dict_in_set", "list_key"])
+    def test_unhashable_literal_is_unparsable(self, text):
+        with pytest.raises(UnparsableOutput, match="not a JSON-compatible dictionary"):
+            parse_scorecard(text)
+
     def test_bool_is_not_an_int_score(self):
         with pytest.raises(CriterionOutOfRange):
             parse_scorecard('{"accuracy": true, "coherence": 1, '
@@ -346,6 +359,12 @@ class TestMockJudge:
         card = parse_scorecard(
             MockJudgeClient().complete(GenerationRequest(bundle=bundle)).text)
         assert card.accuracy == 20
+
+    def test_bundle_without_reference_or_prediction_rejected(self):
+        bundle = PromptBundle(system_text="judge", user_text="no slots filled")
+        with pytest.raises(UnparsableOutput,
+                           match="judge prompt carries no reference/prediction"):
+            MockJudgeClient().complete(GenerationRequest(bundle=bundle))
 
     def test_scores_from_bundle_fields_not_prompt_text(self, records):
         bundle = build_judge_prompt("metadata", records[0].commentary,

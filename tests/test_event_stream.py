@@ -83,6 +83,10 @@ class TestClipId:
 
 
 class TestDeriveOutcome:
+    def test_no_shots_is_incomplete(self):
+        with pytest.raises(IncompleteRally, match="empty shot sequence"):
+            derive_outcome(())
+
     def test_untouched_winning_serve_is_ace(self):
         out = derive_outcome([serve(0, P1, outcome="winner")])
         assert out == RallyOutcome(P1, P2, "ace")
@@ -154,6 +158,11 @@ class TestDeriveOutcome:
 
 
 class TestValidateRally:
+    def test_no_shots_flagged(self):
+        rally = make_rally((), score=MatchScore(),
+                           outcome=RallyOutcome(P1, P2, "ace"))
+        assert validate_rally(rally) == ("shot sequence is empty",)
+
     def test_minimal_legal_rally(self):
         rally = make_rally([serve(0, P1), shot(1, P2, outcome="winner")])
         report = validate_rally(rally)

@@ -632,3 +632,35 @@ class TestScoreboardParsing:
                  "0-6, 2-2, 0:0, server player_1")):
             score = parse_scoreboard(*oracles.board(layout, obj))
             assert score_summary(score) == summary
+
+    def test_empty_rows(self):
+        with pytest.raises(RowLengthMismatch, match="empty scoreboard rows"):
+            parse_scoreboard("AO_USO", ((), ()), 0)
+
+    def test_wimbledon_row_of_four_columns(self):
+        raw = oracles.board(
+            "WIMBLEDON", {"A": ["0", "1", "2", "0"], "B": ["0", "1", "2", "0"],
+                          "server": "A"})
+        with pytest.raises(RowLengthMismatch, match="must have 3 columns .* got 4"):
+            parse_scoreboard(*raw)
+
+    def test_rg_row_of_one_column(self):
+        raw = oracles.board("RG", {"A": ["0"], "B": ["0"], "server": "A"})
+        with pytest.raises(RowLengthMismatch, match="need at least games and points"):
+            parse_scoreboard(*raw)
+
+    def test_render_unknown_layout(self):
+        with pytest.raises(UnknownLayout, match="unknown scoreboard layout: 'US'"):
+            render_scoreboard(MatchScore(), "US", ("Alice", "Bob"))
+
+    # a board is keyed by name and keeps the server's name under "server", so
+    # either collision would drop a row
+    @pytest.mark.parametrize("layout", ["AO_USO", "RG", "WIMBLEDON"])
+    @pytest.mark.parametrize("names, message", [
+        (("server", "Bob"), "no player may be named 'server'"),
+        (("Alice", "server"), "no player may be named 'server'"),
+        (("Ann", "Ann"), "both players are named 'Ann'"),
+    ], ids=["server_first", "server_second", "same_name"])
+    def test_render_refuses_colliding_names(self, layout, names, message):
+        with pytest.raises(ValueError, match=message):
+            render_scoreboard(MatchScore(), layout, names)

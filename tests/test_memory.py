@@ -53,6 +53,10 @@ class TestPushRally:
                                                   "exceed stored 5"):
             memory.observe(entries[3])
 
+    def test_negative_rally_index_rejected(self, match_records):
+        with pytest.raises(ValueError, match="rally_index must be non-negative"):
+            MemoryEntry(-1, match_records[0], None)
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity must be >= 1"):
             MatchMemory(capacity=0)

@@ -1053,6 +1053,7 @@ class TestBadInputLines:
          "'metadata' must be a non-empty string"),
         ({"prediction": "x", "reference": "y", "metadata": {"k": [1, 2]}},
          "'metadata' must be a non-empty string"),
+        ({"prediction": "x"}, "missing 'reference'"),
     ])
     def test_evaluate_unusable_pair(self, tmp_path, capsys, pair, message):
         good = json.dumps({"clip_id": "a", "prediction": "x", "reference": "y"})
@@ -1096,6 +1097,11 @@ class TestBadInputLines:
         err = self._run(tmp_path, capsys, "segment",
                         ['{"t": 1.0, "conf": 0.9}', json.dumps(row)])
         assert "line 2" in err and repr(key) in err
+
+    def test_segment_confidence_out_of_range(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "segment", ['{"t": 1.0, "conf": 1.5}'])
+        assert ("line 1: bad impact row: confidence must be in [0, 1], got 1.5"
+                in err)
 
     def test_segment_flags_row_missing_key(self, tmp_path, capsys):
         flags = tmp_path / "flags.jsonl"

@@ -115,6 +115,13 @@ class TestParseMetadataErrors:
         with pytest.raises(SchemaViolation, match="unknown outcome reason"):
             parse_metadata(json.dumps(obj))
 
+    def test_unparsable_shot_description(self, records):
+        obj = self.block(records[0])
+        obj["rally"][0]["shot_description"] = "a lovely shot"
+        with pytest.raises(SchemaViolation,
+                           match="unparsable shot description: 'a lovely shot'"):
+            parse_metadata(json.dumps(obj))
+
     def test_unknown_hitter_name(self, records):
         obj = self.block(records[0])
         obj["rally"][0]["hitter"] = "Nobody Known"

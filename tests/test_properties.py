@@ -1,9 +1,10 @@
 """Property-based tests: the commentary sanity check on arbitrary text, the
-rally codec on simulated matches of every supported format, the scoreboard
-layouts over whole matches of arbitrary formats, the scoring kernels on
-reachable and malformed scores, dataset ingestion on arbitrary values, the
-text metrics on arbitrary corpora, and whole replays against a reference
-replay over drawn configs."""
+judge-reply reader against its earlier three-way version, the rally codec on
+simulated matches of every supported format, the scoreboard layouts over
+whole matches of arbitrary formats, the scoring kernels on reachable and
+malformed scores, dataset ingestion on arbitrary values, the text metrics on
+arbitrary corpora, and whole replays against a reference replay over drawn
+configs."""
 
 import copy
 import json
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from courtside.evaluation import (
+    CRITERIA,
     CRITERION_MAX,
     DEFAULT_SHOT_TAXONOMY,
     MockJudgeClient,
@@ -28,6 +30,7 @@ from courtside.evaluation import (
     bleu4,
     build_judge_prompt,
     corpus_metrics,
+    parse_scorecard,
     rouge_l,
     sanity_check,
     score_pairs,
@@ -129,6 +132,51 @@ def test_mock_judge_counts_each_taxonomy_term_once(prediction):
         GenerationRequest(bundle=bundle)).text)["scores"]
     assert scores["professionalism"] == min(
         CRITERION_MAX, 6 + 2 * oracles.judge_term_count(prediction))
+
+
+# Judge replies: a scorecard, nested or flat, with scores in and out of range,
+# perhaps a criterion left out, and a total that is right, off by one, or
+# missing, written as JSON (indented or not) or as a Python literal, whole or
+# cut short.  The wrappers put no brace outside it: code fences tagged or not,
+# prose, whitespace, parentheses and comments.
+CRITERION_VALUES = st.integers(0, CRITERION_MAX) | st.sampled_from(
+    (-1, CRITERION_MAX + 1, True, 2.0))
+BRACELESS = st.text(st.characters(exclude_characters="{}"), max_size=20)
+PREFIXES = st.sampled_from(("", "```json\n", "```python\n", "```JSON\n", "```\n",
+                            " \n\t", "Here is my verdict: ", "(", "# verdict\n"))
+SUFFIXES = st.sampled_from(("", "\n```", "```", " Thanks.", ")", "  # done",
+                            "\n\n"))
+
+
+@st.composite
+def judge_replies(draw):
+    scores = {name: draw(CRITERION_VALUES) for name in CRITERIA}
+    for name in draw(st.sets(st.sampled_from(CRITERIA), max_size=1)):
+        del scores[name]
+    card = {"scores": scores} if draw(st.booleans()) else dict(scores)
+    total_key = draw(st.sampled_from(("total_score", "total", None)))
+    if total_key:
+        card[total_key] = sum(scores.values()) + draw(st.sampled_from((0, 0, 1)))
+    body = (repr(card) if draw(st.booleans())
+            else json.dumps(card, indent=draw(st.sampled_from((None, 2)))))
+    if draw(st.integers(0, 4)) == 0:
+        body = body[:draw(st.integers(1, len(body) - 1))]
+    return draw(PREFIXES | BRACELESS) + body + draw(SUFFIXES | BRACELESS)
+
+
+@settings(deadline=None, max_examples=300)
+@given(judge_replies())
+@example("```json\n" + json.dumps({"scores": dict.fromkeys(CRITERIA, 5),
+                                   "total_score": 25}) + "\n```")
+@example("(" + repr({**dict.fromkeys(CRITERIA, 4), "total": 21}) + ")  # done")
+@example('[{"accuracy": 1}]')
+def test_judge_reply_reads_as_its_brace_span(reply):
+    """Reading only the span from the first "{" to the last "}" gives the
+    card, or the exception type, that trying the raw reply, the reply without
+    fences and that span in turn gave."""
+    got = _outcome(parse_scorecard, reply)
+    expected = _outcome(oracles.ref_parse_scorecard, reply)
+    assert got[:2] == expected[:2]
 
 
 def at_pinned_formats(args_of):

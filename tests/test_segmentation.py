@@ -135,6 +135,17 @@ class TestNonFiniteRejected:
             SegmentationParams(confidence_threshold=float("nan"))
 
 
+class TestRallyInterval:
+    def test_start_must_precede_end(self):
+        with pytest.raises(ValueError,
+                           match=r"interval start must precede end: \[2.0, 1.0\]"):
+            RallyInterval(2.0, 1.0, 1)
+
+    def test_needs_a_hit(self):
+        with pytest.raises(ValueError, match="hit_count must be >= 1"):
+            RallyInterval(0.0, 1.0, 0)
+
+
 class TestFilterIntervals:
     INTERVALS = [RallyInterval(0.0, 5.0, 3), RallyInterval(8.0, 12.0, 4),
                  RallyInterval(15.0, 18.0, 2)]
