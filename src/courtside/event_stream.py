@@ -486,7 +486,10 @@ def json_number(value) -> float:
     one (TypeError), nor is NaN or an infinity (ValueError)."""
     if type(value) is not float and type(value) is not int:
         raise TypeError(f"expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError as exc:  # an int of over 308 digits
+        raise ValueError(str(exc)) from None
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
     return number
@@ -521,39 +524,12 @@ def _text(value, name: str) -> str:
 
 def _board_row(row, name: str) -> list:
     if not (isinstance(row, list) and len(row) == 3
-            and all(cell == AD or type(cell) is int for cell in row)):
+            and (type(row[0]) is int or row[0] == AD)
+            and (type(row[1]) is int or row[1] == AD)
+            and (type(row[2]) is int or row[2] == AD)):
         raise ValueError(f"row for {name!r} must be [sets, games, points] "
                          f"of ints or {AD!r}, got {row!r}")
     return row
-
-
-def _chained_score(previous: RallyRecord, board,
-                   config: ScoringConfig) -> MatchScore | None:
-    """``previous.final_score`` when ``board`` shows exactly that score and a
-    parse of it would build the same value, else None.
-
-    A parse keeps finished sets only as sets won, and synthesizes their
-    history.  ``previous`` holds such a history in its ``initial_score``
-    (see :func:`rally_from_json`), so its point must have finished no set.
-    Cells are compared type-exactly: the full decoder rejects ``true`` and
-    ``15.0``, although they equal ``1`` and ``15``.
-    """
-    score = previous.final_score
-    if (score.config is not config or type(board) is not dict
-            or len(score.completed_sets)
-            != len(previous.initial_score.completed_sets)):
-        return None
-    info = previous.match_info
-    if board.get("server") != info.name_of(score.server):
-        return None
-    for name, expected in zip((info.player_1.name, info.player_2.name),
-                              _dataset_rows(score)):
-        row = board.get(name)
-        if not (type(row) is list and row == expected
-                and type(row[0]) is int and type(row[1]) is int
-                and type(row[2]) is type(expected[2])):
-            return None
-    return score
 
 
 def _same_header(info_obj, info: MatchInfo) -> bool:
@@ -584,17 +560,18 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     ``previous`` is the valid record decoded from the line before, as
     :func:`courtside.pipeline.load_dataset` passes it.  Its ``MatchInfo`` is
     reused if the line's ``match_info`` decodes to it (:func:`_same_header`).
-    When, in addition, the config is the same object, the previous point
-    finished no set, and the board shows exactly the previous record's
-    ``final_score`` (rows of ``[sets won, games, points]`` with the same JSON
-    types, and the server's name), that score becomes the new
-    ``initial_score`` without a parse.  The value equals the one the parse
-    would give.  A parse keeps finished sets only as sets won, rebuilt as
-    ``trigger-0`` results (``2-0`` under a trigger of 1), and the previous
-    record's ``initial_score`` holds that history: a parse built it, or it
-    was inherited in the same way.  That is why ``previous`` must be the
-    record this function decoded from the line before.  Any other line is
-    decoded in full, so its errors are the same.
+    Every board's two rows pass the same type check, :func:`_board_row` (ints
+    that are not booleans, or ``"AD"``), and its server is resolved to a row.
+    A line is chained when, in addition, the config is the same object, the
+    server is the previous record's, the previous point finished no set, and
+    the typed rows equal those of the previous record's ``final_score``: that
+    score becomes the new ``initial_score`` without a parse.  The value equals
+    the one the parse would give.  A parse keeps finished sets only as sets
+    won, rebuilt as ``trigger-0`` results (``2-0`` under a trigger of 1), and
+    the previous record's ``initial_score`` holds that history: a parse built
+    it, or it was inherited in the same way.  That is why ``previous`` must be
+    the record this function decoded from the line before.  Any other line is
+    parsed, so its errors are the same.
     """
     config = config or ScoringConfig()
     where = "record"  # a template, filled with clip_id and i only on failure
@@ -624,15 +601,19 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
         # equals one of their strings.
         where = "{} scoreboard"
         board = obj["scoreboard"]
-        score = None if previous is None else _chained_score(previous, board, config)
-        if score is None:
-            names = (info.player_1.name, info.player_2.name)
-            rows = tuple(_board_row(board[name], name) for name in names)
-            server = board["server"]
-            if server not in names:
-                raise ValueError(f"server {server!r} is not a match player")
-            score = parse_scoreboard(LAYOUT_WIMBLEDON, rows,
-                                     names.index(server), config)
+        name_1, name_2 = names = (info.player_1.name, info.player_2.name)
+        rows = (_board_row(board[name_1], name_1), _board_row(board[name_2], name_2))
+        server = board["server"]
+        if server not in names:
+            raise ValueError(f"server {server!r} is not a match player")
+        server_row = names.index(server)
+        score = None if previous is None else previous.final_score
+        if (score is None or score.config is not config
+                or score.server != PLAYER_IDS[server_row]
+                or len(score.completed_sets)
+                != len(previous.initial_score.completed_sets)
+                or rows != _dataset_rows(score)):
+            score = parse_scoreboard(LAYOUT_WIMBLEDON, rows, server_row, config)
 
         where = "{}"
         raw_shots = obj["shot_sequence"]
@@ -675,7 +656,7 @@ def rally_from_json(obj: dict, config: ScoringConfig | None = None, *,
     except KeyError as exc:
         raise SchemaViolation(f"{where.format(clip_id, i)}: "
                               f"missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaViolation(f"{where.format(clip_id, i)}: {exc}") from None
 
     return RallyRecord(clip_id, info, score, tuple(shots), outcome, transcript,

@@ -451,7 +451,8 @@ class MockCommentaryClient:
 def check_file_target(path) -> None:
     """Raise ValueError unless ``path`` can name a file written later: the
     system can encode it (no lone surrogate, while a non-UTF-8 name's escaped
-    bytes are fine) and it holds no NUL, it is not a directory and its parent
+    bytes are fine) and it holds no NUL, the file system accepts it (a name
+    over its length limit is refused), it is not a directory and its parent
     directory exists.  Nothing is opened, so an existing file is neither
     created nor truncated."""
     try:
@@ -461,10 +462,13 @@ def check_file_target(path) -> None:
     if not named:
         raise ValueError("it is not a valid file name")
     target = Path(path)
-    if target.is_dir():
-        raise ValueError("it is a directory")
-    if not target.parent.is_dir():
-        raise ValueError("its directory does not exist")
+    try:
+        if target.is_dir():
+            raise ValueError("it is a directory")
+        if not target.parent.is_dir():
+            raise ValueError("its directory does not exist")
+    except OSError as exc:
+        raise ValueError(exc.strerror) from None
 
 
 class HttpCommentaryClient:

@@ -634,11 +634,12 @@ class TestCli:
             assert f"{field} must be valid Unicode, got " in violation["message"]
 
     def test_validate_lists_non_finite_numbers(self, tmp_path, records, capsys):
-        lines = [rally_to_json(r) for r in records[:5]]
+        lines = [rally_to_json(r) for r in records[:6]]
         lines[1]["shot_sequence"][0]["timestamp"] = float("nan")
         lines[2]["shot_sequence"][1]["hitter_position"] = [float("nan"), float("inf")]
         lines[3]["shot_sequence"][0]["ball_position"] = [1.0, float("-inf")]
         lines[4]["bounces"] = [{"timestamp": float("inf"), "court_half": "near"}]
+        lines[5]["shot_sequence"][0]["timestamp"] = 10 ** 400
         path = tmp_path / "non_finite.jsonl"
         path.write_text("".join(json.dumps(o) + "\n" for o in lines),
                         encoding="utf-8")
@@ -651,6 +652,7 @@ class TestCli:
             (3, f"{records[2].clip_id} shot 1: expected a finite number, got nan"),
             (4, f"{records[3].clip_id} shot 0: expected a finite number, got -inf"),
             (5, f"{records[4].clip_id} bounce 0: expected a finite number, got inf"),
+            (6, f"{records[5].clip_id} shot 0: int too large to convert to float"),
         ]
 
     @pytest.mark.parametrize("argv,key", [(["validate"], "violations"),
@@ -923,6 +925,26 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert str(tmp_path) in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        "validate --input MATCH --output LONG",
+        "evaluate --input PAIRS --per-clip LONG",
+        "replay --input MATCH --client http --log-requests LONG",
+    ])
+    def test_file_name_the_system_refuses_exits_two(
+            self, tmp_path, dataset_file, monkeypatch, capsys, argv):
+        # no request is sent: the log path is checked before the first rally
+        monkeypatch.setenv("COMMENTARY_API_URL", "https://api.example/c")
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"clip_id": "a", "prediction": "p", "reference": "r"}\n',
+                         encoding="utf-8")
+        long = tmp_path / ("x" * 300 + ".json")
+        paths = {"MATCH": dataset_file, "PAIRS": pairs, "LONG": long}
+        code = main([str(paths.get(arg, arg)) for arg in argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "File name too long" in captured.err
+
     @pytest.mark.parametrize("command", ["replay", "stats"])
     @pytest.mark.parametrize("output", ["DIR", "DIR/missing/out.json"])
     def test_unwritable_output_exits_before_reading_input(
@@ -1166,6 +1188,16 @@ class TestBadInputLines:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"line {bad_line}" in captured.err and "finite" in captured.err
+
+    def test_segment_impact_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "input.jsonl"
+        path.write_text('{"t": 1.0, "conf": 0.9}\n{"t": 1%s, "conf": 0.9}\n'
+                        % ("0" * 400), encoding="utf-8")
+        assert main(["segment", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
+        assert "int too large to convert to float" in captured.err
 
     @pytest.mark.parametrize("lines,bad_line", [
         (['{"t": 1.0, "conf": 0.9}', '{"t": "1.5", "conf": 0.9}'], 2),

@@ -561,10 +561,23 @@ LINE_EDITS = st.one_of(
     st.tuples(st.just("splice"), POSITION_DRAW, POSITION_DRAW),
     st.tuples(st.just("cell"), POSITION_DRAW, st.integers(0, 1), st.integers(0, 2),
               st.sampled_from((True, 1.0, "15", "AD", -1))),
+    # a player's row replaced by one of the wrong shape, or its key deleted (None)
+    st.tuples(st.just("row"), POSITION_DRAW, st.integers(0, 1),
+              st.sampled_from(([0, 0], [0, 0, 0, 0], "0-0", None))),
+    st.tuples(st.just("board"), POSITION_DRAW),
     st.tuples(st.just("header"), POSITION_DRAW,
               st.sampled_from(("handedness", "no handedness", "name", "swap",
                                "tournament", "round", "surface", "extra", "no header")),
               st.sampled_from(PLAYER_IDS)))
+
+
+def _editable(obj):
+    """Whether a line still has its header and a board with a three-cell row
+    per player, the parts that the line edits below rewrite."""
+    board = obj.get("scoreboard")
+    return "match_info" in obj and type(board) is dict and all(
+        type(row) is list and len(row) == 3
+        for row in (board.get(obj["match_info"][pid]["name"]) for pid in PLAYER_IDS))
 
 
 def _edit_lines(lines, edit):
@@ -580,13 +593,21 @@ def _edit_lines(lines, edit):
     elif kind == "splice":
         start = edit[2] % len(SPLICE_LINES)
         lines[at:at] = copy.deepcopy(SPLICE_LINES[start:start + 3])
-    elif "match_info" in lines[at]:  # not a line whose header was left out
+    elif _editable(lines[at]):
         obj = lines[at] = copy.deepcopy(lines[at])
         info, board = obj["match_info"], obj["scoreboard"]
         names = [info[pid]["name"] for pid in PLAYER_IDS]
         if kind == "cell":
             _, _, row, cell, value = edit
             board[names[row]][cell] = value
+        elif kind == "row":
+            _, _, row, value = edit
+            if value is None:
+                del board[names[row]]
+            else:
+                board[names[row]] = value
+        elif kind == "board":
+            obj["scoreboard"] = list(board.values())
         elif kind == "server":
             board["server"] = names[1 - names.index(board["server"])]
         elif edit[2] == "handedness":
@@ -640,6 +661,10 @@ def chain_file(tmp_path_factory):
               ("name", "player_1"), ("name", "player_2"), ("swap", None),
               ("tournament", None), ("round", None),
               ("surface", None), ("no header", None)], start=1)])
+# each row and board edit once, on lines that would otherwise chain
+@example(1, ScoringConfig(), ScoringConfig(), 0,
+         [("row", 4, 0, [0, 0]), ("row", 12, 1, [0, 0, 0, 0]), ("row", 20, 0, "0-0"),
+          ("row", 28, 1, None), ("board", 36)])
 def test_chained_decode_equals_per_line_decode(chain_file, seed, config, other,
                                                start, edits):
     """Decoding each line against the last valid record yields the records
