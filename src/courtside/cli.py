@@ -2,7 +2,9 @@
 
 Commands: validate, replay, stats, evaluate, segment, simulate.
 Exit codes: 0 success, 1 validation failures, 2 configuration error,
-3 client or transport failure.
+3 client or transport failure.  A refused dataset line exits 1 even when
+rallies also failed: 1 outranks 3.  A request log that cannot be opened
+for append exits 2 before any request is sent.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .evaluation import (
@@ -23,7 +25,6 @@ from .evaluation import (
     parse_scorecard,
     score_pairs,
 )
-from .match_model import ScoringConfig
 from .memory import LongTermMemory, consolidate
 from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
                        read_lines, replay_match)
@@ -87,23 +88,27 @@ def _build_config(args) -> PipelineConfig:
     return config
 
 
-def _load_all(path, scoring: ScoringConfig):
-    errors: list[tuple[int, str]] = []
-    records = list(load_dataset(path, scoring, errors=errors))
-    return records, errors
-
-
 def _violations(errors) -> list[dict]:
     return [{"line": line, "message": message} for line, message in errors]
 
 
+def _finish(payload: dict, errors, output: str | None, code: int = EXIT_OK) -> int:
+    """Write ``payload``, with the refused dataset lines listed under
+    ``schema_violations``; a refused line exits 1, ahead of ``code``."""
+    if errors:
+        payload["schema_violations"] = _violations(errors)
+    _write_output(payload, output)
+    return EXIT_VALIDATION if errors else code
+
+
 def cmd_validate(args) -> int:
     config = _build_config(args)
-    records, errors = _load_all(args.input, config.scoring)
+    errors: list[tuple[int, str]] = []
+    valid = sum(1 for _ in load_dataset(args.input, config.scoring, errors=errors))
     report = {
         # a non-UTF-8 name's bytes escaped ("\\xff"): the report stays UTF-8
         "input": os.fsencode(args.input).decode("utf-8", "backslashreplace"),
-        "valid_records": len(records),
+        "valid_records": valid,
         "violations": _violations(errors),
     }
     _write_output(report, args.output)
@@ -115,15 +120,8 @@ def cmd_replay(args) -> int:
     errors: list[tuple[int, str]] = []
     records = load_dataset(args.input, config.scoring, errors=errors)
     report = replay_match(records, config)
-    payload = report.as_dict(include_timing=not args.no_timing)
-    if errors:
-        payload["schema_violations"] = _violations(errors)
-    _write_output(payload, args.output)
-    if errors:
-        return EXIT_VALIDATION
-    if report.failures:
-        return EXIT_CLIENT
-    return EXIT_OK
+    return _finish(report.as_dict(include_timing=not args.no_timing), errors,
+                   args.output, EXIT_CLIENT if report.failures else EXIT_OK)
 
 
 def cmd_stats(args) -> int:
@@ -132,58 +130,70 @@ def cmd_stats(args) -> int:
     long_term = LongTermMemory()
     for record in load_dataset(args.input, config.scoring, errors=errors):
         consolidate(long_term, record)
-    payload = long_term.report()
-    if errors:
-        payload["schema_violations"] = _violations(errors)
-    _write_output(payload, args.output)
-    return EXIT_VALIDATION if errors else EXIT_OK
+    return _finish(long_term.report(), errors, args.output)
 
 
-def _read_jsonl(path):
-    """Yield ``(line_number, object)`` for each non-blank line of a JSONL
-    input; a line that is not a UTF-8 JSON object is a :class:`ConfigError`."""
+def _read_rows(path, row) -> list:
+    """``(line_number, row(obj))`` for each non-blank line of a JSONL input.
+    A line that is not a UTF-8 JSON object, or whose object ``row`` refuses
+    (KeyError, TypeError or ValueError), is a :class:`ConfigError` naming it."""
+    rows = []
     for line_no, line in read_lines(path):
         try:
-            obj = json.loads(line.decode("utf-8").strip())
-        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
-            raise ConfigError(f"{path} line {line_no}: invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path} line {line_no}: expected a JSON object")
-        yield line_no, obj
+            try:
+                obj = json.loads(line.decode("utf-8").strip())
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+                raise ValueError(f"invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
+            rows.append((line_no, row(obj)))
+        except KeyError as exc:
+            raise ConfigError(f"{path} line {line_no}: missing {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} line {line_no}: {exc}") from None
+    return rows
 
 
-def _read_pairs(path):
-    pairs = []
-    for line_no, obj in _read_jsonl(path):
-        for key in ("clip_id", "prediction", "reference"):
-            if key not in obj:
-                raise ConfigError(f"{path} line {line_no}: missing {key!r}")
-            if not isinstance(obj[key], str):
-                raise ConfigError(f"{path} line {line_no}: {key!r} must be a string")
-        if "metadata" in obj and not (isinstance(obj["metadata"], str)
-                                      and obj["metadata"]):
-            raise ConfigError(
-                f"{path} line {line_no}: 'metadata' must be a non-empty string")
-        for key in ("clip_id", "prediction", "reference", "metadata"):
-            if not valid_unicode(obj.get(key, "")):
-                raise ConfigError(f"{path} line {line_no}: {key!r} must be "
-                                  f"valid Unicode, got {obj[key]!r}")
-        pairs.append((line_no, obj))
-    return pairs
+def _pair(obj: dict) -> dict:
+    for key in ("clip_id", "prediction", "reference"):
+        if not isinstance(obj[key], str):
+            raise TypeError(f"{key!r} must be a string")
+    if "metadata" in obj and not (isinstance(obj["metadata"], str)
+                                  and obj["metadata"]):
+        raise TypeError("'metadata' must be a non-empty string")
+    for key in ("clip_id", "prediction", "reference", "metadata"):
+        if not valid_unicode(obj.get(key, "")):
+            raise ValueError(f"{key!r} must be valid Unicode, got {obj[key]!r}")
+    return obj
+
+
+def _impact(obj: dict) -> ImpactEvent:
+    try:
+        return ImpactEvent(timestamp=json_number(obj["t"]),
+                           confidence=json_number(obj["conf"]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad impact row: {exc}") from None
+
+
+def _flags(obj: dict) -> tuple[bool, bool]:
+    for key in ("broadcast_view", "scoreboard_visible"):
+        if not isinstance(obj.get(key), bool):
+            raise TypeError(f"{key!r} must be true or false")
+    return obj["broadcast_view"], obj["scoreboard_visible"]
 
 
 def cmd_evaluate(args) -> int:
     config = _build_config(args)
-    pairs = _read_pairs(args.input)
+    pairs = _read_rows(args.input, _pair)
     scores = score_pairs((p["prediction"], [p["reference"]]) for _, p in pairs)
     try:
         report = MetricReport.of(scores)
     except CorpusTooSmall:
         report = None
 
-    records, errors = [], []
-    if args.dataset:
-        records, errors = _load_all(args.dataset, config.scoring)
+    errors: list[tuple[int, str]] = []
+    records = (list(load_dataset(args.dataset, config.scoring, errors=errors))
+               if args.dataset else [])
     judge = MockJudgeClient() if args.judge == "mock" else None
     # The metadata block is read only by the judge.
     metadata_by_clip = ({r.clip_id: serialize_metadata(r) for r in records}
@@ -192,12 +202,7 @@ def cmd_evaluate(args) -> int:
     per_clip = []
     scorecards = []
     for (line_no, obj), score in zip(pairs, scores):
-        row = {
-            "clip_id": obj["clip_id"],
-            "bleu4": score.bleu4,
-            "rouge_l": score.rouge_l,
-            "cider": score.cider,
-        }
+        row = {"clip_id": obj["clip_id"], **asdict(score)}
         if judge is not None:
             metadata = obj.get("metadata") or metadata_by_clip.get(obj["clip_id"])
             if metadata:
@@ -214,12 +219,9 @@ def cmd_evaluate(args) -> int:
 
     summary = aggregate(scorecards, metric_report=report)
     summary["pairs"] = len(pairs)
-    if errors:
-        summary["schema_violations"] = _violations(errors)
     if args.per_clip:
         _write_jsonl(per_clip, args.per_clip)
-    _write_output(summary, args.output)
-    return EXIT_VALIDATION if errors else EXIT_OK
+    return _finish(summary, errors, args.output)
 
 
 def cmd_segment(args) -> int:
@@ -227,26 +229,10 @@ def cmd_segment(args) -> int:
         params = SegmentationParams(**_overrides(args, SegmentationParams))
     except ValueError as exc:
         raise ConfigError(f"segment parameters: {exc}") from None
-    events = []
-    for line_no, obj in _read_jsonl(args.input):
-        try:
-            events.append(ImpactEvent(timestamp=json_number(obj["t"]),
-                                      confidence=json_number(obj["conf"])))
-        except KeyError as exc:
-            raise ConfigError(
-                f"{args.input} line {line_no}: missing {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"{args.input} line {line_no}: bad impact row: {exc}") from None
+    events = [event for _, event in _read_rows(args.input, _impact)]
     intervals = cluster_impacts(events, params)
     if args.flags:
-        flags = []
-        for line_no, obj in _read_jsonl(args.flags):
-            for key in ("broadcast_view", "scoreboard_visible"):
-                if not isinstance(obj.get(key), bool):
-                    raise ConfigError(
-                        f"{args.flags} line {line_no}: {key!r} must be true or false")
-            flags.append((obj["broadcast_view"], obj["scoreboard_visible"]))
+        flags = [pair for _, pair in _read_rows(args.flags, _flags)]
         try:
             intervals = filter_intervals(intervals, flags)
         except FlagCountMismatch as exc:

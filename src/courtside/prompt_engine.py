@@ -479,7 +479,8 @@ class HttpCommentaryClient:
     expected reply: a JSON object ``{"text": ..., "usage": {...}}``.  Endpoint and
     credential come from the environment unless given explicitly.  Each reply
     is appended to ``log_path`` when one is given; a path that no file can
-    have (see ``check_file_target``) is a ValueError here, before any request.
+    have (see ``check_file_target``), or that the system refuses to open for
+    append, is a ValueError here, before any request.
     """
 
     ENDPOINT_ENV = "COMMENTARY_API_URL"
@@ -495,8 +496,12 @@ class HttpCommentaryClient:
         if log_path:
             try:
                 check_file_target(log_path)
+                open(log_path, "a", encoding="utf-8").close()
             except ValueError as exc:
                 raise ValueError(f"cannot write request log {log_path!r}: {exc}") from None
+            except OSError as exc:
+                raise ValueError(
+                    f"cannot write request log {log_path!r}: {exc.strerror}") from None
         import requests  # only the HTTP client needs it; keeps replay start-up light
         self.session = session or requests.Session()
         self.log_path = log_path

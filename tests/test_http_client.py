@@ -331,6 +331,35 @@ class TestRequestLogging:
         assert "Traceback" not in captured.err
         assert all(session.calls == [] for session in sessions)
 
+    def test_dangling_log_symlink_fails_before_any_request(self, tmp_path,
+                                                           monkeypatch, capsys):
+        """The parent of a dangling symlink exists, but the file it names
+        cannot be opened: that is a configuration error, not a failure after
+        the first reply."""
+        log_path = tmp_path / "log.jsonl"
+        log_path.symlink_to(tmp_path / "missing" / "x.jsonl")
+        session = FakeSession([FakeResponse(payload={"text": "ok"})])
+        with pytest.raises(ValueError, match="cannot write request log .*: "
+                                             "No such file or directory"):
+            HttpCommentaryClient(endpoint="https://api.example/c",
+                                 session=session, log_path=str(log_path))
+        assert session.calls == []
+        monkeypatch.setenv(HttpCommentaryClient.ENDPOINT_ENV, "https://api.example/c")
+        sessions = []
+        monkeypatch.setattr(requests, "Session",
+                            lambda: sessions.append(FakeSession([])) or sessions[-1])
+        match = tmp_path / "match.jsonl"
+        match.write_text("".join(json.dumps(rally_to_json(r)) + "\n"
+                                 for r in simulate_match(seed=2024)[:3]),
+                         encoding="utf-8")
+        code = main(["replay", "--input", str(match), "--client", "http",
+                     "--log-requests", str(log_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "request log" in captured.err and "Traceback" not in captured.err
+        assert all(session.calls == [] for session in sessions)
+
     @pytest.mark.parametrize("name", ["log\ud800.jsonl", "log\x00.jsonl"],
                              ids=["lone_surrogate", "nul"])
     def test_log_path_no_file_can_have_is_a_config_error(self, tmp_path, monkeypatch,

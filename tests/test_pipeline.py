@@ -763,6 +763,21 @@ class TestCli:
             assert rally["failure"].startswith("BudgetExceeded: prompt estimate")
         assert report["final_stats"]["rallies_consolidated"] == record_count
 
+    def test_replay_refused_line_outranks_failed_rallies(self, tmp_path, capsys):
+        """A refused dataset line exits 1 even when every rally also failed."""
+        match_path = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--seed", "31", "--output", str(match_path)]) == 0
+        lines = match_path.read_text(encoding="utf-8").splitlines()
+        lines.insert(1, "{broken")
+        match_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["replay", "--input", str(match_path), "--client", "mock",
+                     "--token-cap", "10", "--no-timing"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [v["line"] for v in report["schema_violations"]] == [2]
+        assert report["rally_count"] == report["failures"] == len(lines) - 1
+        assert all(rally["failed"] for rally in report["rallies"])
+
     def test_replay_byte_identical_across_runs(self, tmp_path):
         match_path = tmp_path / "sim.jsonl"
         main(["simulate", "--seed", "12", "--output", str(match_path)])
@@ -843,6 +858,27 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["pairs"] == 0
         assert [v["line"] for v in summary["schema_violations"]] == [3]
+
+    def test_evaluate_refused_dataset_line_still_writes_per_clip(
+            self, tmp_path, records, capsys):
+        lines = [json.dumps(rally_to_json(r)) for r in records[:3]]
+        lines.insert(1, "{broken")
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text("".join(
+            json.dumps({"clip_id": r.clip_id, "prediction": r.commentary,
+                        "reference": r.commentary}) + "\n" for r in records[:3]),
+            encoding="utf-8")
+        per_clip = tmp_path / "per_clip.jsonl"
+        code = main(["evaluate", "--input", str(pairs_path), "--judge", "mock",
+                     "--dataset", str(dataset), "--per-clip", str(per_clip)])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert [v["line"] for v in summary["schema_violations"]] == [2]
+        rows = [json.loads(line) for line in per_clip.read_text().splitlines()]
+        assert [row["clip_id"] for row in rows] == [r.clip_id for r in records[:3]]
+        assert all("judge" in row for row in rows)
 
     def test_segment_command(self, tmp_path, capsys):
         impacts = tmp_path / "impacts.jsonl"
@@ -1103,15 +1139,40 @@ class TestBadInputLines:
         assert main(["evaluate", "--input", str(path), "--judge", "mock"]) == 0
         assert json.loads(capsys.readouterr().out)["pairs"] == 1
 
-    def test_segment_non_json_line(self, tmp_path, capsys):
-        err = self._run(tmp_path, capsys, "segment",
-                        ['{"t": 1.0, "conf": 0.9}', "", "not json"])
-        assert "line 3" in err and "invalid JSON" in err
+    GOOD_LINES = {
+        "evaluate --input": json.dumps({"clip_id": "a", "prediction": "x",
+                                        "reference": "y"}),
+        "segment --input": '{"t": 1.0, "conf": 0.9}',
+        "segment --flags": '{"broadcast_view": true, "scoreboard_visible": true}',
+    }
 
-    def test_segment_non_object_line(self, tmp_path, capsys):
-        err = self._run(tmp_path, capsys, "segment",
-                        ['{"t": 1.0, "conf": 0.9}', "[1.5, 0.9]"])
-        assert "line 2: expected a JSON object" in err
+    def _bad_third_line(self, tmp_path, capsys, source, bad):
+        """Run ``source`` on a good line, a blank line and ``bad``; return
+        stderr and the ``<path> line 3: `` prefix that must name the line."""
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n".join([self.GOOD_LINES[source], "", bad]) + "\n",
+                        encoding="utf-8")
+        if source == "segment --flags":
+            impacts = tmp_path / "impacts.jsonl"
+            impacts.write_text("\n".join(self.IMPACTS) + "\n", encoding="utf-8")
+            argv = ["segment", "--input", str(impacts), "--flags", str(path)]
+        else:
+            argv = [*source.split(), str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        return captured.err, f"{path} line 3: "
+
+    @pytest.mark.parametrize("source", list(GOOD_LINES))
+    def test_non_json_line(self, tmp_path, capsys, source):
+        err, where = self._bad_third_line(tmp_path, capsys, source, "not json")
+        assert where + "invalid JSON" in err
+
+    @pytest.mark.parametrize("source", list(GOOD_LINES))
+    def test_non_object_line(self, tmp_path, capsys, source):
+        err, where = self._bad_third_line(tmp_path, capsys, source, "[1.5, 0.9]")
+        assert where + "expected a JSON object" in err
 
     @pytest.mark.parametrize("row,key", [({"t": 2.0}, "conf"),
                                          ({"conf": 0.9}, "t")])
