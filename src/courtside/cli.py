@@ -3,8 +3,9 @@
 Commands: validate, replay, stats, evaluate, segment, simulate.
 Exit codes: 0 success, 1 validation failures, 2 configuration error,
 3 client or transport failure.  A refused dataset line exits 1 even when
-rallies also failed: 1 outranks 3.  A request log that cannot be opened
-for append exits 2 before any request is sent.
+rallies also failed: 1 outranks 3.  Every file a command writes is opened
+for append before any input is read (an absent one is created empty), and
+a result that cannot be written, to a file or to stdout, exits 2.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .evaluation import (
 from .memory import LongTermMemory, consolidate
 from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
                        read_lines, replay_match)
-from .prompt_engine import (GenerationRequest, check_file_target, generate,
+from .prompt_engine import (GenerationRequest, claim_file, generate,
                             serialize_metadata)
 from .segmentation import (FlagCountMismatch, ImpactEvent, SegmentationParams,
                            cluster_impacts, filter_intervals)
@@ -42,23 +43,34 @@ EXIT_CLIENT = 3
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Write ``text`` to the ``output`` file, or to stdout without one."""
-    if not output:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` to the ``output`` file, or to stdout without one; a
+    write that fails (a full disk) is a configuration error."""
     try:
-        Path(output).write_text(text, encoding="utf-8")
+        if output:
+            Path(output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write {output}: {exc}") from None
+        if not output:  # the flush at exit would retry the buffered bytes
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {output or 'stdout'}: {exc}") from None
 
 
-def _check_output(output: str | None) -> None:
-    """Reject an output path that cannot be written, before any work is done."""
-    if output:
+def _claim_files(args) -> None:
+    """Before any work: refuse a JSON-lines input that does not exist, which
+    an output claimed next (see ``claim_file``) would create empty."""
+    for path in filter(None, map(vars(args).get, ("input", "dataset", "flags"))):
         try:
-            check_file_target(output)
+            os.stat(path)
+        except OSError as exc:
+            raise FileNotFoundError(f"cannot read {path}: {exc.strerror}") from None
+    for path in filter(None, map(vars(args).get, ("output", "per_clip"))):
+        try:
+            claim_file(path)
         except ValueError as exc:
-            raise ConfigError(f"cannot write {output}: {exc}") from None
+            raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _write_output(payload, output: str | None) -> None:
@@ -319,8 +331,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_output(args.output)
-        _check_output(getattr(args, "per_clip", None))
+        _claim_files(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

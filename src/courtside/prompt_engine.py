@@ -448,25 +448,17 @@ class MockCommentaryClient:
         return sentence
 
 
-def check_file_target(path) -> None:
-    """Raise ValueError unless ``path`` can name a file written later: the
-    system can encode it (no lone surrogate, while a non-UTF-8 name's escaped
-    bytes are fine) and it holds no NUL, the file system accepts it (a name
-    over its length limit is refused), it is not a directory and its parent
-    directory exists.  Nothing is opened, so an existing file is neither
-    created nor truncated."""
+def claim_file(path) -> None:
+    """Open ``path`` for append and close it at once, before any input is read:
+    an absent file is created empty and an existing one keeps its bytes (a named
+    pipe is not opened, as the close would end its reader).  A name the system
+    cannot encode (a NUL, a lone surrogate) or refuses to open (a directory, a
+    missing directory, a dangling symlink, a name too long) is a ValueError."""
     try:
-        named = b"\0" not in os.fsencode(path)
-    except UnicodeEncodeError:  # a lone surrogate
-        named = False
-    if not named:
-        raise ValueError("it is not a valid file name")
-    target = Path(path)
-    try:
-        if target.is_dir():
-            raise ValueError("it is a directory")
-        if not target.parent.is_dir():
-            raise ValueError("its directory does not exist")
+        if not Path(path).is_fifo():
+            open(path, "a", encoding="utf-8").close()
+    except ValueError:  # UnicodeEncodeError included
+        raise ValueError("it is not a valid file name") from None
     except OSError as exc:
         raise ValueError(exc.strerror) from None
 
@@ -478,9 +470,9 @@ class HttpCommentaryClient:
     ``clip_id`` of the bundle's rally and is left out when there is none;
     expected reply: a JSON object ``{"text": ..., "usage": {...}}``.  Endpoint and
     credential come from the environment unless given explicitly.  Each reply
-    is appended to ``log_path`` when one is given; a path that no file can
-    have (see ``check_file_target``), or that the system refuses to open for
-    append, is a ValueError here, before any request.
+    is appended to ``log_path`` when one is given; the log is claimed here,
+    before any request (see ``claim_file``), and a path it refuses is a
+    ValueError.
     """
 
     ENDPOINT_ENV = "COMMENTARY_API_URL"
@@ -495,13 +487,9 @@ class HttpCommentaryClient:
                 f"no endpoint configured; set {self.ENDPOINT_ENV} or pass one")
         if log_path:
             try:
-                check_file_target(log_path)
-                open(log_path, "a", encoding="utf-8").close()
+                claim_file(log_path)
             except ValueError as exc:
                 raise ValueError(f"cannot write request log {log_path!r}: {exc}") from None
-            except OSError as exc:
-                raise ValueError(
-                    f"cannot write request log {log_path!r}: {exc.strerror}") from None
         import requests  # only the HTTP client needs it; keeps replay start-up light
         self.session = session or requests.Session()
         self.log_path = log_path

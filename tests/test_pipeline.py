@@ -1,8 +1,13 @@
 """Dataset ingestion, replay loop and CLI behavior tests."""
 
+import errno
 import json
+import os
+import subprocess
 import sys
+import threading
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +41,15 @@ def dataset_file(tmp_path, records):
     path.write_text("\n".join(json.dumps(rally_to_json(r)) for r in records)
                     + "\n", encoding="utf-8")
     return path
+
+
+def _run_cli(argv, **kwargs):
+    """``python -m courtside.cli`` in a fresh interpreter whose stdout is
+    buffered, as a console's is (the environment's PYTHONUNBUFFERED dropped)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "courtside.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
 
 def _board(obj, row_1, row_2):
@@ -982,9 +996,11 @@ class TestCli:
         assert "File name too long" in captured.err
 
     @pytest.mark.parametrize("command", ["replay", "stats"])
-    @pytest.mark.parametrize("output", ["DIR", "DIR/missing/out.json"])
+    @pytest.mark.parametrize("output", ["DIR", "DIR/missing/out.json",
+                                        "DIR/dangling.json"])
     def test_unwritable_output_exits_before_reading_input(
             self, tmp_path, dataset_file, monkeypatch, capsys, command, output):
+        (tmp_path / "dangling.json").symlink_to(tmp_path / "missing" / "x.json")
         calls = []
         monkeypatch.setattr(cli, "replay_match",
                             lambda *args, **kwargs: calls.append(args))
@@ -1004,6 +1020,7 @@ class TestCli:
         ("validate --input MATCH --output OUT", "load_dataset"),
         ("evaluate --input PAIRS --output OUT", "score_pairs"),
         ("evaluate --input PAIRS --per-clip OUT", "score_pairs"),
+        ("evaluate --input PAIRS --per-clip DANGLING", "score_pairs"),
         ("segment --input IMPACTS --output OUT", "cluster_impacts"),
         ("simulate --output OUT", "simulate_match"),
     ])
@@ -1018,15 +1035,104 @@ class TestCli:
                          encoding="utf-8")
         impacts.write_text('{"t": 1.0, "conf": 0.9}\n', encoding="utf-8")
         output = tmp_path / "missing" / "out.json"
+        dangling = tmp_path / "dangling.jsonl"
+        dangling.symlink_to(output)
         paths = {"MATCH": dataset_file, "PAIRS": pairs, "IMPACTS": impacts,
-                 "OUT": output}
-        code = main([str(paths.get(arg, arg)) for arg in argv.split()])
+                 "OUT": output, "DANGLING": dangling}
+        argv = [str(paths.get(arg, arg)) for arg in argv.split()]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert str(output) in captured.err
+        assert argv[-1] in captured.err
         assert not output.parent.exists()
+
+    def test_claimed_output_keeps_its_bytes(self, tmp_path, dataset_file, capsys):
+        """The early claim opens an existing output for append: a run that
+        then exits 2 (here on a config that is not JSON) leaves it as it was."""
+        output, config = tmp_path / "out.json", tmp_path / "config.json"
+        output.write_bytes(b"earlier result\n")
+        config.write_text("{not json", encoding="utf-8")
+        code = main(["validate", "--input", str(dataset_file), "--config",
+                     str(config), "--output", str(output)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert output.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("command", ["validate", "stats", "replay"])
+    def test_stdout_that_cannot_be_written_exits_two(
+            self, tmp_path, dataset_file, monkeypatch, capsys, command):
+        """A full disk behind stdout (``> /dev/full``) is a configuration
+        error, not a traceback, and stdout's descriptor then points at the
+        null device, so the flush at exit has nowhere left to fail."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        try:
+            code = main([command, "--input", str(dataset_file)])
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot write stdout: [Errno 28] No space left on device" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_entry_point_to_a_full_disk_exits_two(self, dataset_file, command):
+        """The real entry point with a buffered stdout: a small report stays
+        buffered after the failed write, and the flush at exit must not turn
+        exit 2 into 120 ("Exception ignored ... OSError")."""
+        with open("/dev/full", "wb") as full:
+            result = _run_cli([command, "--input", str(dataset_file)], stdout=full)
+        assert result.returncode == 2
+        assert "cannot write stdout: [Errno 28]" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_output_gets_the_whole_report(self, tmp_path, dataset_file):
+        """A named pipe is not opened by the claim, whose close would end the
+        reader, so the report reaches the reader in one piece."""
+        fifo = tmp_path / "report.pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(
+            fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        result = _run_cli(["validate", "--input", str(dataset_file),
+                          "--output", str(fifo)])
+        reader.join(timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(received[0])["violations"] == []
+
+    @pytest.mark.parametrize("argv", [
+        "validate --input NEW --output NEW",
+        "evaluate --input PAIRS --dataset NEW --per-clip NEW",
+        "segment --input NEW --output NEW",
+    ])
+    def test_output_naming_a_missing_input_exits_two(
+            self, tmp_path, capsys, argv):
+        """An input that does not exist is refused before the outputs are
+        claimed, so the claim cannot create it and have it read as empty."""
+        pairs, new = tmp_path / "pairs.jsonl", tmp_path / "new.jsonl"
+        pairs.write_text('{"clip_id": "a", "prediction": "a b c d", '
+                         '"reference": "a b c d"}\n', encoding="utf-8")
+        paths = {"NEW": new, "PAIRS": pairs}
+        code = main([str(paths.get(arg, arg)) for arg in argv.split()])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"cannot read {new}: No such file or directory" in err
+        assert not new.exists()
 
     def test_simulate_deterministic_output_file(self, tmp_path):
         a_path = tmp_path / "a.jsonl"
