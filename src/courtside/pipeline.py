@@ -69,13 +69,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
+        known = _known_keys(obj, cls, "config")
+        scoring = _known_keys(obj.get("scoring", {}), ScoringConfig, "scoring")
+        persona = _known_keys(obj.get("persona", {}), PersonaConfig, "persona")
         try:
-            return cls(**{**obj,
-                          "scoring": ScoringConfig(**obj.get("scoring", {})),
-                          "persona": PersonaConfig(**obj.get("persona", {}))})
+            return cls(**{**known,
+                          "scoring": ScoringConfig(**scoring),
+                          "persona": PersonaConfig(**persona)})
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -100,6 +100,17 @@ class PipelineConfig:
             "token_cap": self.token_cap,
             "client": self.client,
         }
+
+
+def _known_keys(obj, cls, what: str) -> dict:
+    """``obj`` when it is a JSON object whose keys all name fields of
+    ``cls``; a ConfigError naming ``what`` otherwise."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    return obj
 
 
 def make_client(config: PipelineConfig):

@@ -461,6 +461,28 @@ class TestConfig:
         assert main(["validate", "--input", str(match),
                      "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("config,message", [
+        ({"scoring": {"bogus": 1}}, "unknown scoring keys: ['bogus']"),
+        ({"persona": {"tone": "dry", "max_word": 9}},
+         "unknown persona keys: ['max_word', 'tone']"),
+        ({"scoring": []}, "scoring must be a JSON object"),
+        ({"scoring": None}, "scoring must be a JSON object"),
+        ({"persona": []}, "persona must be a JSON object"),
+        ({"persona": "calm"}, "persona must be a JSON object"),
+    ])
+    def test_nested_keys_rejected_as_top_level_keys_are(self, tmp_path, capsys,
+                                                        config, message):
+        with pytest.raises(ConfigError) as caught:
+            PipelineConfig.from_dict(config)
+        assert str(caught.value) == message
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["validate", "--input", str(empty),
+                     "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_request_log_needs_http_client(self, dataset_file, tmp_path, capsys):
         log = str(tmp_path / "traffic.jsonl")
         with pytest.raises(ConfigError, match="log_requests"):

@@ -19,6 +19,7 @@ import textwrap
 from dataclasses import (MISSING, FrozenInstanceError, InitVar, dataclass,
                          field, fields, is_dataclass, replace)
 from pathlib import Path
+from typing import ClassVar, Optional
 
 import pytest
 
@@ -200,6 +201,15 @@ def test_matches_a_stock_frozen_dataclass_of_the_same_source(cls):
     assert repr(built) == repr(stock)
     # the stock body stores each field through object.__setattr__
     assert "__setattr__" not in cls.__init__.__code__.co_names
+    assert repr(cls.__dataclass_params__) == repr(twin.__dataclass_params__)
+    assert cls.__match_args__ == twin.__match_args__
+    assert built == cls(**values)
+    try:
+        expected = hash(stock)
+    except TypeError:  # a field holds a dict
+        pass
+    else:
+        assert hash(built) == expected
 
 
 @pytest.mark.parametrize("annotation, spec", [
@@ -212,6 +222,57 @@ def test_frozen_refuses_a_field_init_does_not_take_by_position(annotation, spec)
     if spec is not None:
         namespace["y"] = spec
     with pytest.raises(TypeError, match="no InitVar, kw_only or init=False"):
+        frozen(type("Value", (), namespace))
+
+
+def _docless(decorate):
+    @decorate
+    class Rally:
+        index: int
+        player: str
+        speed: float
+        won: bool
+        games: tuple[int, ...]
+        note: str | None = None
+        label: Optional[str] = "deuce"
+        shots: list[str] = field(default_factory=list)
+    return Rally
+
+
+def test_frozen_writes_the_stock_docstring_without_a_signature(monkeypatch):
+    twin = _docless(dataclass(frozen=True))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("frozen asked inspect for a signature")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(inspect, "signature", refuse)
+        built = _docless(frozen)
+    assert built.__doc__ == twin.__doc__
+    assert inspect.signature(built) == inspect.signature(twin)
+
+
+def test_frozen_accepts_a_class_variable():
+    @frozen
+    class Value:
+        limit: ClassVar[int] = 3
+        x: int
+
+    assert [f.name for f in fields(Value)] == ["x"]
+    assert Value.limit == 3 and Value(1) == Value(x=1)
+
+
+def test_frozen_refuses_a_field_without_default_after_one_with():
+    namespace = {"__annotations__": {"x": int, "y": int}, "x": 0}
+    with pytest.raises(TypeError, match="non-default argument 'y' follows"):
+        frozen(type("Value", (), namespace))
+
+
+@pytest.mark.parametrize("name", ["__init__", "__eq__", "__hash__",
+                                  "__repr__", "__setattr__", "__delattr__"])
+def test_frozen_refuses_a_class_that_defines_a_method_it_writes(name):
+    namespace = {"__annotations__": {"x": int}, name: lambda self, *args: None}
+    with pytest.raises(TypeError, match=f"frozen writes {name} itself"):
         frozen(type("Value", (), namespace))
 
 
