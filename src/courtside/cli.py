@@ -5,7 +5,14 @@ Exit codes: 0 success, 1 validation failures, 2 configuration error,
 3 client or transport failure.  A refused dataset line exits 1 even when
 rallies also failed: 1 outranks 3.  Every file a command writes is opened
 for append before any input is read (an absent one is created empty), and
-a result that cannot be written, to a file or to stdout, exits 2.
+a result that cannot be written, to a file or to stdout (a full disk, or
+an encoding without one of its characters), exits 2.
+
+Output bytes: a report (validate, replay, stats, evaluate) is
+``json.dumps(report, indent=2, ensure_ascii=False)`` plus a newline, written
+by :func:`_report_text`; a JSON-lines output (segment, simulate, evaluate's
+--per-clip, the request log) is one ``json.dumps(row, ensure_ascii=False)``
+per line.  Files are UTF-8.
 """
 
 from __future__ import annotations
@@ -44,14 +51,15 @@ EXIT_CLIENT = 3
 
 def _emit(text: str, output: str | None) -> None:
     """Write ``text`` to the ``output`` file, or to stdout without one; a
-    write that fails (a full disk) is a configuration error."""
+    write that fails (a full disk, or a stdout encoding without one of the
+    text's characters) is a configuration error."""
     try:
         if output:
             Path(output).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         if not output:  # the flush at exit would retry the buffered bytes
             with open(os.devnull, "wb") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
@@ -73,8 +81,57 @@ def _claim_files(args) -> None:
             raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+_encode = json.encoder.encode_basestring  # the C encoder json.dumps uses for str
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# A leaf's JSON text by its exact type; bool is looked up apart from int.
+_LEAF_TEXT = {str: _encode, int: int.__repr__, float: _float_text,
+              bool: {True: "true", False: "false"}.__getitem__,
+              type(None): {None: "null"}.__getitem__}
+_leaf = _LEAF_TEXT.get
+
+
+def _report_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, written without
+    json's indenting encoder, which is pure Python.  ``pad`` is a newline and
+    the indentation of ``value``'s line.  A dict key that is not a str (the
+    C string encoder refuses it), and a value that is not a dict, list,
+    tuple, str, int, float, bool or None, raise ``TypeError``; a subclass of
+    str, int or float is written as json writes it, by its base's rule."""
+    leaf = _leaf(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = pad + "  "
+    # A leaf item is written in place, not by a call: a call per item made
+    # the stats report ~20% slower.
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            text(item) if (text := _leaf(type(item))) else _report_text(item, inner)
+            for item in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            f"{_encode(key)}: "
+            f"{text(item) if (text := _leaf(type(item))) else _report_text(item, inner)}"
+            for key, item in value.items()]) + pad + "}"
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _LEAF_TEXT[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_output(payload, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", output)
+    _emit(_report_text(payload) + "\n", output)
 
 
 def _write_jsonl(rows, output: str | None) -> None:

@@ -1121,6 +1121,32 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert "Exception ignored" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["validate", "replay"])
+    def test_stdout_that_cannot_encode_the_report_exits_two(
+            self, tmp_path, records, monkeypatch, command):
+        """A report that stdout's encoding cannot represent (a non-ASCII
+        file or player name under ``PYTHONIOENCODING=ascii``) is a result
+        that cannot be written to stdout: exit 2, not a traceback."""
+        objs = [rally_to_json(r) for r in records[:5]]
+        old = records[0].match_info.player_1.name
+        for obj in objs:
+            obj["match_info"]["player_1"]["name"] = "Zoë Ñandú"
+            board = obj["scoreboard"]
+            board["Zoë Ñandú"] = board.pop(old)
+            if board["server"] == old:
+                board["server"] = "Zoë Ñandú"
+        path = tmp_path / "Ñ.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        argv = [command, "--input", str(path)]
+        if command == "replay":
+            argv += ["--client", "mock", "--no-timing"]
+        result = _run_cli(argv, stdout=subprocess.PIPE)
+        assert result.returncode == 2, result.stderr
+        assert "configuration error: cannot write stdout: 'ascii' codec" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_named_pipe_output_gets_the_whole_report(self, tmp_path, dataset_file):
         """A named pipe is not opened by the claim, whose close would end the
