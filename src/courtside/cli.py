@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .evaluation import (
@@ -33,15 +33,15 @@ from .evaluation import (
     parse_scorecard,
     score_pairs,
 )
+from .match_model import field_values
 from .memory import LongTermMemory, consolidate
 from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
                        read_lines, replay_match)
 from .prompt_engine import (GenerationRequest, claim_file, generate,
                             serialize_metadata)
-from .segmentation import (FlagCountMismatch, ImpactEvent, SegmentationParams,
-                           cluster_impacts, filter_intervals)
-from .simulate import simulate_match
 from .event_stream import json_number, rally_to_json, valid_unicode
+# segmentation and simulate are imported inside the commands that run them
+# (segment, simulate), so that no other command compiles them at start-up.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -236,7 +236,8 @@ def _pair(obj: dict) -> dict:
     return obj
 
 
-def _impact(obj: dict) -> ImpactEvent:
+def _impact(obj: dict):
+    from .segmentation import ImpactEvent
     try:
         return ImpactEvent(timestamp=json_number(obj["t"]),
                            confidence=json_number(obj["conf"]))
@@ -271,7 +272,7 @@ def cmd_evaluate(args) -> int:
     per_clip = []
     scorecards = []
     for (line_no, obj), score in zip(pairs, scores):
-        row = {"clip_id": obj["clip_id"], **asdict(score)}
+        row = {"clip_id": obj["clip_id"], **field_values(score)}
         if judge is not None:
             metadata = obj.get("metadata") or metadata_by_clip.get(obj["clip_id"])
             if metadata:
@@ -294,6 +295,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    from .segmentation import (FlagCountMismatch, SegmentationParams,
+                               cluster_impacts, filter_intervals)
     try:
         params = SegmentationParams(**_overrides(args, SegmentationParams))
     except ValueError as exc:
@@ -313,6 +316,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import simulate_match
     config = _build_config(args)
     records = simulate_match(seed=args.seed, config=config.scoring,
                              min_points=args.min_points)

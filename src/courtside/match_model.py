@@ -99,6 +99,14 @@ def frozen(cls):
     return cls
 
 
+def field_values(value) -> dict:
+    """The fields of the dataclass instance ``value`` by name, in declaration
+    order: ``dataclasses.asdict(value)`` when every field is a JSON atom,
+    without the deep copy that ``asdict`` makes of each one (a nested value
+    is returned as it is, not converted)."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
 def _field_tuple(names):
     """The function from a value to the tuple of its fields ``names``."""
     if len(names) > 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, field, fields
+from dataclasses import field, fields
 from pathlib import Path
 
 from .evaluation import corpus_metrics, CorpusTooSmall, sanity_check
@@ -22,7 +22,7 @@ from .event_stream import (
     rally_from_json,
     validate_rally,
 )
-from .match_model import ScoringConfig, frozen, validate_scoreboard
+from .match_model import ScoringConfig, field_values, frozen, validate_scoreboard
 from .memory import DEFAULT_WINDOW, MatchMemory, MemoryEntry
 from .prompt_engine import (
     BudgetExceeded,
@@ -60,9 +60,10 @@ class PipelineConfig:
             raise ConfigError("token cap must be an integer > 0")
         if self.client not in CLIENT_KINDS:
             raise ConfigError(f"client must be one of {CLIENT_KINDS}")
-        if self.log_requests is not None and type(self.log_requests) is not str:
-            raise ConfigError(f"log_requests must be a file path string, "
-                              f"got {self.log_requests!r}")
+        if self.log_requests is not None and (type(self.log_requests) is not str
+                                              or not self.log_requests):
+            raise ConfigError(f"log_requests must be a non-empty file path "
+                              f"string, got {self.log_requests!r}")
         if self.log_requests and self.client != "http":
             raise ConfigError("log_requests needs the http client; "
                               "the mock client sends no requests")
@@ -95,7 +96,7 @@ class PipelineConfig:
 
     def summary(self) -> dict:
         return {
-            "scoring": asdict(self.scoring),
+            "scoring": field_values(self.scoring),
             "memory_window": self.memory_window,
             "token_cap": self.token_cap,
             "client": self.client,
@@ -202,8 +203,7 @@ class RallyRunRecord:
     client_ms: float
 
     def as_dict(self, include_timing: bool = True) -> dict:
-        # every field is a JSON atom, so asdict's recursive copy is not needed
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = field_values(self)
         if not include_timing:
             del out["engine_ms"], out["client_ms"]
         return out

@@ -97,3 +97,59 @@ def test_cold_start_loads_neither_numpy_nor_requests(tmp_path):
     assert result["codes"] == [0, 0, 0]
     assert result["heavy"] == []
     assert result["numpy_after_geometry"]
+
+
+# Runs cli.main once in a fresh interpreter and lists the courtside modules
+# that were loaded.
+COMMAND_MODULES = textwrap.dedent("""
+    import json, sys
+    from courtside import cli
+
+    code = cli.main(sys.argv[1:])
+    print(json.dumps({"code": code, "modules": sorted(
+        n for n in sys.modules if n.startswith("courtside."))}))
+""")
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    from courtside.event_stream import rally_to_json
+    from courtside.simulate import simulate_match
+
+    work = tmp_path_factory.mktemp("commands")
+    records = simulate_match(seed=7)[:12]
+    (work / "m.jsonl").write_text("".join(
+        json.dumps(rally_to_json(r)) + "\n" for r in records), encoding="utf-8")
+    (work / "pairs.jsonl").write_text("".join(json.dumps({
+        "clip_id": r.clip_id, "prediction": "a deep forehand winner",
+        "reference": r.commentary}) + "\n" for r in records[:3]), encoding="utf-8")
+    (work / "impacts.jsonl").write_text(
+        '{"t": 1.0, "conf": 0.9}\n{"t": 1.5, "conf": 0.9}\n', encoding="utf-8")
+    return work
+
+
+@pytest.mark.parametrize("argv", [
+    "validate --input m.jsonl",
+    "replay --input m.jsonl --client mock --no-timing",
+    "stats --input m.jsonl",
+    "evaluate --input pairs.jsonl --judge mock --dataset m.jsonl",
+    "segment --input impacts.jsonl",
+    "simulate --seed 7",
+], ids=lambda argv: argv.split()[0])
+def test_command_loads_only_its_own_modules(command_inputs, argv):
+    """segmentation loads for segment only, simulate for simulate only, and
+    court_geometry (numpy) for no command."""
+    command = argv.split()[0]
+    argv = [str(command_inputs / arg) if arg.endswith(".jsonl") else arg
+            for arg in argv.split()]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", COMMAND_MODULES, *argv, "--output",
+         str(command_inputs / f"{command}.out")],
+        env=env, check=True, capture_output=True, text=True, timeout=120).stdout
+    result = json.loads(out)
+    assert result["code"] == 0
+    modules = set(result["modules"])
+    assert ("courtside.segmentation" in modules) == (command == "segment")
+    assert ("courtside.simulate" in modules) == (command == "simulate")
+    assert "courtside.court_geometry" not in modules

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from courtside import cli, event_stream
+from courtside import cli, event_stream, segmentation, simulate
 from courtside.cli import main
 from courtside.event_stream import rally_to_json
 from courtside.match_model import ScoringConfig, is_terminal, advance_point
@@ -492,6 +492,16 @@ class TestConfig:
                      "--log-requests", log]) == 2
         assert "log_requests" in capsys.readouterr().err
 
+    def test_empty_request_log_refused_unless_given_as_an_option(
+            self, dataset_file, capsys):
+        for client in ("mock", "http"):
+            with pytest.raises(ConfigError, match="non-empty"):
+                PipelineConfig(client=client, log_requests="")
+        # an option given as "" is an option not given
+        assert main(["replay", "--input", str(dataset_file), "--no-timing",
+                     "--log-requests", ""]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 0
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
@@ -530,6 +540,9 @@ class TestConfig:
         ({"memory_window": True}, "memory window"),
         ({"token_cap": 1e9}, "token cap"),
         ({"client": "http", "log_requests": 5}, "log_requests"),
+        # an empty path names no file, with either client
+        ({"log_requests": ""}, "log_requests"),
+        ({"client": "http", "log_requests": ""}, "log_requests"),
     ])
     def test_non_integer_value_exits_two(self, tmp_path, capsys, config,
                                          message):
@@ -1051,7 +1064,10 @@ class TestCli:
         def fail(*args, **kwargs):
             raise AssertionError(f"{work} called before the output check")
 
-        monkeypatch.setattr(cli, work, fail)
+        # segment and simulate import their module's function when they run
+        module = {"cluster_impacts": segmentation,
+                  "simulate_match": simulate}.get(work, cli)
+        monkeypatch.setattr(module, work, fail)
         pairs, impacts = tmp_path / "pairs.jsonl", tmp_path / "impacts.jsonl"
         pairs.write_text('{"clip_id": "a", "prediction": "p", "reference": "r"}\n',
                          encoding="utf-8")

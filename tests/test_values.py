@@ -16,21 +16,23 @@ import pkgutil
 import re
 import sys
 import textwrap
-from dataclasses import (MISSING, FrozenInstanceError, InitVar, dataclass,
-                         field, fields, is_dataclass, replace)
+from dataclasses import (MISSING, FrozenInstanceError, InitVar, asdict,
+                         dataclass, field, fields, is_dataclass, replace)
 from pathlib import Path
 from typing import ClassVar, Optional
 
 import pytest
+from hypothesis import given, strategies as st
 
 import courtside
+import oracles
 from courtside.court_geometry import (CourtModel, Homography, PixelPoint,
                                       project)
-from courtside.evaluation import (MetricReport, parse_scorecard, sanity_check,
-                                  score_pairs)
-from courtside.match_model import frozen
+from courtside.evaluation import (MetricReport, PairScore, parse_scorecard,
+                                  sanity_check, score_pairs)
+from courtside.match_model import field_values, frozen
 from courtside.memory import MatchMemory, MemoryEntry
-from courtside.pipeline import PipelineConfig, replay_match
+from courtside.pipeline import PipelineConfig, RallyRunRecord, replay_match
 from courtside.prompt_engine import (GenerationRequest, MockCommentaryClient,
                                      build_commentary_prompt, generate)
 from courtside.segmentation import (ImpactEvent, SegmentationParams,
@@ -282,3 +284,22 @@ def test_no_value_type_is_declared_with_stock_frozen_dataclass():
     offenders = [path.name for path in sorted(SRC.glob("*.py"))
                  if stock.search(path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+_TEXTS = st.text(max_size=12)
+_FLOATS = st.floats(allow_nan=False)
+_RECORD_VALUES = st.one_of(
+    oracles.SCORING_CONFIGS,
+    st.builds(PairScore, _FLOATS, _FLOATS, st.none() | _FLOATS),
+    st.builds(RallyRunRecord, st.integers(0, 10**6), _TEXTS, st.integers(0, 10**5),
+              st.integers(0, 10**5), st.none() | _TEXTS, st.none() | st.booleans(),
+              st.booleans(), st.none() | _TEXTS, _FLOATS, _FLOATS))
+
+
+@given(_RECORD_VALUES)
+def test_field_values_is_asdict_without_the_copy(value):
+    """The report blocks built from field values have asdict's keys, in its
+    order, and hold the fields themselves."""
+    values = field_values(value)
+    assert list(values.items()) == list(asdict(value).items())
+    assert all(values[f.name] is getattr(value, f.name) for f in fields(value))
