@@ -330,10 +330,19 @@ _ATTRIBUTION_TERMS = {
     "unforced error": "loser",
     "winner": "winner",
 }
-_ATTRIBUTION_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, _ATTRIBUTION_TERMS)) + r")\b")
-_TAXONOMY_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, DEFAULT_SHOT_TAXONOMY)) + r")\b")
 
-_fold_surname = functools.lru_cache(maxsize=256)(_fold)  # names recur on every rally
+_term_search = functools.lru_cache(maxsize=16)(  # called with the two term tables only
+    lambda term: re.compile(rf"\b{re.escape(term)}\b").search)
+
+
+@functools.lru_cache(maxsize=256)  # names recur on every rally
+def _surname(name: str):  # folded, and its whole-token search: None if never a token
+    s = _fold(name)
+    return s, _WORD_RE.fullmatch(s) and re.compile(rf"(?<![\w'-]){re.escape(s)}(?![\w'-])").search
+
+
+def _whole_words(terms, text: str) -> list[str]:  # each searched from where it first occurs
+    return [t for t in terms if (i := text.find(t)) >= 0 and _term_search(t)(text, i)]
 
 
 def _shows_pair(a: str, b: str, states) -> bool:
@@ -357,37 +366,37 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
     taxonomy shot term absent from the rally. The terms of (a) and (c) come
     only from ``_ATTRIBUTION_TERMS`` and ``DEFAULT_SHOT_TAXONOMY``, and
     violations follow their table order. Unparsable text is ignored; an empty
-    tuple means it passed.  Each scan is skipped only where its own match
-    could not occur, so the guards are exact: a term, surname token or word
-    token of a sentence or of the text is a substring of it, and a sentence
-    folds to a substring of the folded text (it ends at whitespace).
+    tuple means it passed.  Each term's own ``\\bterm\\b`` search finds it as
+    one scan for all of a table's terms would: terms are words joined by single
+    spaces, and none begins with a word another ends with.  A surname names a
+    player where no ``[\\w'-]`` character is on either side, as a ``[\\w'-]+``
+    token.  A search is skipped only where its match cannot occur, so the
+    guards are exact: a term or token of a sentence or of the text is a
+    substring of it, and a sentence folds to a substring of the folded text.
     """
     violations: list[SanityViolation] = []
     info = rally.match_info
     folded_text = _fold(commentary)
-    surname = {pid: _fold_surname(info.player(pid).surname) for pid in PLAYER_IDS}
+    surname = {pid: _surname(info.player(pid).surname) for pid in PLAYER_IDS}
 
     winner_id, loser_id = rally.outcome.point_winner, rally.outcome.point_loser
-    sentences = (_SENTENCE_SPLIT_RE.split(commentary)
-                 if _ATTRIBUTION_RE.search(folded_text) else ())
-    for sentence in sentences:
+    found = _whole_words(_ATTRIBUTION_TERMS, folded_text)
+    for sentence in _SENTENCE_SPLIT_RE.split(commentary) if found else ():
         folded = _fold(sentence)
-        present = [(pid, s) for pid, s in surname.items() if s in folded]
-        terms = present and set(_ATTRIBUTION_RE.findall(folded))
+        present = [(pid, search) for pid, (s, search) in surname.items() if s in folded]
+        terms = present and _whole_words(found, folded)
         if not terms:
             continue
-        tokens = set(_WORD_RE.findall(folded))
-        named = [pid for pid, s in present if s in tokens]
+        named = [pid for pid, search in present if search and search(folded)]
         if len(named) != 1:
             continue
-        for term, actor in _ATTRIBUTION_TERMS.items():
-            if term in terms:
-                expected = winner_id if actor == "winner" else loser_id
-                if named[0] != expected:
-                    violations.append(SanityViolation(
-                        "player_name",
-                        f"{info.name_of(named[0])!r} named as the actor of "
-                        f"{term!r}, expected {info.name_of(expected)!r}"))
+        for term in terms:
+            expected = winner_id if _ATTRIBUTION_TERMS[term] == "winner" else loser_id
+            if named[0] != expected:
+                violations.append(SanityViolation(
+                    "player_name",
+                    f"{info.name_of(named[0])!r} named as the actor of "
+                    f"{term!r}, expected {info.name_of(expected)!r}"))
 
     initial = rally.initial_score
     states = (initial,) if is_terminal(initial) else (initial, rally.final_score)
@@ -406,13 +415,12 @@ def sanity_check(commentary: str, rally: RallyRecord) -> tuple[SanityViolation, 
             violations.append(SanityViolation(
                 "score_mention", "mentions advantage but nobody holds AD"))
 
-    if any(term in folded_text for term in DEFAULT_SHOT_TAXONOMY):
-        mentioned = set(_TAXONOMY_RE.findall(folded_text)).difference(
-            *((shot.stroke, shot.technique) for shot in rally.shots))
-        for term in DEFAULT_SHOT_TAXONOMY:
-            if term in mentioned:
-                violations.append(SanityViolation(
-                    "shot_term", f"mentions {term!r} which never occurs in the rally"))
+    mentioned = [term for term in DEFAULT_SHOT_TAXONOMY if term in folded_text]
+    if mentioned:
+        shown = set().union(*((shot.stroke, shot.technique) for shot in rally.shots))
+        for term in _whole_words([t for t in mentioned if t not in shown], folded_text):
+            violations.append(SanityViolation(
+                "shot_term", f"mentions {term!r} which never occurs in the rally"))
 
     return tuple(violations)
 
@@ -564,7 +572,7 @@ class MockJudgeClient:
         accuracy = round(overlap * CRITERION_MAX)
         coherence = min(CRITERION_MAX, 10 + len(tokenize(prediction)) // 8)
         excitement = 12 if any(c in prediction for c in "!—") else 10
-        terms = set(_TAXONOMY_RE.findall(prediction.lower()))
+        terms = _whole_words(DEFAULT_SHOT_TAXONOMY, prediction.lower())
         professionalism = min(CRITERION_MAX, 6 + 2 * len(terms))
         word_count = len(prediction.split())
         pacing = CRITERION_MAX - min(CRITERION_MAX, abs(word_count - 25) // 2)

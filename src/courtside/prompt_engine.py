@@ -11,6 +11,7 @@ context size stays constant as a match progresses.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -122,6 +123,11 @@ class PersonaConfig:
             raise ValueError("persona word counts must be ints with "
                              f"1 <= min_words <= max_words, got "
                              f"{self.min_words!r} and {self.max_words!r}")
+
+    @functools.cached_property
+    def instruction(self) -> str:  # rendered once per persona
+        return USER_INSTRUCTION_TEMPLATE.format(min_words=self.min_words,
+                                                max_words=self.max_words)
 
 
 @frozen
@@ -334,13 +340,31 @@ _COUNT_LABELS = tuple(f"{name:<26}" for name in COUNT_FIELDS)
 _RATIO_LABELS = tuple(f"{name:<26}" for name in RATIO_FIELDS)
 
 
+class _CountCells(dict):
+    """``str(x).rjust(width)`` of the counts met so far at one table width:
+    each is written on its first use, and at most 1,024 are kept."""
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def __missing__(self, x) -> str:
+        cell = str(x).rjust(self.width)
+        if type(x) is int and len(self) < 1024:  # a bool or float would equal an int key
+            self[x] = cell
+        return cell
+
+
+_count_cells = functools.lru_cache(maxsize=16)(_CountCells)  # one per table width met
+
+
 def _stats_table(lines: tuple[PlayerStatLine, PlayerStatLine],
                  names: tuple[str, str]) -> str:
     width = max(len(names[0]), len(names[1]), 10) + 2
     a, b = lines
+    cells = _count_cells(width)  # the counts are ints, as consolidated
     rows = [_STATISTIC_LABEL + names[0].rjust(width) + names[1].rjust(width)]
     for label, x, y in zip(_COUNT_LABELS, a, b):
-        rows.append(label + str(x).rjust(width) + str(y).rjust(width))
+        rows.append(label + cells[x] + cells[y])
     for label, x, y in zip(_RATIO_LABELS, ratios(a), ratios(b)):
         rows.append(label + _pct(x).rjust(width) + _pct(y).rjust(width))
     return "\n".join(rows)
@@ -376,10 +400,8 @@ def build_commentary_prompt(rally: RallyRecord, view: ContextView,
     """
     persona = persona or PersonaConfig()
     info = rally.match_info
-    instruction = USER_INSTRUCTION_TEMPLATE.format(
-        min_words=persona.min_words, max_words=persona.max_words)
     user_text = "\n\n".join([
-        instruction,
+        persona.instruction,
         f"{_METADATA_MARKER}\n{serialize_metadata(rally)}",
         f"{_CONTEXT_MARKER}\n"
         f"{serialize_memory(view, (info.player_1.name, info.player_2.name))}",

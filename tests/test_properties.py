@@ -44,7 +44,7 @@ from courtside.match_model import (LAYOUT_WIMBLEDON, LAYOUTS, PLAYER_IDS,
                                    advance_point, is_break_point, is_terminal,
                                    parse_scoreboard, render_scoreboard,
                                    synthesize_completed_sets)
-from courtside.memory import MatchMemory, MemoryEntry
+from courtside.memory import ContextView, MatchMemory, MemoryEntry, PlayerStatLine
 from courtside import pipeline
 from courtside.cli import main
 from courtside.pipeline import PipelineConfig, load_dataset
@@ -110,6 +110,55 @@ def test_sanity_check_never_raises(text, rally):
     assert isinstance(report, tuple)
     assert all(isinstance(v, SanityViolation) for v in report)
     assert report == oracles.sanity_check(text, rally)
+
+
+# Surnames that a simulated match never holds: apostrophes, hyphens, dots,
+# underscores, digits, letters whose fold changes their length, a combining
+# accent, and runs of those alone.
+ODD_SURNAME_PARTS = ["O", "Ji", "Auger", "Nishi", "Stra", "İnce", "Le", ""]
+ODD_SURNAME_MARKS = ["'", "’", "-", ".", "_", "7", "ß", "İ", "́"]
+ODD_SURNAMES = st.one_of(
+    st.builds(lambda a, mark, b: a + mark + b, st.sampled_from(ODD_SURNAME_PARTS),
+              st.sampled_from(ODD_SURNAME_MARKS),
+              st.sampled_from(["Neil", "Brien", "Aliassime", "kori", "uss", ""])),
+    st.text(st.sampled_from(ODD_SURNAME_MARKS + ["a", "Z"]), min_size=1, max_size=5),
+).filter(lambda s: s.strip())
+
+
+def _renamed(rally, surname_1: str, surname_2: str):
+    info = rally.match_info
+    return replace(rally, match_info=replace(
+        info, player_1=replace(info.player_1, name=f"Ann {surname_1}"),
+        player_2=replace(info.player_2, name=f"Tom {surname_2}")))
+
+
+@st.composite
+def renamed_cases(draw):
+    """A rally whose players carry drawn surnames, and a text of the usual
+    fragments mixed with those surnames in several cases."""
+    surnames = draw(st.tuples(ODD_SURNAMES, ODD_SURNAMES))
+    rally = _renamed(draw(st.sampled_from(RECORDS) | st.sampled_from(BOARDS)), *surnames)
+    cased = [case(s) for s in surnames
+             for case in (str, str.upper, str.lower, str.title, str.casefold,
+                          "{}'s".format, "O'{}".format, "{}-Smith".format, "O’{}".format)]
+    words = draw(st.lists(st.one_of(FRAGMENTS, st.sampled_from(cased), st.text(max_size=4)),
+                          max_size=14))
+    return " ".join(words), rally
+
+
+@settings(deadline=None, max_examples=200)
+@given(renamed_cases())
+@example(("O'Neil hits an ace. O’Brien's double fault. A winner for O’BRIEN, "
+          "then an unforced error from o'neil!", _renamed(LOST_BY_KOVAR, "O'Neil", "O’Brien")))
+@example(("- serves an ace. A double fault from Kovar -. Winner: - - winner.",
+          _renamed(LOST_BY_KOVAR, "-", "Kovar")))
+# a surname inside a longer token names nobody: an apostrophe or a hyphen
+# is part of the token
+@example(("O'Neil hits an ace. O'Brien hits an ace. Neil-Smith hits an ace. "
+          "Brien-Smith hits an ace.", _renamed(LOST_BY_KOVAR, "Neil", "Brien")))
+def test_sanity_check_equals_oracle_for_drawn_surnames(case):
+    text, rally = case
+    assert sanity_check(text, rally) == oracles.sanity_check(text, rally)
 
 
 # Shot terms in case variants, with an accent, inside "serve-and-volley" and
@@ -425,16 +474,19 @@ def metadata_rallies(draw):
     name_1, name_2 = draw(st.tuples(JSON_TEXT, JSON_TEXT).filter(
         lambda names: names[0].strip() and names[1].strip()
         and names[0] != names[1]))
-    shots = tuple(replace(shot, hitter_position=draw(POSITION),
-                          ball_position=draw(POSITION)) for shot in rally.shots)
+    hands = draw(st.tuples(*[st.sampled_from(("left", "right"))] * 2))
+    # a technique is free text: some shots carry one that json must escape
+    shots = tuple(replace(shot, hitter_position=draw(POSITION), ball_position=draw(POSITION),
+                          technique=draw(JSON_TEXT | st.just(shot.technique)))
+                  for shot in rally.shots)
     bounces = draw(st.lists(st.builds(
         BounceEvent, timestamp=st.floats(), court_half=st.sampled_from(("near", "far")),
         position=POSITION), max_size=3))
     return replace(
         rally, clip_id=draw(JSON_TEXT), transcript=draw(JSON_TEXT),
         match_info=replace(info, tournament=draw(JSON_TEXT),
-                           player_1=replace(info.player_1, name=name_1),
-                           player_2=replace(info.player_2, name=name_2)),
+                           player_1=replace(info.player_1, name=name_1, handedness=hands[0]),
+                           player_2=replace(info.player_2, name=name_2, handedness=hands[1])),
         shots=shots if draw(st.integers(0, 9)) else (), bounces=tuple(bounces))
 
 
@@ -443,6 +495,28 @@ def metadata_rallies(draw):
 def test_serialize_metadata_equals_json_dumps_of_oracle(rally):
     assert serialize_metadata(rally) == json.dumps(
         oracles.metadata_object(rally), indent=2, ensure_ascii=False)
+
+
+def test_shot_description_follows_the_hitters_handedness():
+    """Two rallies equal but for one player's handedness: the second is not
+    given the first one's descriptions of that player's ground strokes."""
+    rally = next(r for r in RECORDS
+                 if any(s.stroke != "serve" and s.hitter == "player_1" for s in r.shots))
+    info = rally.match_info
+    flipped = {"left": "right", "right": "left"}[info.player_1.handedness]
+    other = replace(rally, match_info=replace(
+        info, player_1=replace(info.player_1, handedness=flipped)))
+    texts = [serialize_metadata(r) for r in (rally, other, rally)]
+    assert texts[0] == texts[2]
+    for r, text in zip((rally, other), texts):
+        assert text == json.dumps(oracles.metadata_object(r), indent=2, ensure_ascii=False)
+    descriptions = [[entry["shot_description"] for entry in json.loads(text)["rally"]]
+                    for text in texts[:2]]
+    changed = [i for i, shot in enumerate(rally.shots)
+               if shot.stroke != "serve" and shot.hitter == "player_1"]
+    assert changed and all(descriptions[0][i] != descriptions[1][i] for i in changed)
+    assert all(descriptions[0][i] == descriptions[1][i]
+               for i in range(len(rally.shots)) if i not in changed)
 
 
 COMMENTARY = st.none() | JSON_TEXT
@@ -483,6 +557,43 @@ def test_serialize_memory_equals_oracle(window):
         view = memory.snapshot()
         assert serialize_memory(view, names) == oracles.memory_text(
             recent, view.stat_lines, first, names)
+
+
+# Small counts that recur, large ones that seldom do, negative ones, and names
+# of 0-40 characters, so that tables of several widths alternate.
+TABLE_COUNTS = st.integers(0, 40) | st.integers(0, 10**6) | st.integers(-3, -1)
+TABLE_NAMES = st.tuples(st.text(max_size=40), st.text(max_size=40))
+
+
+@st.composite
+def hand_built_tables(draw):
+    """A few statistic tables, as (stat lines, names): the first one's names
+    come back after a table that is at least as wide."""
+    def lines():
+        counts = draw(st.lists(TABLE_COUNTS, min_size=32, max_size=32))
+        return PlayerStatLine._make(counts[:16]), PlayerStatLine._make(counts[16:])
+    names = draw(TABLE_NAMES)
+    wider = draw(TABLE_NAMES.filter(lambda n: max(map(len, n)) >= max(map(len, names))))
+    tables = [(lines(), names), (lines(), wider), (lines(), names)]
+    return tables + [(lines(), draw(TABLE_NAMES)) for _ in range(draw(st.integers(0, 2)))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(hand_built_tables(), st.integers(0, 10**6))
+# the same counts at a wide and then at a narrow width
+@example([((PlayerStatLine._make([0] * 16), PlayerStatLine._make(range(16))), ("", "x" * 40)),
+          ((PlayerStatLine._make([0] * 16), PlayerStatLine._make(range(16))), ("a", "b"))],
+         3)
+# a ratio of -0.0 (no first serve in of -1 serve points), one of 0.0, then -0.0 again
+@example([((PlayerStatLine._make([0, 0, 0, -1] + [0] * 12),) * 2, ("a", "b")),
+          ((PlayerStatLine._make([0, 0, 0, 5] + [0] * 12),) * 2, ("a", "b")),
+          ((PlayerStatLine._make([0, 0, 0, -1] + [0] * 12),) * 2, ("a", "b"))], 0)
+def test_serialize_memory_of_hand_built_views_equals_oracle(tables, consolidated):
+    for stat_lines, names in tables:
+        view = ContextView(recent=(), stat_lines=stat_lines,
+                           rallies_consolidated=consolidated)
+        assert serialize_memory(view, names) == oracles.memory_text(
+            [], stat_lines, consolidated, names)
 
 
 def _paths(value, path=()):
