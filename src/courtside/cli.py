@@ -39,7 +39,8 @@ from .pipeline import (CLIENT_KINDS, ConfigError, PipelineConfig, load_dataset,
                        read_lines, replay_match)
 from .prompt_engine import (GenerationRequest, claim_file, generate,
                             serialize_metadata)
-from .event_stream import json_number, rally_to_json, valid_unicode
+from .event_stream import (json_float, json_number, json_string, rally_to_json,
+                           valid_unicode)
 # segmentation and simulate are imported inside the commands that run them
 # (segment, simulate), so that no other command compiles them at start-up.
 
@@ -81,18 +82,8 @@ def _claim_files(args) -> None:
             raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-_encode = json.encoder.encode_basestring  # the C encoder json.dumps uses for str
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
 # A leaf's JSON text by its exact type; bool is looked up apart from int.
-_LEAF_TEXT = {str: _encode, int: int.__repr__, float: _float_text,
+_LEAF_TEXT = {str: json_string, int: int.__repr__, float: json_float,
               bool: {True: "true", False: "false"}.__getitem__,
               type(None): {None: "null"}.__getitem__}
 _leaf = _LEAF_TEXT.get
@@ -121,7 +112,7 @@ def _report_text(value, pad: str = "\n") -> str:
         if not value:
             return "{}"
         return "{" + inner + ("," + inner).join([
-            f"{_encode(key)}: "
+            f"{json_string(key)}: "
             f"{text(item) if (text := _leaf(type(item))) else _report_text(item, inner)}"
             for key, item in value.items()]) + pad + "}"
     for base in (str, int, float):

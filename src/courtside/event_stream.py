@@ -9,6 +9,7 @@ with the normalized edit-distance metric.
 
 from __future__ import annotations
 
+import json
 import math
 from functools import cached_property
 
@@ -493,6 +494,18 @@ def json_number(value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
     return number
+
+
+json_string = json.encoder.encode_basestring  # the C encoder json.dumps uses for str
+
+
+def json_float(x: float) -> str:
+    """A number as json writes it: its repr, or NaN, Infinity, -Infinity.  A
+    float subclass is written by float's rule, not by its own ``__repr__``;
+    an int (a timestamp or position built in code) by its repr."""
+    if math.isfinite(x):
+        return float.__repr__(x) if isinstance(x, float) else repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 def _pair(value) -> tuple[float, float]:

@@ -21,7 +21,8 @@ from dataclasses import field
 from pathlib import Path
 
 from .event_stream import (COUNT_FIELDS, RallyRecord, SchemaViolation, ShotEvent,
-                           rally_from_json, score_cell, valid_unicode)
+                           json_float, json_string, rally_from_json, score_cell,
+                           valid_unicode)
 from .match_model import (
     PLAYER_1,
     PLAYER_2,
@@ -178,25 +179,15 @@ def _parse_shot_description(desc: str) -> dict:
     raise SchemaViolation(f"unparsable shot description: {desc!r}")
 
 
-_encode = json.encoder.encode_basestring  # the C encoder json.dumps uses for str
-
-
-def _number(x: float) -> str:
-    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
-    if math.isfinite(x):
-        return repr(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
 def _pair(pos: tuple[float, float]) -> str:
     x, y = pos
-    return f"[\n        {_number(x)},\n        {_number(y)}\n      ]"
+    return f"[\n        {json_float(x)},\n        {json_float(y)}\n      ]"
 
 
 def _cell(value) -> str:
     """A point cell as JSON text: the dataset's :func:`score_cell`, written."""
     cell = score_cell(value)
-    return repr(cell) if type(cell) is int else _encode(cell)
+    return repr(cell) if type(cell) is int else json_string(cell)
 
 
 def serialize_metadata(rally: RallyRecord) -> str:
@@ -216,20 +207,20 @@ def serialize_metadata(rally: RallyRecord) -> str:
     score = rally.initial_score
     outcome = rally.outcome
     p1, p2 = info.player_1, info.player_2
-    n1, n2 = _encode(p1.name), _encode(p2.name)
+    n1, n2 = json_string(p1.name), json_string(p2.name)
     names = {PLAYER_1: n1, PLAYER_2: n2}
     s1, s2 = score.sets_won()
     g1, g2 = score.games
     parts = [
-        f'{{\n  "clip_id": {_encode(rally.clip_id)},\n'
+        f'{{\n  "clip_id": {json_string(rally.clip_id)},\n'
         f'  "match_info": {{\n'
-        f'    "tournament": {_encode(info.tournament)},\n'
-        f'    "round": {_encode(info.round)},\n'
-        f'    "surface": {_encode(info.surface)},\n'
+        f'    "tournament": {json_string(info.tournament)},\n'
+        f'    "round": {json_string(info.round)},\n'
+        f'    "surface": {json_string(info.surface)},\n'
         f'    "player_1": {{\n      "name": {n1},\n'
-        f'      "handedness": {_encode(p1.handedness)}\n    }},\n'
+        f'      "handedness": {json_string(p1.handedness)}\n    }},\n'
         f'    "player_2": {{\n      "name": {n2},\n'
-        f'      "handedness": {_encode(p2.handedness)}\n    }}\n  }},\n'
+        f'      "handedness": {json_string(p2.handedness)}\n    }}\n  }},\n'
         f'  "score_state (initial)": {{\n'
         f'    "server": {names[score.server]},\n'
         f'    "returner": {names[score.returner]},\n'
@@ -248,8 +239,8 @@ def serialize_metadata(rally: RallyRecord) -> str:
         parts.append(
             f'{sep}\n      "shot_index": {shot.index!r},\n'
             f'      "hitter": {names[shot.hitter]},\n'
-            f'      "shot_description": {_encode(describe_shot(shot, hitter))},\n'
-            f'      "timestamp": {_number(shot.timestamp)}')
+            f'      "shot_description": {json_string(describe_shot(shot, hitter))},\n'
+            f'      "timestamp": {json_float(shot.timestamp)}')
         if shot.hitter_position is not None:
             parts.append(f',\n      "hitter_position": {_pair(shot.hitter_position)}')
         if shot.ball_position is not None:
@@ -261,13 +252,13 @@ def serialize_metadata(rally: RallyRecord) -> str:
         f',\n  "outcome": {{\n'
         f'    "point_winner": {names[outcome.point_winner]},\n'
         f'    "point_loser": {names[outcome.point_loser]},\n'
-        f'    "reason": {_encode(outcome.reason)}\n  }},\n'
-        f'  "audio_transcription (background context)": {_encode(rally.transcript)}')
+        f'    "reason": {json_string(outcome.reason)}\n  }},\n'
+        f'  "audio_transcription (background context)": {json_string(rally.transcript)}')
     if rally.bounces:
         sep = ',\n  "bounces": [\n    {'
         for bounce in rally.bounces:
-            parts.append(f'{sep}\n      "timestamp": {_number(bounce.timestamp)},\n'
-                         f'      "court_half": {_encode(bounce.court_half)}')
+            parts.append(f'{sep}\n      "timestamp": {json_float(bounce.timestamp)},\n'
+                         f'      "court_half": {json_string(bounce.court_half)}')
             if bounce.position is not None:
                 parts.append(f',\n      "position": {_pair(bounce.position)}')
             parts.append("\n    }")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from courtside.court_geometry import (
     COURT_LENGTH,
@@ -43,14 +44,14 @@ class TestEstimate:
     def test_identity_from_equal_pairs(self):
         pairs = [(PixelPoint(x, y), CourtPoint(x, y))
                  for x, y in [(0, 0), (10, 0), (0, 20), (10, 20)]]
-        h = estimate_homography(pairs).as_array()
+        h = np.array(estimate_homography(pairs).matrix)
         expected = np.eye(3) / np.sqrt(3.0)
         assert np.allclose(h, expected, atol=1e-9)
 
     def test_translation_recovered(self):
         pairs = [(PixelPoint(x, y), CourtPoint(x + 2, y + 3))
                  for x, y in [(0, 0), (8, 1), (2, 9), (7, 7)]]
-        h = estimate_homography(pairs).as_array()
+        h = np.array(estimate_homography(pairs).matrix)
         expected = np.array([[1, 0, 2], [0, 1, 3], [0, 0, 1]], dtype=float)
         expected /= np.linalg.norm(expected)
         assert np.allclose(h, expected, atol=1e-9)
@@ -96,7 +97,7 @@ class TestEstimate:
         # scaling the homogeneous representation of H must not move outputs
         rng = np.random.default_rng(3)
         h = random_homography(rng)
-        scaled = Homography.from_array(h.as_array() * 17.0)
+        scaled = Homography.from_array(np.array(h.matrix) * 17.0)
         p = PixelPoint(1.25, -0.5)
         a, b = project(h, p), project(scaled, p)
         assert abs(a.x - b.x) < 1e-12 and abs(a.y - b.y) < 1e-12
@@ -162,6 +163,16 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match=r"must be 3x3, got \(2, 3\)"):
             Homography.from_array(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("matrix", [
+        [[1, 2, 3], [4, 5]],
+        [1, 2, 3],
+        [[1, 2, 3], [4, "x", 6], [7, 8, 9]],
+        [[1, 2, 3], [4, None, 6], [7, 8, 9]],
+    ], ids=["ragged", "flat", "string", "none"])
+    def test_malformed_matrix(self, matrix):
+        with pytest.raises(ValueError):
+            Homography.from_array(matrix)
+
     def test_zero_matrix(self):
         with pytest.raises(DegenerateConfiguration,
                            match="zero or non-finite homography matrix"):
@@ -170,7 +181,7 @@ class TestRejectedInputs:
     def test_zero_corner_takes_its_sign_from_the_largest_entry(self):
         h = Homography.from_array([[0, 0, -1], [0, -1, 0], [-1, 0, 0]])
         expected = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) / np.sqrt(3.0)
-        assert np.allclose(h.as_array(), expected, atol=1e-12)
+        assert np.allclose(np.array(h.matrix), expected, atol=1e-12)
 
     def test_singular_matrix(self):
         with pytest.raises(DegenerateConfiguration,
@@ -187,6 +198,69 @@ class TestRejectedInputs:
     def test_reprojection_error_needs_a_pair(self):
         with pytest.raises(ValueError, match="need at least one correspondence"):
             reprojection_error(Homography.from_array(np.eye(3)), [])
+
+
+def numpy_reference(pairs):
+    """The estimate by ``np.linalg.svd`` of the same normalized system, less
+    the four-pair check for collinear court points that precedes the solve
+    (no draw or example below trips it)."""
+    def normalization(points):
+        centroid = points.mean(axis=0)
+        mean = np.linalg.norm(points - centroid, axis=1).mean()
+        s = np.sqrt(2.0) / mean if mean > 0 else 1.0
+        return np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]],
+                         [0.0, 0.0, 1.0]])
+    px, ct = (np.array([[p.x, p.y] for p in points]) for points in zip(*pairs))
+    t_px, t_ct = normalization(px), normalization(ct)
+    rows = []
+    for (x, y, _), (u, v, _) in zip(np.c_[px, np.ones(len(px))] @ t_px.T,
+                                    np.c_[ct, np.ones(len(ct))] @ t_ct.T):
+        rows += [[-x, -y, -1, 0, 0, 0, x * u, y * u, u], [0, 0, 0, -x, -y, -1, x * v, y * v, v]]
+    _, singulars, vt = np.linalg.svd(np.array(rows))
+    if len(singulars) >= 9 and singulars[7] < 1e-9 * max(singulars[0], 1.0):
+        raise DegenerateConfiguration("correspondences admit no unique solution")
+    return Homography.from_array(np.linalg.inv(t_ct) @ vt[-1].reshape(3, 3) @ t_px)
+
+
+@st.composite
+def noisy_pairs(draw):
+    """4-14 correspondences of a homography drawn as criterion 5 draws one,
+    with Gaussian noise on the pixels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = draw(st.sampled_from((0.0, 1e-6, 1e-3, 1e-2, 0.1, 0.5)))
+    pairs = exact_pairs(random_homography(rng), rng, draw(st.integers(4, 14)))
+    return [(PixelPoint(p.x + sigma * rng.normal(), p.y + sigma * rng.normal()), c)
+            for p, c in pairs]
+
+
+def outcome(estimate, pairs):
+    try:
+        return np.array(estimate(pairs).matrix)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def corresponding(*points):
+    return [(PixelPoint(*p), CourtPoint(*c)) for p, c in points]
+
+
+@settings(deadline=None, max_examples=150)
+@given(pairs=noisy_pairs())
+# the degenerate inputs: five pairs on one line, one pixel for five court
+# points, three of four pixels collinear, and a fifth pair repeating the fourth
+@example(pairs=corresponding(*(((i, 0), (i, 0)) for i in range(5))))
+@example(pairs=corresponding(*(((1, 1), c) for c in [(0, 0), (3, 1), (4, 0), (0, 4), (4, 4)])))
+@example(pairs=corresponding(((0, 0), (0, 0)), ((1, 1), (1, 0)), ((2, 2), (0, 1)),
+                             ((0, 3), (1, 1))))
+@example(pairs=corresponding(((0, 0), (0, 0)), ((1, 0), (2, 0)), ((0, 1), (0, 3)),
+                             ((1, 1), (2.5, 3.5)), ((1, 1), (2.5, 3.5))))
+def test_estimate_agrees_with_numpy_svd_on_noisy_input(pairs):
+    ours, theirs = outcome(estimate_homography, pairs), outcome(numpy_reference, pairs)
+    assert type(ours) is type(theirs), (ours, theirs)
+    if isinstance(theirs, tuple):
+        assert ours == theirs
+    else:
+        np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-9)
 
 
 KEYPOINT_REGIONS = {

@@ -82,7 +82,8 @@ COLD_START = textwrap.dedent("""
                   "--output", os.path.join(work, "s.json")]),
     ]
     heavy = sorted(n for n in sys.modules if n.startswith(("numpy", "requests")))
-    import courtside.court_geometry
+    from courtside.court_geometry import CourtModel, PixelPoint, estimate_homography
+    estimate_homography((PixelPoint(c.x, c.y), c) for _, c in CourtModel().keypoints)
     with open(os.path.join(work, "result.json"), "w") as fh:
         json.dump({"codes": codes, "heavy": heavy,
                    "numpy_after_geometry": "numpy" in sys.modules}, fh)
@@ -96,7 +97,7 @@ def test_cold_start_loads_neither_numpy_nor_requests(tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["codes"] == [0, 0, 0]
     assert result["heavy"] == []
-    assert result["numpy_after_geometry"]
+    assert not result["numpy_after_geometry"]
 
 
 # Runs cli.main once in a fresh interpreter and lists the courtside modules
@@ -138,7 +139,7 @@ def command_inputs(tmp_path_factory):
 ], ids=lambda argv: argv.split()[0])
 def test_command_loads_only_its_own_modules(command_inputs, argv):
     """segmentation loads for segment only, simulate for simulate only, and
-    court_geometry (numpy) for no command."""
+    court_geometry for no command."""
     command = argv.split()[0]
     argv = [str(command_inputs / arg) if arg.endswith(".jsonl") else arg
             for arg in argv.split()]
@@ -153,3 +154,48 @@ def test_command_loads_only_its_own_modules(command_inputs, argv):
     assert ("courtside.segmentation" in modules) == (command == "segment")
     assert ("courtside.simulate" in modules) == (command == "simulate")
     assert "courtside.court_geometry" not in modules
+
+
+# Imports every courtside module and runs each command, in a fresh
+# interpreter where numpy cannot be imported, as on an install without the
+# dev extra; prints the exit codes.
+WITHOUT_NUMPY = textwrap.dedent("""
+    import importlib, json, pkgutil, sys
+    sys.modules["numpy"] = None  # import numpy now raises ImportError
+
+    import courtside
+    for module in pkgutil.iter_modules(courtside.__path__):
+        importlib.import_module("courtside." + module.name)
+    from courtside import cli
+    from courtside.court_geometry import (CourtModel, Homography, PixelPoint,
+                                          estimate_homography, project,
+                                          reprojection_error)
+
+    # a broadcast view: court metres to pixels
+    view = Homography.from_array([[60.0, 8.0, 320.0], [0.0, -25.0, 650.0], [0.0, 0.012, 1.0]])
+    pairs = []
+    for _, court in CourtModel().keypoints:
+        pixel = project(view, court)
+        pairs.append((PixelPoint(pixel.x, pixel.y), court))
+    assert reprojection_error(estimate_homography(pairs), pairs) < 1e-6
+    print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+""")
+
+
+def test_every_module_and_command_runs_without_numpy(command_inputs, tmp_path):
+    match, pairs, impacts = (str(command_inputs / name)
+                             for name in ("m.jsonl", "pairs.jsonl", "impacts.jsonl"))
+    commands = [
+        ["simulate", "--seed", "1", "--output", str(tmp_path / "sim.jsonl")],
+        ["validate", "--input", match, "--output", str(tmp_path / "v.json")],
+        ["stats", "--input", match, "--output", str(tmp_path / "s.json")],
+        ["replay", "--input", match, "--client", "mock", "--no-timing",
+         "--output", str(tmp_path / "r.json")],
+        ["evaluate", "--input", pairs, "--output", str(tmp_path / "e.json")],
+        ["segment", "--input", impacts, "--output", str(tmp_path / "g.json")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, json.dumps(commands)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert json.loads(out) == [0] * len(commands)
